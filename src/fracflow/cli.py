@@ -66,7 +66,6 @@ class RunConfig:
     s_bar: float = 0.4
     t_grid: int = 8
     output_dir: str = "out"
-    deterministic_reduction: bool = True
 
 
 _COORD_KEYS = {"omega_min", "omega_max"}
@@ -94,27 +93,22 @@ def _parse_value(key: str, raw: str):
     return float(raw)
 
 
+def _flow_params(cfg: RunConfig) -> FlowParams:
+    return FlowParams(**{f.name: getattr(cfg, f.name)
+                         for f in fields(FlowParams)})
+
+
 def _validate(cfg: RunConfig) -> None:
     if cfg.dim not in (1, 2):
         raise ConfigError("dim must be 1 or 2")
-    if not (0.0 < cfg.s < 1.0):
-        raise ConfigError("s must lie in (0,1)")
-    if not cfg.p > 1.0:
-        raise ConfigError("p must exceed 1")
-    if not cfg.q > 0.0:
-        raise ConfigError("q must be positive")
-    if not cfg.h > 0.0:
-        raise ConfigError("h must be positive")
-    if not cfg.t_end >= cfg.h:
-        raise ConfigError("t_end must be at least h")
+    try:
+        _flow_params(cfg)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
     if cfg.n_cells < 2:
         raise ConfigError("n_cells must be at least 2")
     if cfg.collar_factor < 1.0:
         raise ConfigError("collar_factor must be at least 1")
-    if not cfg.solver_tol > 0.0:
-        raise ConfigError("solver_tol must be positive")
-    if cfg.solver_max_iter < 1:
-        raise ConfigError("solver_max_iter must be positive")
     if cfg.preset not in ("bump", "step", "random", "csv"):
         raise ConfigError("preset must be one of bump, step, random, csv")
     if not math.isfinite(cfg.amplitude):
@@ -159,9 +153,7 @@ def parse_config(path: str) -> RunConfig:
 def _build_problem(cfg: RunConfig):
     domain = build_grid(cfg.dim, cfg.omega_min, cfg.omega_max, cfg.n_cells,
                         cfg.collar_factor)
-    params = FlowParams(s=cfg.s, p=cfg.p, q=cfg.q, h=cfg.h, t_end=cfg.t_end,
-                        solver_tol=cfg.solver_tol,
-                        solver_max_iter=cfg.solver_max_iter)
+    params = _flow_params(cfg)
     u0 = eval_preset(domain, cfg.preset, cfg.amplitude, seed=cfg.seed,
                      csv_path=cfg.csv_path or None)
     kernel = assemble_kernel(domain, params)
@@ -178,8 +170,9 @@ def _meta(cfg: RunConfig, extra: dict | None = None) -> dict:
 
 
 def _write_report(report: verify.VerificationReport, out_dir: str) -> None:
+    text = dumps_json(report.to_dict())
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        fh.write(dumps_json(report.to_dict()))
+        fh.write(text)
 
 
 def cmd_run(cfg: RunConfig) -> int:
@@ -226,13 +219,13 @@ def cmd_run(cfg: RunConfig) -> int:
     if cfg.check_poincare:
         report.add(verify.check_poincare(u0, kernel, params, domain))
     if cfg.check_spacetime:
-        if domain.n_nodes ** 2 * cfg.t_grid ** 2 > 10 ** 8:
+        if verify.spacetime_sum_fits(domain.n_nodes, cfg.t_grid):
+            report.add(verify.check_spacetime_sobolev(
+                traj, cfg.s_prime, cfg.s_bar, cfg.t_grid))
+        else:
             report.add(verify.CheckEntry(
                 name="ST-SOBOLEV", ref="spacetime-interpolation-bound",
                 lhs=0.0, rhs=0.0, skipped="space-time sum guard exceeded"))
-        else:
-            report.add(verify.check_spacetime_sobolev(
-                traj, cfg.s_prime, cfg.s_bar, cfg.t_grid))
     if cfg.check_levelset:
         report.add(verify.chebyshev_level_sets(
             traj.steps[-1], cfg.ell, params, domain, kernel, u0=u0))
@@ -311,7 +304,7 @@ def cmd_ineq(cfg: RunConfig, trials: int, seed: int) -> int:
     worst.note = "worst of 100 seeded random functions"
     report.add(worst)
 
-    if domain.n_nodes ** 2 * cfg.t_grid ** 2 <= 10 ** 8:
+    if verify.spacetime_sum_fits(domain.n_nodes, cfg.t_grid):
         coords = domain.node_coords
         prof = np.ones(domain.n_nodes)
         for d in range(domain.dim):

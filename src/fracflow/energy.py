@@ -37,14 +37,27 @@ def lq_power_integral(u: GridFunction, r: float) -> float:
     return float(u.domain.vol * np.sum(np.abs(u.values) ** r))
 
 
+def _pair_sum(x: np.ndarray, kernel: KernelTable, p: float) -> float:
+    """Seminorm power of the zero-exterior function with interior values x;
+    its exterior pairs and tail act on |x_i|^p alone, via kernel.boundary."""
+    pair = float(np.sum(kernel.interior * np.abs(x[:, None] - x[None, :]) ** p))
+    return pair + 2.0 * float(np.sum(kernel.boundary * np.abs(x) ** p))
+
+
+def _add_pair_gradient(g: np.ndarray, x: np.ndarray, kernel: KernelTable,
+                       p: float) -> np.ndarray:
+    """g += gradient of ``_pair_sum(x) / (2p)``, in place so that the
+    caller's own terms stay first in the floating-point sum."""
+    g += np.sum(kernel.interior * sgn_power(x[:, None] - x[None, :], p - 1.0),
+                axis=1)
+    g += kernel.boundary * sgn_power(x, p - 1.0)
+    return g
+
+
 def gagliardo_seminorm_p(u: GridFunction, kernel: KernelTable, p: float) -> float:
     """p-th power of the nonlocal seminorm (pair sum plus doubled tail term)."""
     kernel.require_match(u.domain, p)
-    vals = u.values
-    diff = vals[:, None] - vals[None, :]
-    pair = float(np.sum(kernel.weights * np.abs(diff) ** p))
-    tail = 2.0 * float(np.sum(kernel.tail * np.abs(vals) ** p))
-    return pair + tail
+    return _pair_sum(u.interior_values(), kernel, p)
 
 
 def energy_functional(u: GridFunction, kernel: KernelTable, p: float) -> float:
@@ -62,18 +75,15 @@ def apply_frac_p_laplacian(u: GridFunction, kernel: KernelTable,
     directional derivative of the energy at u along phi.
     """
     kernel.require_match(u.domain, p)
-    vals = u.values
-    diff = vals[:, None] - vals[None, :]
-    g = np.sum(kernel.weights * sgn_power(diff, p - 1.0), axis=1)
-    g += kernel.tail * sgn_power(vals, p - 1.0)
-    g[~u.domain.interior_mask] = 0.0
+    x = u.interior_values()
+    g = np.zeros(u.domain.n_nodes)
+    g[u.domain.interior_mask] = _add_pair_gradient(np.zeros_like(x), x, kernel, p)
     return GridFunction(u.domain, g)
 
 
 def rothe_functional(w: GridFunction, u_prev: GridFunction,
                      kernel: KernelTable, params: FlowParams) -> float:
     """Objective of one implicit step: time coupling plus nonlocal energy."""
-    kernel.require_match(w.domain, params.p)
     q, h, vol = params.q, params.h, w.domain.vol
     wv, uv = w.values, u_prev.values
     time_part = (vol / h) * float(np.sum(
@@ -84,11 +94,9 @@ def rothe_functional(w: GridFunction, u_prev: GridFunction,
 def rothe_gradient(w: GridFunction, u_prev: GridFunction,
                    kernel: KernelTable, params: FlowParams) -> GridFunction:
     """Gradient of ``rothe_functional`` in w; zero on exterior nodes."""
-    kernel.require_match(w.domain, params.p)
     q, h, vol = params.q, params.h, w.domain.vol
     g = (vol / h) * (sgn_power(w.values, q) - sgn_power(u_prev.values, q))
     g = g + apply_frac_p_laplacian(w, kernel, params.p).values
-    g[~w.domain.interior_mask] = 0.0
     return GridFunction(w.domain, g)
 
 

@@ -66,7 +66,9 @@ class KernelTable:
 
     weights[i, j] = vol^2 * |x_i - x_j|^(-(n+sp)) for i != j, 0 on the
     diagonal; tail[i] = vol * integral of the kernel over the region beyond
-    the collar box (closed radial form).  Rebuilt whenever (s, p, grid)
+    the collar box (closed radial form).  interior is the interior block of
+    weights; boundary[i] = tail[i] + sum_{j exterior} weights[i, j] is what
+    acts on |u_i| of a zero-exterior u.  Rebuilt whenever (s, p, grid)
     changes; params_hash records what it was built for.
     """
 
@@ -75,6 +77,8 @@ class KernelTable:
     p: float
     weights: np.ndarray = field(repr=False)
     tail: np.ndarray = field(repr=False)
+    interior: np.ndarray = field(repr=False)
+    boundary: np.ndarray = field(repr=False)
     params_hash: tuple = ()
 
     @property
@@ -118,21 +122,36 @@ def tail_weight(domain: GridDomain, params: FlowParams, node: int) -> float:
     return float(_tail_weights(domain, params)[node])
 
 
+def _pair_weights(coords: np.ndarray, vol: float, expo: float,
+                  lag: float = 0.0) -> np.ndarray:
+    """vol^2 (|x_i-x_j|^2 + lag^2)^(-expo/2), zero diagonal at lag 0; built
+    one axis at a time and in place, so no (N, N, dim) array is held."""
+    w = np.zeros((coords.shape[0],) * 2)
+    for x in coords.T:
+        w += (x[:, None] - x[None, :]) ** 2
+    w += lag ** 2
+    np.sqrt(w, out=w)
+    if lag == 0.0:
+        np.fill_diagonal(w, np.inf)       # inf ** -expo == 0: no self pair
+    w **= -expo
+    w *= vol ** 2
+    return w
+
+
 def assemble_kernel(domain: GridDomain, params: FlowParams) -> KernelTable:
     """Build the full O(N^2) pair table for (s, p) on the given grid."""
     if domain.n_nodes > 6000:
         raise ValueError(f"{domain.n_nodes} nodes: the dense pair table is "
                          "sized for a few thousand nodes; coarsen the grid")
-    coords = domain.node_coords
-    diff = coords[:, None, :] - coords[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=-1))
-    np.fill_diagonal(dist, 1.0)          # placeholder, diagonal zeroed below
-    expo = domain.dim + params.s * params.p
-    weights = domain.vol ** 2 * dist ** (-expo)
-    np.fill_diagonal(weights, 0.0)
+    weights = _pair_weights(domain.node_coords, domain.vol,
+                            domain.dim + params.s * params.p)
     tail = _tail_weights(domain, params)
-    weights.setflags(write=False)
-    tail.setflags(write=False)
+    mask = domain.interior_mask
+    interior = weights[np.ix_(mask, mask)]
+    boundary = weights[np.ix_(mask, ~mask)].sum(axis=1) + tail[mask]
+    for arr in (weights, tail, interior, boundary):
+        arr.setflags(write=False)
     phash = (float(params.s), float(params.p)) + domain.signature()
     return KernelTable(domain=domain, s=params.s, p=params.p,
-                       weights=weights, tail=tail, params_hash=phash)
+                       weights=weights, tail=tail, interior=interior,
+                       boundary=boundary, params_hash=phash)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .grid import GridDomain, GridFunction, zero_function
 from .kernel import FlowParams, KernelTable
-from .energy import sgn_power, scale_for
+from .energy import sgn_power, scale_for, _pair_sum, _add_pair_gradient
 
 __all__ = [
     "NonConvergence", "StepDiagnostics", "RotheTrajectory", "minimize_step",
@@ -62,36 +62,25 @@ class StepDiagnostics:
 
 
 class _StepWorkspace:
-    """Interior-block quantities reused by every step of one run."""
+    """Step-invariant quantities of one run, on the interior nodes."""
 
     def __init__(self, domain: GridDomain, kernel: KernelTable, params: FlowParams):
         kernel.require_match(domain, params.p)
-        self.domain = domain
+        self.kernel = kernel
         self.params = params
-        mask = domain.interior_mask
-        self.mask = mask
-        self.w_int = kernel.weights[np.ix_(mask, mask)]
-        # exterior columns collapse: those nodes hold value 0, so both their
-        # pair weights and the analytic tail act on |w_i|^p alone
-        self.b = kernel.weights[np.ix_(mask, ~mask)].sum(axis=1) + kernel.tail[mask]
+        self.mask = domain.interior_mask
         self.vol_h = domain.vol / params.h
 
     def objective(self, x: np.ndarray, vprev: np.ndarray) -> float:
         p, q = self.params.p, self.params.q
         time_part = self.vol_h * float(
             np.sum(np.abs(x) ** (q + 1.0) / (q + 1.0) - vprev * x))
-        diff = x[:, None] - x[None, :]
-        pair = float(np.sum(self.w_int * np.abs(diff) ** p))
-        tail = 2.0 * float(np.sum(self.b * np.abs(x) ** p))
-        return time_part + (pair + tail) / (2.0 * p)
+        return time_part + _pair_sum(x, self.kernel, p) / (2.0 * p)
 
     def gradient(self, x: np.ndarray, vprev: np.ndarray) -> np.ndarray:
         p, q = self.params.p, self.params.q
         g = self.vol_h * (sgn_power(x, q) - vprev)
-        diff = x[:, None] - x[None, :]
-        g += np.sum(self.w_int * sgn_power(diff, p - 1.0), axis=1)
-        g += self.b * sgn_power(x, p - 1.0)
-        return g
+        return _add_pair_gradient(g, x, self.kernel, p)
 
     def newton_direction(self, x: np.ndarray, g: np.ndarray) -> np.ndarray | None:
         """Damped-Newton proposal from a clamped Hessian model.
@@ -102,13 +91,13 @@ class _StepWorkspace:
         (diagonal time term plus a weighted graph Laplacian plus positive
         tails), so the solve yields a descent direction.
         """
-        p, q = self.params.p, self.params.q
+        p, q, kern = self.params.p, self.params.q, self.kernel
         floor = 32.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(x))))
         diff = x[:, None] - x[None, :]
-        wd = self.w_int * np.maximum(np.abs(diff), floor) ** (p - 2.0)
+        wd = kern.interior * np.maximum(np.abs(diff), floor) ** (p - 2.0)
         hess = -(p - 1.0) * wd
         absx = np.maximum(np.abs(x), floor)
-        di = ((p - 1.0) * (wd.sum(axis=1) + self.b * absx ** (p - 2.0))
+        di = ((p - 1.0) * (wd.sum(axis=1) + kern.boundary * absx ** (p - 2.0))
               + self.vol_h * q * absx ** (q - 1.0))
         hess[np.diag_indices_from(hess)] += di
         try:

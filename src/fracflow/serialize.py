@@ -1,13 +1,19 @@
-"""Deterministic text output: floats at 17 significant digits everywhere."""
+"""Deterministic text output: floats at 17 significant digits everywhere.
+
+Non-finite floats raise ValueError, before any file is opened.
+"""
 
 from __future__ import annotations
 
 import json
+import math
 
 __all__ = ["fmt_float", "dumps_json", "write_csv"]
 
 
 def fmt_float(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"refusing to write the non-finite value {x!r}")
     return f"{float(x):.17g}"
 
 
@@ -21,8 +27,6 @@ def _emit(obj, out: list, indent: int) -> None:
         out.append("false")
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
-    elif isinstance(obj, bool):  # pragma: no cover - handled above
-        out.append("true" if obj else "false")
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
@@ -62,8 +66,7 @@ def dumps_json(obj) -> str:
 
 def write_csv(path, header: list, rows: list) -> None:
     """Plain CSV; floats rendered by fmt_float, everything else by str."""
+    lines = [",".join(fmt_float(c) if isinstance(c, float) else str(c)
+                      for c in row) for row in [header, *rows]]
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = [fmt_float(c) if isinstance(c, float) else str(c) for c in row]
-            fh.write(",".join(cells) + "\n")
+        fh.write("\n".join(lines) + "\n")

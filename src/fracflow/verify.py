@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import GridDomain, GridFunction
-from .kernel import FlowParams, KernelTable
+from .kernel import FlowParams, KernelTable, _pair_weights
 from .energy import (AlgConstants, sgn_power, lq_power_integral,
                      gagliardo_seminorm_p, scan_alg_constants, scale_for,
                      rothe_gradient)
@@ -28,7 +28,7 @@ __all__ = [
     "CheckEntry", "VerificationReport", "SobolevExponents", "sobolev_exponents",
     "check_energy_estimates", "check_time_derivative_bounds",
     "check_max_principle", "check_truncation_energy", "check_poincare",
-    "spacetime_seminorm_w1", "check_spacetime_sobolev",
+    "spacetime_sum_fits", "spacetime_seminorm_w1", "check_spacetime_sobolev",
     "check_spacetime_sobolev_values", "check_weak_residual",
     "check_initial_trend", "cauchy_refinement_study", "chebyshev_level_sets",
     "measure_sobolev_constant", "alg_constants",
@@ -325,10 +325,13 @@ def check_poincare(u: GridFunction, kernel: KernelTable, params: FlowParams,
                       lhs=lhs, rhs=rhs, constant_used=const, tol=tol)
 
 
-def _st_guard(n_nodes: int, t_grid: int) -> None:
-    if n_nodes ** 2 * t_grid ** 2 > 10 ** 8:
-        raise ValueError("space-time sum too large: node_count^2 * t_grid^2 "
-                         "must not exceed 1e8")
+def spacetime_sum_fits(n_nodes: int, t_grid: int) -> bool:
+    """Whether the dense space-time sum (node_count^2 * t_grid^2) is <= 1e8."""
+    return n_nodes ** 2 * t_grid ** 2 <= 10 ** 8
+
+
+def _w1_pair_sum(a: np.ndarray, b: np.ndarray, kern: np.ndarray) -> float:
+    return float(np.sum(np.abs(a[:, None] - b[None, :]) * kern))
 
 
 def spacetime_seminorm_values(vals: np.ndarray, domain: GridDomain,
@@ -337,27 +340,23 @@ def spacetime_seminorm_values(vals: np.ndarray, domain: GridDomain,
 
     vals[k, i] holds the function at time slab midpoint k and node i; the
     kernel is dist^-(n+1+s') over the (n+1)-dimensional cylinder, diagonal
-    excluded.
+    excluded.  The kernel depends on the lag |k-k'| only and is symmetric,
+    so slab pair (k', k) repeats (k, k'): each lag is summed once, doubled.
     """
     if not (0.0 < s_prime < 1.0):
         raise ValueError("s_prime must lie in (0,1)")
     n_t, n_nodes = vals.shape
-    _st_guard(n_nodes, n_t)
-    coords = domain.node_coords
-    diff = coords[:, None, :] - coords[None, :, :]
-    d2 = (diff ** 2).sum(axis=-1)
-    expo = -(domain.dim + 1 + s_prime)
+    if not spacetime_sum_fits(n_nodes, n_t):
+        raise ValueError("space-time sum too large: node_count^2 * t_grid^2 "
+                         "must not exceed 1e8")
+    expo = domain.dim + 1 + s_prime
     total = 0.0
-    for k in range(n_t):
-        for kp in range(n_t):
-            tau2 = ((k - kp) * dt) ** 2
-            kern = (d2 + tau2) ** (expo / 2.0) if k != kp else None
-            if kern is None:
-                with np.errstate(divide="ignore"):
-                    kern = d2 ** (expo / 2.0)
-                np.fill_diagonal(kern, 0.0)
-            total += float(np.sum(np.abs(vals[k][:, None] - vals[kp][None, :]) * kern))
-    return domain.vol ** 2 * dt ** 2 * total
+    for lag in range(n_t):
+        kern = _pair_weights(domain.node_coords, domain.vol, expo, lag * dt)
+        part = sum(_w1_pair_sum(vals[k], vals[k + lag], kern)
+                   for k in range(n_t - lag))
+        total += part if lag == 0 else 2.0 * part
+    return dt ** 2 * total
 
 
 def _sample_lin(traj: RotheTrajectory, kind: str, t_grid: int):
@@ -377,18 +376,6 @@ def spacetime_seminorm_w1(traj: RotheTrajectory, kind: str, s_prime: float,
     return spacetime_seminorm_values(vals, traj.domain, dt, s_prime)
 
 
-def _spatial_w1_seminorm(vals: np.ndarray, domain: GridDomain,
-                         s_bar: float) -> float:
-    coords = domain.node_coords
-    diff = coords[:, None, :] - coords[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=-1))
-    np.fill_diagonal(dist, 1.0)
-    kern = dist ** (-(domain.dim + s_bar))
-    np.fill_diagonal(kern, 0.0)
-    return domain.vol ** 2 * float(
-        np.sum(np.abs(vals[:, None] - vals[None, :]) * kern))
-
-
 def _spacetime_sobolev_core(vals: np.ndarray, dvals: np.ndarray,
                             domain: GridDomain, t_total: float,
                             s_prime: float, s_bar: float):
@@ -397,8 +384,8 @@ def _spacetime_sobolev_core(vals: np.ndarray, dvals: np.ndarray,
     dt = t_total / n_t
     lhs = spacetime_seminorm_values(vals, domain, dt, s_prime)
     l1_dt = dt * domain.vol * float(np.sum(np.abs(dvals)))
-    spatial = dt * sum(_spatial_w1_seminorm(vals[k], domain, s_bar)
-                       for k in range(n_t))
+    kern = _pair_weights(domain.node_coords, domain.vol, domain.dim + s_bar)
+    spatial = dt * sum(_w1_pair_sum(v, v, kern) for v in vals)
     n = domain.dim
     angular = n * _UNIT_BALL_VOL[n]
     diam = domain.collar_diameter

@@ -315,7 +315,6 @@ def test_criterion_12_determinism(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("\n".join([
         "n_cells = 16", "h = 0.02", "t_end = 0.1",
-        "deterministic_reduction = true",
         f"output_dir = {tmp_path / 'out'}"]) + "\n")
     assert main(["run", "--config", str(cfg)]) == 0
     first = {name: (tmp_path / "out" / name).read_bytes()

@@ -43,6 +43,10 @@ def test_out_of_range_values_name_the_constraint(tmp_path):
         parse_config(write_cfg(tmp_path, "s = 1.5\n"))
     with pytest.raises(ConfigError, match="q must be positive"):
         parse_config(write_cfg(tmp_path, "q = 0\n"))
+    with pytest.raises(ConfigError, match="h must be positive"):
+        parse_config(write_cfg(tmp_path, "h = 0\n"))
+    with pytest.raises(ConfigError, match="solver_tol must be positive"):
+        parse_config(write_cfg(tmp_path, "solver_tol = 0\n"))
     # fast-diffusion value is fine
     assert parse_config(write_cfg(tmp_path, "q = 0.5\n")).q == 0.5
 
@@ -108,6 +112,18 @@ def test_cmd_run_check_failure_exit_code(tmp_path, monkeypatch):
     assert cmd_run(cfg) == 4
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_cmd_run_overflow_writes_no_output(tmp_path, capsys):
+    # the seminorm of this data overflows to inf; that must be refused with
+    # an error, not written as a bare inf that strict JSON readers reject
+    cfg_path = write_cfg(tmp_path, "\n".join([
+        "p = 3", "amplitude = 1e120", "n_cells = 16", "t_end = 0.05",
+        f"output_dir = {tmp_path / 'out'}"]))
+    assert main(["run", "--config", cfg_path]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert os.listdir(tmp_path / "out") == []
+
+
 def test_cmd_converge_writes_table(tmp_path):
     cfg = small_run_cfg(tmp_path, n_cells=16, h=0.04, t_end=0.2)
     assert cmd_converge(cfg, levels=3, gamma=1.0) == 0
@@ -130,7 +146,6 @@ def test_cmd_ineq_passes_and_reports(tmp_path):
 def test_byte_determinism(tmp_path):
     cfg_path = write_cfg(tmp_path, "\n".join([
         "n_cells = 12", "h = 0.02", "t_end = 0.1",
-        "deterministic_reduction = true",
         f"output_dir = {tmp_path / 'outA'}"]))
     assert main(["run", "--config", cfg_path]) == 0
     first = {name: open(tmp_path / "outA" / name, "rb").read()
@@ -159,6 +174,12 @@ def test_csv_preset_via_config(tmp_path):
 
 
 def test_seventeen_digit_floats(tmp_path):
-    from fracflow.serialize import fmt_float
+    from fracflow.serialize import dumps_json, fmt_float, write_csv
     for x in (1.0 / 3.0, 1e-9, 0.1, 123456.789):
         assert float(fmt_float(x)) == x
+    for bad in (float("inf"), -float("inf"), float("nan"), np.float64("nan")):
+        with pytest.raises(ValueError, match="non-finite"):
+            dumps_json({"entries": [{"lhs": bad}]})
+        with pytest.raises(ValueError, match="non-finite"):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 0.5], [2, bad]])
+        assert not (tmp_path / "t.csv").exists()

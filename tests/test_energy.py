@@ -6,7 +6,7 @@ from fracflow import (FlowParams, GridFunction, apply_frac_p_laplacian,
                       eval_preset, gagliardo_seminorm_p, lq_power_integral,
                       rothe_functional, rothe_gradient, scan_alg_constants,
                       zero_function)
-from fracflow.energy import alg_ratios, scale_for
+from fracflow.energy import alg_ratios, scale_for, sgn_power
 
 
 def make_problem(n_cells=16, s=0.5, p=2.0, q=1.0, h=0.01):
@@ -80,6 +80,28 @@ def test_seminorm_indicator_against_pairwise_oracle():
     e = energy_functional(u, kernel, 2.0)
     assert np.isclose(e, (kernel.weights[i].sum() + kernel.tail[i]) / 2.0,
                       rtol=1e-13)
+
+    # random zero-exterior data: seminorm and gradient against dense sums
+    # over the full collar table
+    rng = np.random.default_rng(7)
+    for dim, n_cells in ((1, 16), (2, 6)):
+        dom = build_grid(dim, 0.0, 1.0, n_cells, 2.0)
+        for p in (1.5, 2.0, 3.0):
+            kernel = assemble_kernel(
+                dom, FlowParams(s=0.5, p=p, q=1.0, h=0.01, t_end=0.1))
+            vals = rng.uniform(-1.0, 1.0, dom.n_nodes) * dom.interior_mask
+            diff = vals[:, None] - vals[None, :]
+            sem = (np.sum(kernel.weights * np.abs(diff) ** p)
+                   + 2.0 * np.sum(kernel.tail * np.abs(vals) ** p))
+            grad = (np.sum(kernel.weights * sgn_power(diff, p - 1.0), axis=1)
+                    + kernel.tail * sgn_power(vals, p - 1.0)) * dom.interior_mask
+            u = GridFunction(dom, vals)
+            assert np.isclose(gagliardo_seminorm_p(u, kernel, p), sem,
+                              rtol=1e-13, atol=0.0)
+            assert np.allclose(apply_frac_p_laplacian(u, kernel, p).values,
+                               grad, rtol=1e-13, atol=1e-13 * np.abs(grad).max())
+            assert not kernel.interior.flags.writeable
+            assert not kernel.boundary.flags.writeable
 
 
 def test_seminorm_zero_and_homogeneity():
