@@ -37,19 +37,31 @@ def lq_power_integral(u: GridFunction, r: float) -> float:
     return float(u.domain.vol * np.sum(np.abs(u.values) ** r))
 
 
-def _pair_sum(x: np.ndarray, kernel: KernelTable, p: float) -> float:
+def _pair_sum(x: np.ndarray, kernel: KernelTable, p: float,
+              buf: np.ndarray | None = None) -> float:
     """Seminorm power of the zero-exterior function with interior values x;
-    its exterior pairs and tail act on |x_i|^p alone, via kernel.boundary."""
-    pair = float(np.sum(kernel.interior * np.abs(x[:, None] - x[None, :]) ** p))
+    its exterior pairs and tail act on |x_i|^p alone, via kernel.boundary.
+    The pair matrix is formed in ``buf`` (shape (n, n)) when given."""
+    m = np.subtract.outer(x, x, out=buf)
+    np.abs(m, out=m)
+    m **= p
+    m *= kernel.interior
+    pair = float(np.sum(m))
     return pair + 2.0 * float(np.sum(kernel.boundary * np.abs(x) ** p))
 
 
 def _add_pair_gradient(g: np.ndarray, x: np.ndarray, kernel: KernelTable,
-                       p: float) -> np.ndarray:
+                       p: float, buf: np.ndarray | None = None) -> np.ndarray:
     """g += gradient of ``_pair_sum(x) / (2p)``, in place so that the
-    caller's own terms stay first in the floating-point sum."""
-    g += np.sum(kernel.interior * sgn_power(x[:, None] - x[None, :], p - 1.0),
-                axis=1)
+    caller's own terms stay first in the floating-point sum.  The pair
+    matrix is formed in ``buf`` (shape (n, n)) when given."""
+    m = np.subtract.outer(x, x, out=buf)
+    negative = m < 0.0
+    np.abs(m, out=m)
+    m **= p - 1.0
+    m *= kernel.interior
+    np.negative(m, out=m, where=negative)
+    g += np.sum(m, axis=1)
     g += kernel.boundary * sgn_power(x, p - 1.0)
     return g
 

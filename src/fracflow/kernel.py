@@ -122,13 +122,25 @@ def tail_weight(domain: GridDomain, params: FlowParams, node: int) -> float:
     return float(_tail_weights(domain, params)[node])
 
 
+_BLOCK_BYTES = 8 << 20     # scratch for one row block of _pair_weights
+
+
 def _pair_weights(coords: np.ndarray, vol: float, expo: float,
                   lag: float = 0.0) -> np.ndarray:
     """vol^2 (|x_i-x_j|^2 + lag^2)^(-expo/2), zero diagonal at lag 0; built
-    one axis at a time and in place, so no (N, N, dim) array is held."""
-    w = np.zeros((coords.shape[0],) * 2)
-    for x in coords.T:
-        w += (x[:, None] - x[None, :]) ** 2
+    one axis at a time, in row blocks, in place, so the only array besides
+    the table is one block of differences (about 8 MiB)."""
+    n = coords.shape[0]
+    w = np.zeros((n, n))
+    rows = max(1, _BLOCK_BYTES // (8 * n))
+    diff = np.empty((min(rows, n), n))
+    for lo in range(0, n, rows):
+        block = w[lo:lo + rows]
+        d = diff[:block.shape[0]]
+        for x in coords.T:
+            np.subtract.outer(x[lo:lo + rows], x, out=d)
+            d **= 2
+            block += d
     w += lag ** 2
     np.sqrt(w, out=w)
     if lag == 0.0:

@@ -8,11 +8,13 @@ Each step solves
 over the interior nodes (exterior nodes are hard-constrained to zero).  The
 objective is strictly convex and C^1 for every p > 1, q > 0, so no smoothing
 of the power nonlinearities is needed.  Steps are proposed by a damped
-Newton direction from a clamped curvature model (with a Barzilai-Borwein
-gradient step as fallback) and accepted by Armijo backtracking, warm-started
-from the previous step; once the objective decrease drops below float
-resolution the accept rule switches to the residual norm, which is what the
-tight gradient stopping rule actually needs.
+Newton direction from a clamped curvature model, at every problem size, and
+accepted by Armijo backtracking, warm-started from the previous step; once
+the objective decrease drops below float resolution the accept rule switches
+to the residual norm, which is what the tight gradient stopping rule
+actually needs.  Should the Newton solve fail, the plain negative gradient
+takes its place under the same line search.  Each Newton iteration costs a
+dense solve on the interior nodes, O(n_interior^3).
 """
 
 from __future__ import annotations
@@ -59,10 +61,12 @@ class StepDiagnostics:
     grad_norm: float
     functional_value: float
     f_history: tuple = ()
+    fallbacks: int = 0      # iterations where the Newton solve failed
 
 
 class _StepWorkspace:
-    """Step-invariant quantities of one run, on the interior nodes."""
+    """Step-invariant quantities of one run, on the interior nodes, and the
+    one (n, n) scratch array that every pair matrix of the solve is formed in."""
 
     def __init__(self, domain: GridDomain, kernel: KernelTable, params: FlowParams):
         kernel.require_match(domain, params.p)
@@ -70,17 +74,19 @@ class _StepWorkspace:
         self.params = params
         self.mask = domain.interior_mask
         self.vol_h = domain.vol / params.h
+        n = kernel.interior.shape[0]
+        self.buf = np.empty((n, n))
 
     def objective(self, x: np.ndarray, vprev: np.ndarray) -> float:
         p, q = self.params.p, self.params.q
         time_part = self.vol_h * float(
             np.sum(np.abs(x) ** (q + 1.0) / (q + 1.0) - vprev * x))
-        return time_part + _pair_sum(x, self.kernel, p) / (2.0 * p)
+        return time_part + _pair_sum(x, self.kernel, p, self.buf) / (2.0 * p)
 
     def gradient(self, x: np.ndarray, vprev: np.ndarray) -> np.ndarray:
         p, q = self.params.p, self.params.q
         g = self.vol_h * (sgn_power(x, q) - vprev)
-        return _add_pair_gradient(g, x, self.kernel, p)
+        return _add_pair_gradient(g, x, self.kernel, p, self.buf)
 
     def newton_direction(self, x: np.ndarray, g: np.ndarray) -> np.ndarray | None:
         """Damped-Newton proposal from a clamped Hessian model.
@@ -90,15 +96,22 @@ class _StepWorkspace:
         small magnitude floor.  The model stays symmetric positive definite
         (diagonal time term plus a weighted graph Laplacian plus positive
         tails), so the solve yields a descent direction.
+
+        The model is assembled in the workspace array, so the memory it needs
+        is that array plus the copy LAPACK's solve makes of it.
         """
         p, q, kern = self.params.p, self.params.q, self.kernel
         floor = 32.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(x))))
-        diff = x[:, None] - x[None, :]
-        wd = kern.interior * np.maximum(np.abs(diff), floor) ** (p - 2.0)
-        hess = -(p - 1.0) * wd
+        wd = np.subtract.outer(x, x, out=self.buf)
+        np.abs(wd, out=wd)
+        np.maximum(wd, floor, out=wd)
+        wd **= p - 2.0
+        wd *= kern.interior
         absx = np.maximum(np.abs(x), floor)
         di = ((p - 1.0) * (wd.sum(axis=1) + kern.boundary * absx ** (p - 2.0))
               + self.vol_h * q * absx ** (q - 1.0))
+        hess = wd                   # wd is not read past di
+        hess *= -(p - 1.0)
         hess[np.diag_indices_from(hess)] += di
         try:
             d = np.linalg.solve(hess, -g)
@@ -157,28 +170,20 @@ def _solve_step(ws: _StepWorkspace, u_prev: np.ndarray, tol_abs: float,
     # q < 1); once that happens the accept rule switches from the objective
     # to the residual 2-norm, which keeps ~7 extra digits of headroom
     noise = 8.0 * np.finfo(float).eps
-    use_newton = x0.size <= 800
     residual_mode = False
     stalled = 0
+    fallbacks = 0
 
-    t_bb = 1.0 / (1.0 + float(np.linalg.norm(g)))
-    x_old = None
-    g_old = None
     for it in range(1, max_iter + 1):
         if gnorm <= tol_abs:
             diag = StepDiagnostics(it - 1, gnorm, f,
-                                   tuple(history) if keep_history else ())
+                                   tuple(history) if keep_history else (),
+                                   fallbacks)
             return x, diag
-        if x_old is not None:
-            dx = x - x_old
-            dg = g - g_old
-            denom = float(dx @ dg)
-            if denom > 0.0:
-                t_bb = float(dx @ dx) / denom
-            t_bb = min(max(t_bb, 1e-17), 1e17)
-        d = ws.newton_direction(x, g) if use_newton else None
+        d = ws.newton_direction(x, g)
         if d is None:
-            d = -t_bb * g
+            fallbacks += 1
+            d = -g
         if not residual_mode:
             slope = float(g @ d)
             t = 1.0
@@ -192,13 +197,12 @@ def _solve_step(ws: _StepWorkspace, u_prev: np.ndarray, tol_abs: float,
             stalled = stalled + 1 if f_try >= f - floor else 0
             if stalled >= 2:
                 residual_mode = True
-            x_old, g_old = x, g
             x, f = x_try, f_try
             g = ws.gradient(x, vprev)
         else:
             merit = float(np.linalg.norm(g))
             accepted = False
-            for trial_d in (d, -t_bb * g):
+            for trial_d in (d, -g):
                 t = 1.0
                 for _ in range(60):
                     x_try = x + t * trial_d
@@ -217,7 +221,6 @@ def _solve_step(ws: _StepWorkspace, u_prev: np.ndarray, tol_abs: float,
                 g_snap = ws.gradient(snapped, vprev)
                 if float(np.linalg.norm(g_snap)) < m_try:
                     x_try, g_try = snapped, g_snap
-            x_old, g_old = x, g
             x, g = x_try, g_try
             f = ws.objective(x, vprev)
         gnorm = float(np.max(np.abs(g)))
@@ -225,7 +228,8 @@ def _solve_step(ws: _StepWorkspace, u_prev: np.ndarray, tol_abs: float,
             history.append(f)
     if gnorm <= tol_abs:
         return x, StepDiagnostics(max_iter, gnorm, f,
-                                  tuple(history) if keep_history else ())
+                                  tuple(history) if keep_history else (),
+                                  fallbacks)
     raise NonConvergence(max_iter, gnorm)
 
 

@@ -61,6 +61,16 @@ def test_criterion_1_energy_estimates(sweep):
     assert sweep["elapsed"] < 300.0, f"sweep took {sweep['elapsed']:.0f}s"
 
 
+def test_sweep_takes_newton_every_iteration(sweep):
+    # the -g fallback is a safeguard only: no sweep step ever needs it
+    fallbacks = {key: [d.fallbacks for d in traj.diagnostics]
+                 for key, (traj, _) in sweep["runs"].items()}
+    failures = {key: f for key, f in fallbacks.items() if any(f)}
+    report_line("Newton direction on every solver iteration of the sweep",
+                not failures)
+    assert not failures, list(failures.items())[:5]
+
+
 def test_criterion_2_max_principle(sweep):
     failures = []
     for key, (traj, kernel) in sweep["runs"].items():

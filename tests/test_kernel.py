@@ -45,6 +45,20 @@ def test_symmetry_exact():
     assert np.all(k.tail > 0.0)
 
 
+def test_weights_match_whole_table_formula_across_row_blocks():
+    # 1296 nodes: the table is built in two row blocks, the second one short
+    dom = build_grid(2, (0.0, 0.0), (1.0, 1.0), 24, 1.5)
+    assert dom.n_nodes == 1296
+    params = params_with(s=0.3, p=2.5)
+    k = assemble_kernel(dom, params)
+    x, y = dom.node_coords.T
+    dist = np.sqrt((x[:, None] - x[None, :]) ** 2
+                   + (y[:, None] - y[None, :]) ** 2)
+    np.fill_diagonal(dist, np.inf)
+    expect = dist ** -(2.0 + params.s * params.p) * dom.vol ** 2
+    assert np.array_equal(k.weights, expect)
+
+
 def tail_oracle_1d(x, cmin, cmax, sp):
     left = quad(lambda y: (x - y) ** (-(1.0 + sp)), -np.inf, cmin)[0]
     right = quad(lambda y: (y - x) ** (-(1.0 + sp)), cmax, np.inf)[0]

@@ -6,7 +6,7 @@ from fracflow import (FlowParams, GridFunction, assemble_kernel, build_grid,
                       reconstruct, rothe_functional, rothe_gradient, run_flow,
                       truncate, zero_function, NonConvergence)
 from fracflow.energy import scale_for, sgn_power
-from fracflow.rothe import RECONSTRUCTION_KINDS
+from fracflow.rothe import RECONSTRUCTION_KINDS, _StepWorkspace
 
 
 def make_problem(n_cells=16, s=0.5, p=2.0, q=1.0, h=0.01, t_end=0.1, **kw):
@@ -88,6 +88,37 @@ def test_flow_propagates_failure_step_index():
     with pytest.raises(NonConvergence) as err:
         run_flow(eval_preset(dom, "step", 1.0), kernel, params)
     assert err.value.step_index == 1
+
+
+@pytest.mark.parametrize("p,q", [(2.0, 1.0), (1.5, 0.5), (3.0, 2.0)])
+def test_gradient_fallback_converges(monkeypatch, p, q):
+    # when the Newton solve fails the step falls back to -g under the same
+    # line search; force that on every iteration
+    monkeypatch.setattr(_StepWorkspace, "newton_direction",
+                        lambda self, x, g: None)
+    dom, params, kernel = make_problem(p=p, q=q)
+    traj = run_flow(eval_preset(dom, "bump", 1.0), kernel, params)
+    assert traj.converged()
+    for diag in traj.diagnostics:
+        assert diag.iterations > 0
+        assert diag.fallbacks == diag.iterations
+
+
+def test_newton_past_800_interior_nodes():
+    # 2D, 1024 interior nodes: Newton runs at this size too, so the
+    # degenerate p<2 step converges in a handful of iterations and the
+    # linear p=2, q=1 step is solved in one
+    dom = build_grid(2, (0.0, 0.0), (1.0, 1.0), 32, 1.5)
+    assert int(dom.interior_mask.sum()) == 1024
+    u0 = eval_preset(dom, "bump", 1.0)
+    for p, q, n_steps, max_iters in ((1.5, 0.5, 1, 20), (2.0, 1.0, 3, 1)):
+        params = FlowParams(s=0.5, p=p, q=q, h=0.01, t_end=0.01 * n_steps,
+                            solver_max_iter=100)
+        traj = run_flow(u0, assemble_kernel(dom, params), params)
+        assert traj.n_steps == n_steps and traj.converged()
+        for diag in traj.diagnostics:
+            assert 1 <= diag.iterations <= max_iters
+            assert diag.fallbacks == 0
 
 
 def test_solver_objective_history_monotone():
