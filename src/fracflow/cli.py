@@ -276,7 +276,7 @@ def cmd_ineq(cfg: RunConfig, trials: int, seed: int) -> int:
 
     # ratios of nearly equal pairs carry cancellation noise ~eps/|xi-eta|,
     # so the comparison gets a 1e-9 relative allowance (the constants
-    # themselves are extremal to ~1e-13)
+    # themselves are exact to rounding)
     for alpha in (1.5, 2.0, 2.5, 3.0, 4.0):
         consts = verify.alg_constants(alpha)
         xi = rng.uniform(-1.0, 1.0, size=trials)

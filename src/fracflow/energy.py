@@ -37,6 +37,13 @@ def lq_power_integral(u: GridFunction, r: float) -> float:
     return float(u.domain.vol * np.sum(np.abs(u.values) ** r))
 
 
+def _expand(domain: GridDomain, interior: np.ndarray) -> GridFunction:
+    """The grid function with these interior values and a zero exterior."""
+    full = np.zeros(domain.n_nodes)
+    full[domain.interior_mask] = interior
+    return GridFunction(domain, full)
+
+
 def _pair_sum(x: np.ndarray, kernel: KernelTable, p: float,
               buf: np.ndarray | None = None) -> float:
     """Seminorm power of the zero-exterior function with interior values x;
@@ -88,28 +95,45 @@ def apply_frac_p_laplacian(u: GridFunction, kernel: KernelTable,
     """
     kernel.require_match(u.domain, p)
     x = u.interior_values()
-    g = np.zeros(u.domain.n_nodes)
-    g[u.domain.interior_mask] = _add_pair_gradient(np.zeros_like(x), x, kernel, p)
-    return GridFunction(u.domain, g)
+    return _expand(u.domain, _add_pair_gradient(np.zeros_like(x), x, kernel, p))
+
+
+def _step_objective(x: np.ndarray, vprev: np.ndarray, kernel: KernelTable,
+                    params: FlowParams, vol_h: float,
+                    buf: np.ndarray | None = None) -> float:
+    """Objective of one implicit step at interior values x, given
+    vprev = sgn_power(u_prev, q) on the interior and vol_h = vol / h."""
+    p, q = params.p, params.q
+    time_part = vol_h * float(
+        np.sum(np.abs(x) ** (q + 1.0) / (q + 1.0) - vprev * x))
+    return time_part + _pair_sum(x, kernel, p, buf) / (2.0 * p)
+
+
+def _step_gradient(x: np.ndarray, vprev: np.ndarray, kernel: KernelTable,
+                   params: FlowParams, vol_h: float,
+                   buf: np.ndarray | None = None) -> np.ndarray:
+    """Gradient of ``_step_objective`` in x, on the interior nodes."""
+    p, q = params.p, params.q
+    g = vol_h * (sgn_power(x, q) - vprev)
+    return _add_pair_gradient(g, x, kernel, p, buf)
 
 
 def rothe_functional(w: GridFunction, u_prev: GridFunction,
                      kernel: KernelTable, params: FlowParams) -> float:
     """Objective of one implicit step: time coupling plus nonlocal energy."""
-    q, h, vol = params.q, params.h, w.domain.vol
-    wv, uv = w.values, u_prev.values
-    time_part = (vol / h) * float(np.sum(
-        np.abs(wv) ** (q + 1.0) / (q + 1.0) - sgn_power(uv, q) * wv))
-    return time_part + energy_functional(w, kernel, params.p)
+    kernel.require_match(w.domain, params.p)
+    return _step_objective(w.interior_values(),
+                           sgn_power(u_prev.interior_values(), params.q),
+                           kernel, params, w.domain.vol / params.h)
 
 
 def rothe_gradient(w: GridFunction, u_prev: GridFunction,
                    kernel: KernelTable, params: FlowParams) -> GridFunction:
     """Gradient of ``rothe_functional`` in w; zero on exterior nodes."""
-    q, h, vol = params.q, params.h, w.domain.vol
-    g = (vol / h) * (sgn_power(w.values, q) - sgn_power(u_prev.values, q))
-    g = g + apply_frac_p_laplacian(w, kernel, params.p).values
-    return GridFunction(w.domain, g)
+    kernel.require_match(w.domain, params.p)
+    return _expand(w.domain, _step_gradient(
+        w.interior_values(), sgn_power(u_prev.interior_values(), params.q),
+        kernel, params, w.domain.vol / params.h))
 
 
 def scale_for(u0: GridFunction, kernel: KernelTable, params: FlowParams) -> float:
@@ -144,23 +168,30 @@ def alg_ratios(xi: np.ndarray, eta: np.ndarray, alpha: float):
     return r1, r2
 
 
-def _directional_extrema(alpha: float):
-    """Extrema of both ratios over the direction slice (t, 1), t in [-1, 1).
+def scan_alg_constants(alpha: float) -> AlgConstants:
+    """Brute-force the extremal constants of the power-difference bounds.
 
-    By 0-homogeneity and the swap/sign symmetries every pair (xi, eta) is
-    ratio-equivalent to some (t, 1) with |t| <= 1, so a dense 1-D sweep pins
-    the extrema far more accurately than a 2-D lattice.  The band next to
-    t = 1 is excluded: there the float evaluation is cancellation-dominated,
-    and the analytic diagonal limit covers that region exactly.
+    This is the test oracle for the closed form ``verify.alg_constants``.
+    Both ratios are 0-homogeneous and invariant under swapping the arguments
+    and under a joint sign flip, so every pair (xi, eta) is ratio-equivalent
+    to some (t, 1) with t in [-1, 1).  A dense sweep of t, with nodes at
+    t = -1 and t = 0 (where the ratios have kinks) and refined around its
+    extrema, pins them.  The band next to t = 1 is excluded: there the
+    float evaluation is cancellation-dominated, and the analytic limit
+    (alpha-1)/2^(alpha-2) at t -> 1 covers that region exactly.
     """
+    if alpha <= 1.0:
+        raise ValueError("alpha must exceed 1")
     cut = 1.0 - 1e-3
-    n = 4_000_001
-    t = np.linspace(-1.0, cut, n)
-    ones = np.ones_like(t)
-    r1, r2 = alg_ratios(t, ones, alpha)
+    n = 2_000_000
+    t = np.concatenate((np.linspace(-1.0, 0.0, n + 1),
+                        np.linspace(0.0, cut, n + 1)[1:]))
+    r1, r2 = alg_ratios(t, np.ones_like(t), alpha)
     i1, i2 = int(np.argmax(r1)), int(np.argmin(r2))
-    c1, c2 = float(r1[i1]), float(r2[i2])
-    step = (cut + 1.0) / (n - 1)
+    diag_limit = (alpha - 1.0) / 2.0 ** (alpha - 2.0)
+    c1 = max(float(r1[i1]), diag_limit)
+    c2 = min(float(r2[i2]), diag_limit)
+    step = 1.0 / n          # the wider of the two spacings
     for idx in (i1, i2):
         lo = max(-1.0, t[idx] - 2.0 * step)
         hi = min(cut, t[idx] + 2.0 * step)
@@ -168,28 +199,4 @@ def _directional_extrema(alpha: float):
         rr1, rr2 = alg_ratios(tt, np.ones_like(tt), alpha)
         c1 = max(c1, float(np.max(rr1)))
         c2 = min(c2, float(np.min(rr2)))
-    return c1, c2
-
-
-def scan_alg_constants(alpha: float, grid_resolution: int = 801,
-                       scan_range: float = 1.0) -> AlgConstants:
-    """Brute-force the extremal constants of the power-difference bounds.
-
-    Both ratios are 0-homogeneous, so the result does not depend on
-    scan_range.  A lattice sweep of (xi, eta) pairs is sharpened by a dense
-    refined sweep of the direction parameter and by the analytic xi -> eta
-    limit (alpha-1)/2^(alpha-2), which is where the extremum sits for part
-    of the alpha range and which finite sampling can only approach.
-    """
-    if alpha <= 1.0:
-        raise ValueError("alpha must exceed 1")
-    ax = np.linspace(-scan_range, scan_range, grid_resolution)
-    xi, eta = np.meshgrid(ax, ax, indexing="ij")
-    xi, eta = xi.ravel(), eta.ravel()
-    keep = (xi != eta) & (np.abs(xi) + np.abs(eta) > 0.0)
-    r1, r2 = alg_ratios(xi[keep], eta[keep], alpha)
-    dir_c1, dir_c2 = _directional_extrema(alpha)
-    diag_limit = (alpha - 1.0) / 2.0 ** (alpha - 2.0)
-    c1 = max(float(np.max(r1)), dir_c1, diag_limit)
-    c2 = min(float(np.min(r2)), dir_c2, diag_limit)
     return AlgConstants(alpha=alpha, c1=c1, c2=c2)

@@ -26,7 +26,8 @@ import numpy as np
 
 from .grid import GridDomain, GridFunction, zero_function
 from .kernel import FlowParams, KernelTable
-from .energy import sgn_power, scale_for, _pair_sum, _add_pair_gradient
+from .energy import (sgn_power, scale_for, _expand, _step_objective,
+                     _step_gradient)
 
 __all__ = [
     "NonConvergence", "StepDiagnostics", "RotheTrajectory", "minimize_step",
@@ -78,15 +79,12 @@ class _StepWorkspace:
         self.buf = np.empty((n, n))
 
     def objective(self, x: np.ndarray, vprev: np.ndarray) -> float:
-        p, q = self.params.p, self.params.q
-        time_part = self.vol_h * float(
-            np.sum(np.abs(x) ** (q + 1.0) / (q + 1.0) - vprev * x))
-        return time_part + _pair_sum(x, self.kernel, p, self.buf) / (2.0 * p)
+        return _step_objective(x, vprev, self.kernel, self.params, self.vol_h,
+                               self.buf)
 
     def gradient(self, x: np.ndarray, vprev: np.ndarray) -> np.ndarray:
-        p, q = self.params.p, self.params.q
-        g = self.vol_h * (sgn_power(x, q) - vprev)
-        return _add_pair_gradient(g, x, self.kernel, p, self.buf)
+        return _step_gradient(x, vprev, self.kernel, self.params, self.vol_h,
+                              self.buf)
 
     def newton_direction(self, x: np.ndarray, g: np.ndarray) -> np.ndarray | None:
         """Damped-Newton proposal from a clamped Hessian model.
@@ -231,12 +229,6 @@ def _solve_step(ws: _StepWorkspace, u_prev: np.ndarray, tol_abs: float,
                                   tuple(history) if keep_history else (),
                                   fallbacks)
     raise NonConvergence(max_iter, gnorm)
-
-
-def _expand(domain: GridDomain, interior: np.ndarray) -> GridFunction:
-    full = np.zeros(domain.n_nodes)
-    full[domain.interior_mask] = interior
-    return GridFunction(domain, full)
 
 
 def minimize_step(u_prev: GridFunction, kernel: KernelTable, params: FlowParams,

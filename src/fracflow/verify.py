@@ -20,8 +20,7 @@ import numpy as np
 from .grid import GridDomain, GridFunction
 from .kernel import FlowParams, KernelTable, _pair_weights
 from .energy import (AlgConstants, sgn_power, lq_power_integral,
-                     gagliardo_seminorm_p, scan_alg_constants, scale_for,
-                     rothe_gradient)
+                     gagliardo_seminorm_p, scale_for, rothe_gradient)
 from .rothe import RotheTrajectory, run_flow, reconstruct, truncate
 
 __all__ = [
@@ -37,15 +36,33 @@ __all__ = [
 # volume of the unit ball, dimensions 1 and 2
 _UNIT_BALL_VOL = {1: 2.0, 2: math.pi}
 
-_ALG_CACHE: dict = {}
-
 
 def alg_constants(alpha: float) -> AlgConstants:
-    """Scan constants for one exponent, cached per process."""
-    key = float(alpha)
-    if key not in _ALG_CACHE:
-        _ALG_CACHE[key] = scan_alg_constants(alpha)
-    return _ALG_CACHE[key]
+    """Extremal constants of the two power-difference inequalities, in
+    closed form: with b = 2^(2-alpha),
+
+        c1 = max(1, b, (alpha-1) b),    c2 = min(1, b, (alpha-1) b).
+
+    Both ratios of ``energy.alg_ratios`` are 0-homogeneous and invariant
+    under swapping the arguments and under a joint sign flip, so it is
+    enough to look at (t, 1) with t in [-1, 1).  There phi is increasing,
+    so both ratios equal
+
+        f(t) = (1 - phi(t)) / ((1+|t|)^(alpha-2) (1-t)),
+
+    whose extremes sit at t = 0 (value 1), t = -1 (value b) and t -> 1
+    (value (alpha-1) b); these are the classical (|a|+|b|)^(p-2)
+    inequalities of the p-Laplacian (Lindqvist, Notes on the p-Laplace
+    equation).  The form is exact at alpha = 2 and alpha = 3 and within a
+    few ulp elsewhere, far inside every check's tolerance, so it is not
+    rounded outward: that would turn the exact c1 = c2 = 1 at alpha = 2
+    into 1 +- ulp.  ``energy.scan_alg_constants`` is its test oracle.
+    """
+    if alpha <= 1.0:
+        raise ValueError("alpha must exceed 1")
+    b = 2.0 ** (2.0 - alpha)
+    ends = (1.0, b, (alpha - 1.0) * b)
+    return AlgConstants(alpha=alpha, c1=max(ends), c2=min(ends))
 
 
 @dataclass
@@ -202,7 +219,8 @@ def check_time_derivative_bounds(traj: RotheTrajectory, kernel: KernelTable) -> 
     tol = _tol_check(traj)
     s0 = gagliardo_seminorm_p(traj.steps[0], kernel, p)
     c1_half = alg_constants((q + 3.0) / 2.0).c1
-    c2 = alg_constants(q + 1.0).c2
+    full = alg_constants(q + 1.0)
+    c2 = full.c2
 
     wvals = [sgn_power(u.values, (q + 1.0) / 2.0) for u in traj.steps]
     lhs1 = sum(h * vol * float(np.sum(((wvals[m] - wvals[m - 1]) / h) ** 2))
@@ -214,7 +232,7 @@ def check_time_derivative_bounds(traj: RotheTrajectory, kernel: KernelTable) -> 
         note=f"c1({(q + 3.0) / 2.0})={c1_half!r} c2({q + 1.0})={c2!r}")]
 
     if q >= 1.0:
-        c1_full = alg_constants(q + 1.0).c1
+        c1_full = full.c1
         vvals = [sgn_power(u.values, q) for u in traj.steps]
         lhs2 = sum(h * vol * float(np.sum(np.abs(vvals[m] - vvals[m - 1]) / h))
                    for m in range(1, traj.n_steps + 1))

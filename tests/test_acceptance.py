@@ -192,12 +192,13 @@ def test_criterion_7_gradient_oracles():
 
 
 def test_criterion_8_algebraic_inequalities():
-    c2exact = scan_alg_constants(2.0)
-    exact_ok = (c2exact.c1 == 1.0 and c2exact.c2 == 1.0)
+    # the closed-form constants the reports use, and their brute-force oracle
+    sources = (verify.alg_constants, scan_alg_constants)
+    exact_ok = all(c.c1 == 1.0 and c.c2 == 1.0
+                   for c in (src(2.0) for src in sources))
     violations = 0
     rng = np.random.default_rng(88)
     for alpha in (1.5, 2.5, 4.0):
-        c = scan_alg_constants(alpha)
         xi = rng.uniform(-1.0, 1.0, 10 ** 5)
         eta = rng.uniform(-1.0, 1.0, 10 ** 5)
         keep = (xi != eta) & (np.abs(xi) + np.abs(eta) > 0.0)
@@ -205,13 +206,15 @@ def test_criterion_8_algebraic_inequalities():
         phix = np.sign(xi) * np.abs(xi) ** (alpha - 1.0)
         phie = np.sign(eta) * np.abs(eta) ** (alpha - 1.0)
         base = (np.abs(xi) + np.abs(eta)) ** (alpha - 2.0)
-        # 1e-9 relative float allowance: ratios of nearly equal arguments
-        # carry cancellation noise ~eps/|xi-eta| in the last digits
-        upper_ok = (np.abs(phix - phie)
-                    <= c.c1 * base * np.abs(xi - eta) * (1.0 + 1e-9))
-        lower_ok = ((phix - phie) * (xi - eta)
-                    >= c.c2 * base * (xi - eta) ** 2 * (1.0 - 1e-9))
-        violations += int(np.sum(~upper_ok)) + int(np.sum(~lower_ok))
+        for src in sources:
+            c = src(alpha)
+            # 1e-9 relative float allowance: ratios of nearly equal arguments
+            # carry cancellation noise ~eps/|xi-eta| in the last digits
+            upper_ok = (np.abs(phix - phie)
+                        <= c.c1 * base * np.abs(xi - eta) * (1.0 + 1e-9))
+            lower_ok = ((phix - phie) * (xi - eta)
+                        >= c.c2 * base * (xi - eta) ** 2 * (1.0 - 1e-9))
+            violations += int(np.sum(~upper_ok)) + int(np.sum(~lower_ok))
     ok = exact_ok and violations == 0
     report_line(f"8 power-difference constants (alpha=2 exact, "
                 f"{violations} violations)", ok)

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -141,6 +142,25 @@ def test_cmd_ineq_passes_and_reports(tmp_path):
     names = [e["name"] for e in report["entries"]]
     assert "ALG1-alpha1.5" in names and "ALG2-alpha4" in names
     assert "POINCARE-random" in names and "ST-SOBOLEV-synthetic" in names
+
+
+def test_no_command_runs_the_constant_scan(tmp_path, monkeypatch):
+    # the reports use the closed-form constants; the scan is a test oracle.
+    # q = 1.7 (alpha = 2.7 and 2.35) is used by no other test, so no constant
+    # computed earlier in this process can stand in for a scan.
+    from fracflow.energy import scan_alg_constants
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command ran scan_alg_constants")
+
+    for key, mod in list(sys.modules.items()):
+        if key == "fracflow" or key.startswith("fracflow."):
+            for attr, value in list(vars(mod).items()):
+                if value is scan_alg_constants:
+                    monkeypatch.setattr(mod, attr, refuse)
+    assert cmd_run(small_run_cfg(tmp_path, q=1.7)) == 0
+    assert cmd_ineq(small_run_cfg(tmp_path, n_cells=8), trials=2000,
+                    seed=5) == 0
 
 
 def test_byte_determinism(tmp_path):

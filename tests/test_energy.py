@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,10 @@ from fracflow import (FlowParams, GridFunction, apply_frac_p_laplacian,
                       rothe_functional, rothe_gradient, scan_alg_constants,
                       zero_function)
 from fracflow.energy import alg_ratios, scale_for, sgn_power
+from fracflow.verify import alg_constants
+
+# each oracle scan sweeps ~6M points; several tests share the same alphas
+scan_oracle = functools.lru_cache(maxsize=None)(scan_alg_constants)
 
 
 def make_problem(n_cells=16, s=0.5, p=2.0, q=1.0, h=0.01):
@@ -204,40 +210,43 @@ def test_p2_operator_monotone():
 
 
 def test_scan_constants_alpha2_exact():
-    c = scan_alg_constants(2.0)
-    assert c.c1 == 1.0 and c.c2 == 1.0
+    for c in (scan_oracle(2.0), alg_constants(2.0)):
+        assert c.c1 == 1.0 and c.c2 == 1.0
 
 
 def test_scan_constants_alpha3_hand_pair():
     # (xi, eta) = (1, -1): lower-ratio = 4 / 8 = 0.5, so c2 <= 0.5
     r1, r2 = alg_ratios(np.array([1.0]), np.array([-1.0]), 3.0)
     assert np.isclose(r2[0], 0.5, rtol=1e-15)
-    c = scan_alg_constants(3.0)
+    c = scan_oracle(3.0)
     assert c.c2 <= 0.5 + 1e-14
     assert np.isclose(c.c2, 0.5, rtol=1e-12)
+    c = alg_constants(3.0)
+    assert (c.c1, c.c2) == (1.0, 0.5)
 
 
-def test_scan_constants_range_invariance():
-    for alpha in (1.5, 2.5, 4.0):
-        a = scan_alg_constants(alpha, scan_range=1.0)
-        b = scan_alg_constants(alpha, scan_range=2.0)
-        assert abs(a.c1 - b.c1) < 1e-12
-        assert abs(a.c2 - b.c2) < 1e-12
+def test_closed_form_constants_match_scan():
+    # the three regimes (1,2), (2,3), (3,inf) and both crossovers
+    for alpha in (1.01, 1.3, 1.5, 1.8, 2.0, 2.5, 3.0, 4.0, 6.0):
+        closed, scan = alg_constants(alpha), scan_oracle(alpha)
+        assert closed.c1 == pytest.approx(scan.c1, rel=1e-13, abs=0.0)
+        assert closed.c2 == pytest.approx(scan.c2, rel=1e-13, abs=0.0)
 
 
 def test_scan_constants_validate_on_random_pairs():
     rng = np.random.default_rng(123)
     for alpha in (1.5, 2.5, 4.0):
-        c = scan_alg_constants(alpha)
         xi = rng.uniform(-3.0, 3.0, 10 ** 5)
         eta = rng.uniform(-3.0, 3.0, 10 ** 5)
         keep = (xi != eta) & (np.abs(xi) + np.abs(eta) > 0.0)
         r1, r2 = alg_ratios(xi[keep], eta[keep], alpha)
-        # 1e-9 relative allowance for cancellation noise of near-equal pairs
-        assert np.all(r1 <= c.c1 * (1.0 + 1e-9))
-        assert np.all(r2 >= c.c2 * (1.0 - 1e-9))
+        for c in (scan_oracle(alpha), alg_constants(alpha)):
+            # 1e-9 relative allowance for cancellation noise of near-equal pairs
+            assert np.all(r1 <= c.c1 * (1.0 + 1e-9))
+            assert np.all(r2 >= c.c2 * (1.0 - 1e-9))
 
 
 def test_scan_rejects_bad_alpha():
-    with pytest.raises(ValueError):
-        scan_alg_constants(1.0)
+    for constants in (scan_alg_constants, alg_constants):
+        with pytest.raises(ValueError):
+            constants(1.0)
