@@ -44,24 +44,26 @@ def _expand(domain: GridDomain, interior: np.ndarray) -> GridFunction:
     return GridFunction(domain, full)
 
 
-def _pair_sum(x: np.ndarray, kernel: KernelTable, p: float,
+def _pair_sum(a: np.ndarray, b: np.ndarray, block: np.ndarray,
+              boundary: np.ndarray, r: float,
               buf: np.ndarray | None = None) -> float:
-    """Seminorm power of the zero-exterior function with interior values x;
-    its exterior pairs and tail act on |x_i|^p alone, via kernel.boundary.
-    The pair matrix is formed in ``buf`` (shape (n, n)) when given."""
-    m = np.subtract.outer(x, x, out=buf)
+    """sum_ij k_ij |a_i - b_j|^r for a, b that vanish off one node set:
+    block holds k inside the set, boundary[i] node i's weight to everything
+    outside it.  The pair matrix is formed in ``buf`` when given."""
+    m = np.subtract.outer(a, b, out=buf)
     np.abs(m, out=m)
-    m **= p
-    m *= kernel.interior
+    m **= r
+    m *= block
     pair = float(np.sum(m))
-    return pair + 2.0 * float(np.sum(kernel.boundary * np.abs(x) ** p))
+    return pair + (float(np.sum(boundary * np.abs(a) ** r))
+                   + float(np.sum(boundary * np.abs(b) ** r)))
 
 
 def _add_pair_gradient(g: np.ndarray, x: np.ndarray, kernel: KernelTable,
                        p: float, buf: np.ndarray | None = None) -> np.ndarray:
-    """g += gradient of ``_pair_sum(x) / (2p)``, in place so that the
-    caller's own terms stay first in the floating-point sum.  The pair
-    matrix is formed in ``buf`` (shape (n, n)) when given."""
+    """g += gradient of ``_pair_sum(x, x, ...) / (2p)`` on the interior
+    block, in place so that the caller's own terms stay first in the
+    floating-point sum.  The pair matrix is formed in ``buf`` when given."""
     m = np.subtract.outer(x, x, out=buf)
     negative = m < 0.0
     np.abs(m, out=m)
@@ -76,7 +78,8 @@ def _add_pair_gradient(g: np.ndarray, x: np.ndarray, kernel: KernelTable,
 def gagliardo_seminorm_p(u: GridFunction, kernel: KernelTable, p: float) -> float:
     """p-th power of the nonlocal seminorm (pair sum plus doubled tail term)."""
     kernel.require_match(u.domain, p)
-    return _pair_sum(u.interior_values(), kernel, p)
+    x = u.interior_values()
+    return _pair_sum(x, x, kernel.interior, kernel.boundary, p)
 
 
 def energy_functional(u: GridFunction, kernel: KernelTable, p: float) -> float:
@@ -106,7 +109,8 @@ def _step_objective(x: np.ndarray, vprev: np.ndarray, kernel: KernelTable,
     p, q = params.p, params.q
     time_part = vol_h * float(
         np.sum(np.abs(x) ** (q + 1.0) / (q + 1.0) - vprev * x))
-    return time_part + _pair_sum(x, kernel, p, buf) / (2.0 * p)
+    pair = _pair_sum(x, x, kernel.interior, kernel.boundary, p, buf)
+    return time_part + pair / (2.0 * p)
 
 
 def _step_gradient(x: np.ndarray, vprev: np.ndarray, kernel: KernelTable,

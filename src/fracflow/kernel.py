@@ -126,25 +126,26 @@ _BLOCK_BYTES = 8 << 20     # scratch for one row block of _pair_weights
 
 
 def _pair_weights(coords: np.ndarray, vol: float, expo: float,
-                  lag: float = 0.0) -> np.ndarray:
-    """vol^2 (|x_i-x_j|^2 + lag^2)^(-expo/2), zero diagonal at lag 0; built
-    one axis at a time, in row blocks, in place, so the only array besides
-    the table is one block of differences (about 8 MiB)."""
+                  lag: float = 0.0, rows: np.ndarray | None = None) -> np.ndarray:
+    """vol^2 (|x_i-x_j|^2 + lag^2)^(-expo/2) for i in ``rows`` (default all)
+    and all j, no self pair at lag 0; built one axis at a time, in row blocks,
+    in place, so the only other array is one block of differences (8 MiB)."""
     n = coords.shape[0]
-    w = np.zeros((n, n))
-    rows = max(1, _BLOCK_BYTES // (8 * n))
-    diff = np.empty((min(rows, n), n))
-    for lo in range(0, n, rows):
-        block = w[lo:lo + rows]
+    rows = np.arange(n) if rows is None else rows
+    w = np.zeros((rows.size, n))
+    per_block = max(1, _BLOCK_BYTES // (8 * n))
+    diff = np.empty((min(per_block, rows.size), n))
+    for lo in range(0, rows.size, per_block):
+        block = w[lo:lo + per_block]
         d = diff[:block.shape[0]]
         for x in coords.T:
-            np.subtract.outer(x[lo:lo + rows], x, out=d)
+            np.subtract.outer(x[rows[lo:lo + per_block]], x, out=d)
             d **= 2
             block += d
     w += lag ** 2
     np.sqrt(w, out=w)
     if lag == 0.0:
-        np.fill_diagonal(w, np.inf)       # inf ** -expo == 0: no self pair
+        w[np.arange(rows.size), rows] = np.inf  # inf ** -expo == 0: no self pair
     w **= -expo
     w *= vol ** 2
     return w

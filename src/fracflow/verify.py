@@ -20,7 +20,8 @@ import numpy as np
 from .grid import GridDomain, GridFunction
 from .kernel import FlowParams, KernelTable, _pair_weights
 from .energy import (AlgConstants, sgn_power, lq_power_integral,
-                     gagliardo_seminorm_p, scale_for, rothe_gradient)
+                     gagliardo_seminorm_p, scale_for, rothe_gradient,
+                     _pair_sum)
 from .rothe import RotheTrajectory, run_flow, reconstruct, truncate
 
 __all__ = [
@@ -348,8 +349,14 @@ def spacetime_sum_fits(n_nodes: int, t_grid: int) -> bool:
     return n_nodes ** 2 * t_grid ** 2 <= 10 ** 8
 
 
-def _w1_pair_sum(a: np.ndarray, b: np.ndarray, kern: np.ndarray) -> float:
-    return float(np.sum(np.abs(a[:, None] - b[None, :]) * kern))
+def _support_weights(domain: GridDomain, support: np.ndarray, expo: float,
+                     lag: float = 0.0):
+    """Block and boundary weights of ``_pair_sum`` for sampled values that
+    vanish off ``support``; the table has one row per support node."""
+    rows = np.flatnonzero(support)
+    w = _pair_weights(domain.node_coords, domain.vol, expo, lag, rows)
+    every = np.arange(rows.size)
+    return w[np.ix_(every, rows)], w[np.ix_(every, ~support)].sum(axis=1)
 
 
 def spacetime_seminorm_values(vals: np.ndarray, domain: GridDomain,
@@ -367,12 +374,13 @@ def spacetime_seminorm_values(vals: np.ndarray, domain: GridDomain,
     if not spacetime_sum_fits(n_nodes, n_t):
         raise ValueError("space-time sum too large: node_count^2 * t_grid^2 "
                          "must not exceed 1e8")
-    expo = domain.dim + 1 + s_prime
+    support = vals.any(axis=0)
     total = 0.0
     for lag in range(n_t):
-        kern = _pair_weights(domain.node_coords, domain.vol, expo, lag * dt)
-        part = sum(_w1_pair_sum(vals[k], vals[k + lag], kern)
-                   for k in range(n_t - lag))
+        block, boundary = _support_weights(
+            domain, support, domain.dim + 1 + s_prime, lag * dt)
+        part = sum(_pair_sum(vals[k, support], vals[k + lag, support],
+                             block, boundary, 1.0) for k in range(n_t - lag))
         total += part if lag == 0 else 2.0 * part
     return dt ** 2 * total
 
@@ -394,16 +402,21 @@ def spacetime_seminorm_w1(traj: RotheTrajectory, kind: str, s_prime: float,
     return spacetime_seminorm_values(vals, traj.domain, dt, s_prime)
 
 
-def _spacetime_sobolev_core(vals: np.ndarray, dvals: np.ndarray,
-                            domain: GridDomain, t_total: float,
-                            s_prime: float, s_bar: float):
+def check_spacetime_sobolev_values(vals: np.ndarray, dvals: np.ndarray,
+                                   domain: GridDomain, t_total: float,
+                                   s_prime: float, s_bar: float,
+                                   tol: float = 0.0,
+                                   name: str = "ST-SOBOLEV") -> CheckEntry:
     """Two sides of the space-time interpolation bound for sampled values."""
-    n_t = vals.shape[0]
-    dt = t_total / n_t
+    if not (0.0 < s_prime < s_bar < 1.0):
+        raise ValueError("need 0 < s_prime < s_bar < 1")
+    dt = t_total / vals.shape[0]
     lhs = spacetime_seminorm_values(vals, domain, dt, s_prime)
     l1_dt = dt * domain.vol * float(np.sum(np.abs(dvals)))
-    kern = _pair_weights(domain.node_coords, domain.vol, domain.dim + s_bar)
-    spatial = dt * sum(_w1_pair_sum(v, v, kern) for v in vals)
+    support = vals.any(axis=0)
+    block, boundary = _support_weights(domain, support, domain.dim + s_bar)
+    spatial = dt * sum(_pair_sum(v, v, block, boundary, 1.0)
+                       for v in vals[:, support])
     n = domain.dim
     angular = n * _UNIT_BALL_VOL[n]
     diam = domain.collar_diameter
@@ -411,18 +424,6 @@ def _spacetime_sobolev_core(vals: np.ndarray, dvals: np.ndarray,
            * 2.0 * t_total ** (1.0 - s_bar) / (1.0 - s_bar))
     c_ii = 2.0 * t_total ** (s_bar - s_prime) / (s_bar - s_prime)
     rhs = c_i * l1_dt + c_ii * spatial
-    return lhs, rhs, c_i, c_ii
-
-
-def check_spacetime_sobolev_values(vals: np.ndarray, dvals: np.ndarray,
-                                   domain: GridDomain, t_total: float,
-                                   s_prime: float, s_bar: float,
-                                   tol: float = 0.0,
-                                   name: str = "ST-SOBOLEV") -> CheckEntry:
-    if not (0.0 < s_prime < s_bar < 1.0):
-        raise ValueError("need 0 < s_prime < s_bar < 1")
-    lhs, rhs, c_i, c_ii = _spacetime_sobolev_core(
-        vals, dvals, domain, t_total, s_prime, s_bar)
     return CheckEntry(name=name, ref="spacetime-interpolation-bound",
                       lhs=lhs, rhs=rhs, constant_used=c_i, tol=tol,
                       note=f"c_time={c_i!r} c_space={c_ii!r}")
@@ -431,8 +432,6 @@ def check_spacetime_sobolev_values(vals: np.ndarray, dvals: np.ndarray,
 def check_spacetime_sobolev(traj: RotheTrajectory, s_prime: float,
                             s_bar: float, t_grid: int) -> CheckEntry:
     """Space-time interpolation bound for the linear-in-time reconstruction."""
-    if not (0.0 < s_prime < s_bar < 1.0):
-        raise ValueError("need 0 < s_prime < s_bar < 1")
     _require_converged(traj)
     vals, taus, _ = _sample_lin(traj, "u_lin", t_grid)
     h = traj.params.h
@@ -441,10 +440,9 @@ def check_spacetime_sobolev(traj: RotheTrajectory, s_prime: float,
     for k, t in enumerate(taus):
         m = min(n, int(math.floor(t / h)) + 1)
         dvals[k] = (traj.steps[m].values - traj.steps[m - 1].values) / h
-    entry = check_spacetime_sobolev_values(
+    return check_spacetime_sobolev_values(
         vals, dvals, traj.domain, traj.params.t_end, s_prime, s_bar,
         tol=_tol_check(traj))
-    return entry
 
 
 def check_initial_trend(traj: RotheTrajectory, kernel: KernelTable) -> CheckEntry:

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from fracflow import FlowParams, assemble_kernel, build_grid, tail_weight
 from fracflow.grid import GridFunction
+from fracflow.kernel import _BLOCK_BYTES, _pair_weights
 
 
 def params_with(s=0.5, p=2.0, q=1.0, h=0.01, t_end=0.1, **kw):
@@ -57,6 +58,18 @@ def test_weights_match_whole_table_formula_across_row_blocks():
     np.fill_diagonal(dist, np.inf)
     expect = dist ** -(2.0 + params.s * params.p) * dom.vol ** 2
     assert np.array_equal(k.weights, expect)
+    # a row subset is the same rows of the whole table, at lag 0 (self pairs
+    # inside a row block) and at lag > 0; the random subset spans two blocks
+    rng = np.random.default_rng(3)
+    expo = 2.0 + params.s * params.p
+    some = np.flatnonzero(rng.uniform(size=dom.n_nodes) < 0.7)
+    assert some.size > _BLOCK_BYTES // (8 * dom.n_nodes)
+    for idx in (np.flatnonzero(dom.interior_mask), some):
+        for lag, whole in ((0.0, k.weights),
+                           (0.3, _pair_weights(dom.node_coords, dom.vol,
+                                               expo, 0.3))):
+            part = _pair_weights(dom.node_coords, dom.vol, expo, lag, rows=idx)
+            assert np.array_equal(part, whole[idx])
 
 
 def tail_oracle_1d(x, cmin, cmax, sp):

@@ -277,10 +277,28 @@ def test_st_seminorm_matches_bruteforce_oracle():
 def test_st_seminorm_2d_matches_bruteforce():
     dom = build_grid(2, 0.0, 1.0, 2, 2.0)  # 16 nodes
     rng = np.random.default_rng(6)
-    vals = rng.uniform(-1.0, 1.0, (3, dom.n_nodes))
-    got = verify.spacetime_seminorm_values(vals, dom, 0.05, 0.3)
-    oracle = st_seminorm_bruteforce(vals, dom, 0.05, 0.3)
-    assert abs(got - oracle) <= 1e-12 * oracle
+    cases = [(dom, rng.uniform(-1.0, 1.0, (3, dom.n_nodes)))]
+    # the sums run over the data's support: zero-exterior data, the step
+    # preset (support strictly inside Omega), data with zero columns, and
+    # zero-exterior data plus one nonzero exterior node, in 1D and 2D
+    for dom in (build_grid(1, 0.0, 1.0, 8, 2.0),      # 16 nodes
+                build_grid(2, 0.0, 1.0, 4, 1.5)):     # 36 nodes
+        inside = dom.interior_mask
+        step = eval_preset(dom, "step", 1.0).values
+        assert 0 < np.count_nonzero(step) < dom.n_interior
+        noise = rng.uniform(-1.0, 1.0, (3, dom.n_nodes))
+        cols = noise * (rng.uniform(size=dom.n_nodes) < 0.5)
+        assert 0 < np.count_nonzero(cols.any(axis=0)) < dom.n_nodes
+        assert cols[:, ~inside].any()
+        one_out = noise * inside
+        one_out[1, np.flatnonzero(~inside)[3]] = 0.7
+        cases += [(dom, noise * inside),
+                  (dom, np.outer([1.0, -0.5, 2.0], step)),
+                  (dom, cols), (dom, one_out)]
+    for dom, vals in cases:
+        got = verify.spacetime_seminorm_values(vals, dom, 0.05, 0.3)
+        oracle = st_seminorm_bruteforce(vals, dom, 0.05, 0.3)
+        assert abs(got - oracle) <= 1e-12 * oracle
 
 
 def test_st_seminorm_guard():
@@ -308,6 +326,35 @@ def test_st_sobolev_on_trajectory():
     assert "c_time" in e.note
     with pytest.raises(ValueError):
         verify.check_spacetime_sobolev(traj, 0.4, 0.25, 8)
+
+
+def test_st_sobolev_sums_over_the_support(monkeypatch):
+    # every W^{s,1} sum of the check goes through the one pair sum, and its
+    # tables have one row per node of the data's support (here the interior),
+    # not one per collar node
+    dom, params, kernel, traj = bump_run(dim=2, n_cells=4, h=0.02, t_end=0.1)
+    pair_weights, pair_sum = verify._pair_weights, verify._pair_sum
+    tables, powers = [], []
+
+    def spy_weights(*args, **kwargs):
+        w = pair_weights(*args, **kwargs)
+        tables.append(w.shape[0])
+        return w
+
+    def spy_sum(*args, **kwargs):
+        powers.append(args[4])
+        return pair_sum(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "_pair_weights", spy_weights)
+    monkeypatch.setattr(verify, "_pair_sum", spy_sum)
+    t_grid = 6
+    e = verify.check_spacetime_sobolev(traj, 0.25, 0.4, t_grid)
+    assert e.passed and e.lhs > 0.0
+    assert dom.n_interior < dom.n_nodes
+    assert len(tables) == t_grid + 1
+    assert max(tables) <= dom.n_interior
+    # t_grid spatial sums and one per slab pair (k <= k') in time
+    assert powers == [1.0] * (t_grid + t_grid * (t_grid + 1) // 2)
 
 
 def test_initial_trend_is_informational():
