@@ -9,12 +9,16 @@ over the interior nodes (exterior nodes are hard-constrained to zero).  The
 objective is strictly convex and C^1 for every p > 1, q > 0, so no smoothing
 of the power nonlinearities is needed.  Steps are proposed by a damped
 Newton direction from a clamped curvature model, at every problem size, and
-accepted by Armijo backtracking, warm-started from the previous step; once
-the objective decrease drops below float resolution the accept rule switches
-to the residual norm, which is what the tight gradient stopping rule
-actually needs.  Should the Newton solve fail, the plain negative gradient
-takes its place under the same line search.  Each Newton iteration costs a
-dense solve on the interior nodes, O(n_interior^3).
+accepted by Armijo backtracking.  Newton starts at the best multiple
+tau * u_prev of the previous step (the ray predictor, ``_ray_start``): the
+objective along that ray has a closed form in two sums, and on the step
+where a p - 1 < q flow dies out, u drops by orders of magnitude, which
+damped Newton from u_prev itself would close in thousands of small steps.
+Once the objective decrease drops below float resolution the accept rule
+switches to the residual norm, which is what the tight gradient stopping
+rule actually needs.  Should the Newton solve fail, the plain negative
+gradient takes its place under the same line search.  Each Newton iteration
+costs a dense solve on the interior nodes, O(n_interior^3).
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ import numpy as np
 
 from .grid import GridDomain, GridFunction, zero_function
 from .kernel import FlowParams, KernelTable
-from .energy import (sgn_power, scale_for, _expand, _step_objective,
-                     _step_gradient)
+from .energy import (sgn_power, scale_for, _expand, _pair_sum,
+                     _step_objective, _step_gradient)
 
 __all__ = [
     "NonConvergence", "StepDiagnostics", "RotheTrajectory", "minimize_step",
@@ -56,6 +60,11 @@ class NonConvergence(RuntimeError):
             f"{iterations} iterations, grad inf-norm {grad_norm:.3e}")
 
 
+class NonFiniteData(ValueError):
+    """Raised before the first step when the tolerance scale of the initial
+    data is not finite: the data are large enough to overflow its energies."""
+
+
 @dataclass(frozen=True)
 class StepDiagnostics:
     iterations: int
@@ -63,6 +72,7 @@ class StepDiagnostics:
     functional_value: float
     f_history: tuple = ()
     fallbacks: int = 0      # iterations where the Newton solve failed
+    ray_tau: float = 1.0    # the solve started at ray_tau * u_prev
 
 
 class _StepWorkspace:
@@ -148,6 +158,47 @@ def _snap_clusters(x: np.ndarray) -> np.ndarray | None:
     return None if np.array_equal(out, x) else out
 
 
+def _ray_start(ws: _StepWorkspace, x0: np.ndarray) -> tuple[float, float]:
+    """The minimizer tau of the step objective on the ray tau * x0, and the
+    objective value there.
+
+    With S1 = sum |x0|^(q+1) (which is vprev . x0) and P the pair sum of x0
+    (which scales as tau^p along the ray),
+
+        F(tau)  = vol_h S1 (tau^(q+1)/(q+1) - tau) + tau^p P / (2p),
+        F'(tau) = vol_h S1 (tau^q - 1) + tau^(p-1) P / 2,
+
+    so the ray costs one pair sum.  F' rises from -vol_h S1 near 0 to P/2 at
+    1, so its one root in (0, 1] is the minimizer.  In s = log tau,
+    F'(e^s) = a (e^(qs) - 1) + b e^((p-1)s) is increasing and convex, so
+    Newton started right of the root descends onto it without overshooting.
+    The start s = min(0, log(a/b) / (p-1)) is right of the root (there
+    b e^((p-1)s) >= a, or s = 0) and tracks it when tau is tiny, as on the
+    step where a p - 1 < q flow dies out (tau near 1e-5), so no bracket is
+    fixed in advance.  Iteration stops once the root is pinned to a few
+    ulps of tau, or once roundoff has carried s past it.
+    """
+    p, q = ws.params.p, ws.params.q
+    s1 = float(np.sum(np.abs(x0) ** (q + 1.0)))
+    pair = _pair_sum(x0, x0, ws.kernel.interior, ws.kernel.boundary, p, ws.buf)
+    a, b = ws.vol_h * s1, 0.5 * pair
+    s = 0.0
+    if a > 0.0 and b > 0.0 and math.isfinite(a + b):
+        s = min(0.0, (math.log(a) - math.log(b)) / (p - 1.0))
+        for _ in range(100):
+            eq, ep = math.exp(q * s), math.exp((p - 1.0) * s)
+            phi = a * math.expm1(q * s) + b * ep
+            if phi <= 0.0:
+                break
+            ds = phi / (a * q * eq + b * (p - 1.0) * ep)
+            s -= ds
+            if ds <= 4.0 * np.finfo(float).eps:
+                break
+    tau = math.exp(s)
+    f = a * (tau ** (q + 1.0) / (q + 1.0) - tau) + tau ** p * pair / (2.0 * p)
+    return tau, f
+
+
 def _solve_step(ws: _StepWorkspace, u_prev: np.ndarray, tol_abs: float,
                 max_iter: int, keep_history: bool) -> tuple[np.ndarray, StepDiagnostics]:
     q = ws.params.q
@@ -158,8 +209,8 @@ def _solve_step(ws: _StepWorkspace, u_prev: np.ndarray, tol_abs: float,
         return np.zeros_like(x0), diag
 
     vprev = sgn_power(x0, q)
-    x = x0.copy()
-    f = ws.objective(x, vprev)
+    tau, f = _ray_start(ws, x0)
+    x = tau * x0
     g = ws.gradient(x, vprev)
     gnorm = float(np.max(np.abs(g)))
     history = [f] if keep_history else None
@@ -176,7 +227,7 @@ def _solve_step(ws: _StepWorkspace, u_prev: np.ndarray, tol_abs: float,
         if gnorm <= tol_abs:
             diag = StepDiagnostics(it - 1, gnorm, f,
                                    tuple(history) if keep_history else (),
-                                   fallbacks)
+                                   fallbacks, tau)
             return x, diag
         d = ws.newton_direction(x, g)
         if d is None:
@@ -227,14 +278,14 @@ def _solve_step(ws: _StepWorkspace, u_prev: np.ndarray, tol_abs: float,
     if gnorm <= tol_abs:
         return x, StepDiagnostics(max_iter, gnorm, f,
                                   tuple(history) if keep_history else (),
-                                  fallbacks)
+                                  fallbacks, tau)
     raise NonConvergence(max_iter, gnorm)
 
 
 def minimize_step(u_prev: GridFunction, kernel: KernelTable, params: FlowParams,
                   scale: float | None = None,
                   keep_history: bool = False) -> tuple[GridFunction, StepDiagnostics]:
-    """Solve one implicit step, warm-started at u_prev.
+    """Solve one implicit step, started at the best multiple of u_prev.
 
     Returns the minimizer together with its diagnostics.  The stopping rule
     is inf-norm of the interior gradient <= solver_tol * scale; with scale
@@ -277,9 +328,15 @@ class RotheTrajectory:
 
 def run_flow(u0: GridFunction, kernel: KernelTable, params: FlowParams,
              keep_history: bool = False) -> RotheTrajectory:
-    """March N = ceil(t_end/h) implicit steps starting from u0."""
+    """March N = ceil(t_end/h) implicit steps starting from u0.
+
+    Raises NonFiniteData, before any step, if the tolerance scale of u0
+    overflows."""
     kernel.require_match(u0.domain, params.p)
     scale = scale_for(u0, kernel, params)
+    if not math.isfinite(scale):
+        raise NonFiniteData(f"the energies of the initial data overflow "
+                            f"(tolerance scale {scale!r})")
     ws = _StepWorkspace(u0.domain, kernel, params)
     tol_abs = params.solver_tol * scale
     steps = [u0]

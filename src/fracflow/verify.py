@@ -349,6 +349,12 @@ def spacetime_sum_fits(n_nodes: int, t_grid: int) -> bool:
     return n_nodes ** 2 * t_grid ** 2 <= 10 ** 8
 
 
+def _require_spacetime_fits(n_nodes: int, t_grid: int) -> None:
+    if not spacetime_sum_fits(n_nodes, t_grid):
+        raise ValueError("space-time sum too large: node_count^2 * t_grid^2 "
+                         "must not exceed 1e8")
+
+
 def _support_weights(domain: GridDomain, support: np.ndarray, expo: float,
                      lag: float = 0.0):
     """Block and boundary weights of ``_pair_sum`` for sampled values that
@@ -371,9 +377,7 @@ def spacetime_seminorm_values(vals: np.ndarray, domain: GridDomain,
     if not (0.0 < s_prime < 1.0):
         raise ValueError("s_prime must lie in (0,1)")
     n_t, n_nodes = vals.shape
-    if not spacetime_sum_fits(n_nodes, n_t):
-        raise ValueError("space-time sum too large: node_count^2 * t_grid^2 "
-                         "must not exceed 1e8")
+    _require_spacetime_fits(n_nodes, n_t)
     support = vals.any(axis=0)
     total = 0.0
     for lag in range(n_t):
@@ -386,6 +390,9 @@ def spacetime_seminorm_values(vals: np.ndarray, domain: GridDomain,
 
 
 def _sample_lin(traj: RotheTrajectory, kind: str, t_grid: int):
+    """Midpoint samples of a reconstruction on t_grid slabs; the size guard
+    of the space-time sums runs first, so an oversized grid samples nothing."""
+    _require_spacetime_fits(traj.domain.n_nodes, t_grid)
     t_total = traj.params.t_end
     dt = t_total / t_grid
     taus = (np.arange(t_grid) + 0.5) * dt

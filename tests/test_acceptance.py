@@ -71,6 +71,21 @@ def test_sweep_takes_newton_every_iteration(sweep):
     assert not failures, list(failures.items())[:5]
 
 
+def test_sweep_extinction_steps_start_on_the_ray(sweep):
+    # with p - 1 < q the flow dies out in finite time and one step drops u by
+    # orders of magnitude; started at the best multiple of u_prev, no step
+    # takes more than 100 iterations, and the whole sweep at most 12,000
+    worst = {key: max(d.iterations for d in traj.diagnostics)
+             for key, (traj, _) in sweep["runs"].items() if key[1] - 1.0 < key[2]}
+    total = sum(d.iterations for traj, _ in sweep["runs"].values()
+                for d in traj.diagnostics)
+    slow = {key: w for key, w in worst.items() if w > 100}
+    report_line(f"extinction steps: worst {max(worst.values())} iterations, "
+                f"sweep total {total}", not slow and total <= 12_000)
+    assert not slow, list(slow.items())[:5]
+    assert total <= 12_000
+
+
 def test_criterion_2_max_principle(sweep):
     failures = []
     for key, (traj, kernel) in sweep["runs"].items():

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from fracflow import cli
+from fracflow import cli, rothe
 from fracflow.cli import (ConfigError, RunConfig, parse_config, cmd_run,
                           cmd_converge, cmd_ineq, main)
 
@@ -114,15 +114,25 @@ def test_cmd_run_check_failure_exit_code(tmp_path, monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-def test_cmd_run_overflow_writes_no_output(tmp_path, capsys):
+def test_cmd_run_overflow_writes_no_output(tmp_path, capsys, monkeypatch):
     # the seminorm of this data overflows to inf; that must be refused with
-    # an error, not written as a bare inf that strict JSON readers reject
+    # an error before any step is solved, not written as a bare inf that
+    # strict JSON readers reject
+    solved = []
+    solve_step = rothe._solve_step
+
+    def spy(*args):
+        solved.append(args)
+        return solve_step(*args)
+
+    monkeypatch.setattr(rothe, "_solve_step", spy)
     cfg_path = write_cfg(tmp_path, "\n".join([
         "p = 3", "amplitude = 1e120", "n_cells = 16", "t_end = 0.05",
         f"output_dir = {tmp_path / 'out'}"]))
     assert main(["run", "--config", cfg_path]) == 2
     assert "error:" in capsys.readouterr().err
     assert os.listdir(tmp_path / "out") == []
+    assert solved == []
 
 
 def test_cmd_converge_writes_table(tmp_path):

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from fracflow import (FlowParams, GridFunction, assemble_kernel, build_grid,
-                      eval_preset, gagliardo_seminorm_p, minimize_step,
-                      reconstruct, rothe_functional, rothe_gradient, run_flow,
-                      truncate, zero_function, NonConvergence)
-from fracflow.energy import scale_for, sgn_power
-from fracflow.rothe import RECONSTRUCTION_KINDS, _StepWorkspace
+from fracflow import (FlowParams, GridFunction, apply_frac_p_laplacian,
+                      assemble_kernel, build_grid, eval_preset,
+                      gagliardo_seminorm_p, minimize_step, reconstruct,
+                      rothe_functional, rothe_gradient, run_flow, truncate,
+                      zero_function, NonConvergence)
+from fracflow.energy import _step_objective, scale_for, sgn_power
+from fracflow.rothe import (RECONSTRUCTION_KINDS, NonFiniteData,
+                            _StepWorkspace, _ray_start)
 
 
 def make_problem(n_cells=16, s=0.5, p=2.0, q=1.0, h=0.01, t_end=0.1, **kw):
@@ -119,6 +121,66 @@ def test_newton_past_800_interior_nodes():
         for diag in traj.diagnostics:
             assert 1 <= diag.iterations <= max_iters
             assert diag.fallbacks == 0
+
+
+def test_ground_state_step_is_the_ray_start():
+    # p=2, q=1: a lowest eigenvector v of the operator, A v = lam vol v,
+    # steps exactly to v / (1 + lam h), which lies on the ray tau * v
+    dom, params, kernel = make_problem(p=2.0, q=1.0)
+    interior = np.flatnonzero(dom.interior_mask)
+    a_mat = np.empty((interior.size, interior.size))
+    for col, node in enumerate(interior):
+        e = np.zeros(dom.n_nodes)
+        e[node] = 1.0
+        a_mat[:, col] = apply_frac_p_laplacian(
+            GridFunction(dom, e), kernel, 2.0).values[interior]
+    mu, vecs = np.linalg.eigh(a_mat)
+    lam = mu[0] / dom.vol
+    v = np.zeros(dom.n_nodes)
+    v[interior] = vecs[:, 0]
+    u, diag = minimize_step(GridFunction(dom, v), kernel, params)
+    assert diag.iterations == 0
+    assert abs(diag.ray_tau - 1.0 / (1.0 + lam * params.h)) <= 1e-12
+    np.testing.assert_allclose(u.values, v / (1.0 + lam * params.h),
+                               rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("p,q", [(1.5, 2.0), (2.0, 0.5), (3.0, 1.0)])
+def test_ray_start_closed_form_objective(dim, p, q):
+    # the start objective comes from the two ray sums, not from a second
+    # objective evaluation; it must equal the objective at tau * x0, lie
+    # at or below the objective at x0, and tau must minimize along the ray
+    # (h = 1e6 drives tau far below 1, as on an extinction step)
+    if dim == 1:
+        dom = build_grid(1, 0.0, 1.0, 16, 2.0)
+    else:
+        dom = build_grid(2, (0.0, 0.0), (1.0, 1.0), 6, 2.0)
+    for h in (0.01, 1e6):
+        params = FlowParams(s=0.5, p=p, q=q, h=h, t_end=h)
+        kernel = assemble_kernel(dom, params)
+        ws = _StepWorkspace(dom, kernel, params)
+        for seed in range(3):
+            x0 = eval_preset(dom, "random", 1.0, seed=seed).interior_values()
+            vprev = sgn_power(x0, q)
+            tau, f = _ray_start(ws, x0)
+            assert 0.0 < tau < 1.0
+            assert f == pytest.approx(_step_objective(
+                tau * x0, vprev, kernel, params, ws.vol_h), rel=1e-12)
+            assert f <= ws.objective(x0, vprev)
+            for t in (tau * (1.0 - 1e-6), tau * (1.0 + 1e-6)):
+                assert ws.objective(t * x0, vprev) >= f
+            if h > 1.0:
+                assert tau < 1e-3
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_overflowing_data_fails_before_the_first_step(monkeypatch):
+    # the p=3 seminorm of amplitude-1e120 data is inf: no step may run
+    dom, params, kernel = make_problem(p=3.0)
+    monkeypatch.setattr("fracflow.rothe._solve_step", None)
+    with pytest.raises(NonFiniteData, match="overflow"):
+        run_flow(eval_preset(dom, "bump", 1e120), kernel, params)
 
 
 def test_solver_objective_history_monotone():
