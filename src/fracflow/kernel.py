@@ -1,6 +1,10 @@
 """Singular interaction weights |x - y|^(-(n+sp)) on the collar grid.
 
-The pairwise table covers all collar-node pairs; the principal value is
+Grid functions vanish off Omega, so a pair of exterior nodes contributes
+nothing: what is built is the pair table among the interior nodes plus one
+boundary weight per interior node (its summed weight to every exterior node
+and to the region beyond the collar box).  The table over all collar-node
+pairs is built only on request, as the test oracle.  The principal value is
 realized by dropping the diagonal (the within-cell difference of a nodal
 function is zero, which is the discrete counterpart of the symmetric
 cancellation).  The region beyond the collar box is handled analytically
@@ -11,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -62,28 +67,32 @@ class FlowParams:
 
 @dataclass(frozen=True, eq=False)
 class KernelTable:
-    """Dense symmetric pair weights plus analytic exterior tails.
+    """Interior pair weights, boundary weights and analytic exterior tails.
 
-    weights[i, j] = vol^2 * |x_i - x_j|^(-(n+sp)) for i != j, 0 on the
-    diagonal; tail[i] = vol * integral of the kernel over the region beyond
-    the collar box (closed radial form).  interior is the interior block of
-    weights; boundary[i] = tail[i] + sum_{j exterior} weights[i, j] is what
-    acts on |u_i| of a zero-exterior u.  Rebuilt whenever (s, p, grid)
-    changes; params_hash records what it was built for.
+    With weights[i, j] = vol^2 * |x_i - x_j|^(-(n+sp)) for i != j and 0 on
+    the diagonal: interior is the interior block of weights; tail[i] = vol *
+    integral of the kernel over the region beyond the collar box (closed
+    radial form); boundary[i] = tail[i] + sum_{j exterior} weights[i, j] is
+    what acts on |u_i| of a zero-exterior u.  The full collar table
+    ``weights`` is the test oracle: it is built on first read, and no
+    computation reads it.  Rebuilt whenever (s, p, grid) changes;
+    params_hash records what it was built for.
     """
 
     domain: GridDomain
     s: float
     p: float
-    weights: np.ndarray = field(repr=False)
     tail: np.ndarray = field(repr=False)
     interior: np.ndarray = field(repr=False)
     boundary: np.ndarray = field(repr=False)
     params_hash: tuple = ()
 
-    @property
-    def n_nodes(self) -> int:
-        return self.weights.shape[0]
+    @cached_property
+    def weights(self) -> np.ndarray:
+        w = _pair_weights(self.domain.node_coords, self.domain.vol,
+                          self.domain.dim + self.s * self.p)
+        w.setflags(write=False)
+        return w
 
     def require_match(self, domain: GridDomain, p: float) -> None:
         expected = (float(self.s), float(p)) + domain.signature()
@@ -151,20 +160,43 @@ def _pair_weights(coords: np.ndarray, vol: float, expo: float,
     return w
 
 
+def _node_set_weights(domain: GridDomain, nodes: np.ndarray, expo: float,
+                      lag: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Pair weights among the nodes of the boolean set ``nodes``, and each
+    such node's summed weight to every node outside it: the block and the
+    boundary row sums of ``_pair_weights`` restricted to those rows.  Built
+    one row block at a time, so the (n_nodes, n_nodes) table is never
+    formed."""
+    rows = np.flatnonzero(nodes)
+    rest = np.flatnonzero(~nodes)
+    block = np.empty((rows.size, rows.size))
+    outside = np.empty(rows.size)
+    per_block = max(1, _BLOCK_BYTES // (8 * domain.n_nodes))
+    for lo in range(0, rows.size, per_block):
+        part = rows[lo:lo + per_block]
+        w = _pair_weights(domain.node_coords, domain.vol, expo, lag, part)
+        every = np.arange(part.size)
+        block[lo:lo + part.size] = w[np.ix_(every, rows)]
+        outside[lo:lo + part.size] = w[np.ix_(every, rest)].sum(axis=1)
+        del w   # free this block before the next one is built
+    return block, outside
+
+
 def assemble_kernel(domain: GridDomain, params: FlowParams) -> KernelTable:
-    """Build the full O(N^2) pair table for (s, p) on the given grid."""
-    if domain.n_nodes > 6000:
-        raise ValueError(f"{domain.n_nodes} nodes: the dense pair table is "
-                         "sized for a few thousand nodes; coarsen the grid")
-    weights = _pair_weights(domain.node_coords, domain.vol,
-                            domain.dim + params.s * params.p)
-    tail = _tail_weights(domain, params)
+    """Build the interior pair block and the boundary weights for (s, p) on
+    the given grid: O(n_interior * n_nodes) work, O(n_interior^2) memory."""
+    if domain.n_interior > 6000:
+        raise ValueError(f"{domain.n_interior} interior nodes: the dense "
+                         "interior pair table is sized for a few thousand "
+                         "interior nodes; coarsen the grid")
     mask = domain.interior_mask
-    interior = weights[np.ix_(mask, mask)]
-    boundary = weights[np.ix_(mask, ~mask)].sum(axis=1) + tail[mask]
-    for arr in (weights, tail, interior, boundary):
+    interior, outside = _node_set_weights(domain, mask,
+                                          domain.dim + params.s * params.p)
+    tail = _tail_weights(domain, params)
+    boundary = outside + tail[mask]
+    for arr in (tail, interior, boundary):
         arr.setflags(write=False)
     phash = (float(params.s), float(params.p)) + domain.signature()
     return KernelTable(domain=domain, s=params.s, p=params.p,
-                       weights=weights, tail=tail, interior=interior,
+                       tail=tail, interior=interior,
                        boundary=boundary, params_hash=phash)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import GridDomain, GridFunction
-from .kernel import FlowParams, KernelTable, _pair_weights
+from .kernel import FlowParams, KernelTable, _node_set_weights
 from .energy import (AlgConstants, sgn_power, lq_power_integral,
                      gagliardo_seminorm_p, scale_for, rothe_gradient,
                      _pair_sum)
@@ -355,16 +355,6 @@ def _require_spacetime_fits(n_nodes: int, t_grid: int) -> None:
                          "must not exceed 1e8")
 
 
-def _support_weights(domain: GridDomain, support: np.ndarray, expo: float,
-                     lag: float = 0.0):
-    """Block and boundary weights of ``_pair_sum`` for sampled values that
-    vanish off ``support``; the table has one row per support node."""
-    rows = np.flatnonzero(support)
-    w = _pair_weights(domain.node_coords, domain.vol, expo, lag, rows)
-    every = np.arange(rows.size)
-    return w[np.ix_(every, rows)], w[np.ix_(every, ~support)].sum(axis=1)
-
-
 def spacetime_seminorm_values(vals: np.ndarray, domain: GridDomain,
                               dt: float, s_prime: float) -> float:
     """Midpoint-rule space-time W^{s',1} seminorm of sampled values.
@@ -381,7 +371,7 @@ def spacetime_seminorm_values(vals: np.ndarray, domain: GridDomain,
     support = vals.any(axis=0)
     total = 0.0
     for lag in range(n_t):
-        block, boundary = _support_weights(
+        block, boundary = _node_set_weights(
             domain, support, domain.dim + 1 + s_prime, lag * dt)
         part = sum(_pair_sum(vals[k, support], vals[k + lag, support],
                              block, boundary, 1.0) for k in range(n_t - lag))
@@ -421,7 +411,7 @@ def check_spacetime_sobolev_values(vals: np.ndarray, dvals: np.ndarray,
     lhs = spacetime_seminorm_values(vals, domain, dt, s_prime)
     l1_dt = dt * domain.vol * float(np.sum(np.abs(dvals)))
     support = vals.any(axis=0)
-    block, boundary = _support_weights(domain, support, domain.dim + s_bar)
+    block, boundary = _node_set_weights(domain, support, domain.dim + s_bar)
     spatial = dt * sum(_pair_sum(v, v, block, boundary, 1.0)
                        for v in vals[:, support])
     n = domain.dim

@@ -173,6 +173,24 @@ def test_no_command_runs_the_constant_scan(tmp_path, monkeypatch):
                     seed=5) == 0
 
 
+def test_no_command_builds_the_collar_table(tmp_path, monkeypatch):
+    # the full (n_nodes, n_nodes) table is the test oracle; every command
+    # works from the interior block and the boundary weights alone
+    from fracflow.kernel import KernelTable
+
+    def refuse(self):
+        raise AssertionError("a command built the full collar table")
+
+    monkeypatch.setattr(KernelTable, "weights", property(refuse))
+    assert cmd_run(small_run_cfg(tmp_path)) == 0
+    assert cmd_run(small_run_cfg(tmp_path, dim=2, omega_min="0,0",
+                                 omega_max="1,1", n_cells=6, t_end=0.06)) == 0
+    assert cmd_converge(small_run_cfg(tmp_path, n_cells=8, h=0.04,
+                                      t_end=0.08), levels=3, gamma=1.0) == 0
+    assert cmd_ineq(small_run_cfg(tmp_path, n_cells=8), trials=2000,
+                    seed=5) == 0
+
+
 def test_byte_determinism(tmp_path):
     cfg_path = write_cfg(tmp_path, "\n".join([
         "n_cells = 12", "h = 0.02", "t_end = 0.1",

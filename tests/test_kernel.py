@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from scipy.integrate import quad
 
 from fracflow import FlowParams, assemble_kernel, build_grid, tail_weight
 from fracflow.grid import GridFunction
+from fracflow import kernel as kernel_mod
 from fracflow.kernel import _BLOCK_BYTES, _pair_weights
 
 
@@ -70,6 +72,71 @@ def test_weights_match_whole_table_formula_across_row_blocks():
                                                expo, 0.3))):
             part = _pair_weights(dom.node_coords, dom.vol, expo, lag, rows=idx)
             assert np.array_equal(part, whole[idx])
+
+
+@pytest.mark.parametrize("dim,n_cells,collar", [
+    (1, 64, 2.0), (2, 16, 2.0), (2, 7, 1.37), (2, 32, 1.5)])
+def test_interior_rows_match_the_collar_table(monkeypatch, dim, n_cells,
+                                              collar):
+    # the interior block, boundary weights and tails are exactly the slices
+    # of the full table, with the interior built in three or more row blocks
+    dom = build_grid(dim, 0.0, 1.0, n_cells, collar)
+    monkeypatch.setattr(kernel_mod, "_BLOCK_BYTES",
+                        8 * dom.n_nodes * (dom.n_interior // 3))
+    blocks = []
+
+    def spy(*args, **kwargs):
+        w = _pair_weights(*args, **kwargs)
+        blocks.append(w.shape[0])
+        return w
+
+    monkeypatch.setattr(kernel_mod, "_pair_weights", spy)
+    mask = dom.interior_mask
+    for s, p in ((0.5, 2.0), (0.3, 2.5)):
+        params = params_with(s=s, p=p)
+        blocks.clear()
+        k = assemble_kernel(dom, params)
+        assert len(blocks) >= 3 and sum(blocks) == dom.n_interior
+        w = k.weights
+        assert w is k.weights and not w.flags.writeable
+        assert w.shape == (dom.n_nodes, dom.n_nodes)
+        assert np.array_equal(k.interior, w[np.ix_(mask, mask)])
+        tails = kernel_mod._tail_weights(dom, params)
+        assert np.array_equal(k.tail, tails)
+        assert np.array_equal(
+            k.boundary, w[np.ix_(mask, ~mask)].sum(axis=1) + tails[mask])
+
+
+def test_node_guard_counts_interior_nodes(monkeypatch):
+    # 6400 collar nodes around 8 interior ones: the resident table is 8 x 8
+    wide = build_grid(1, 0.0, 1.0, 8, 800.0)
+    assert wide.n_nodes > 6000
+    k = assemble_kernel(wide, params_with())
+    assert k.interior.shape == (8, 8) and k.boundary.shape == (8,)
+    # more than 6000 interior nodes are refused before any weight is built
+    calls = []
+    monkeypatch.setattr(kernel_mod, "_pair_weights",
+                        lambda *a, **kw: calls.append(a))
+    big = build_grid(1, 0.0, 1.0, 6001, 1.0)
+    assert big.n_interior > 6000
+    with pytest.raises(ValueError, match="6001 interior nodes"):
+        assemble_kernel(big, params_with())
+    assert calls == []
+
+
+def test_assembly_never_holds_the_collar_table():
+    # converge-2d's grid: the full table would be 2304^2 doubles (40.5 MiB);
+    # the interior block is 8 MiB, plus one row block of weights and one of
+    # differences (8 MiB each)
+    dom = build_grid(2, 0.0, 1.0, 32, 1.5)
+    assert (dom.n_nodes, dom.n_interior) == (2304, 1024)
+    tracemalloc.start()
+    try:
+        assemble_kernel(dom, params_with())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 28 * 2 ** 20 < 8 * dom.n_nodes ** 2
 
 
 def tail_oracle_1d(x, cmin, cmax, sp):
