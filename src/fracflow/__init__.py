@@ -8,7 +8,7 @@ satisfies by construction, with explicit constants.
 """
 
 from .grid import GridDomain, GridFunction, build_grid, eval_preset, zero_function
-from .kernel import FlowParams, KernelTable, assemble_kernel, tail_weight
+from .kernel import FlowParams, KernelTable, assemble_kernel
 from .energy import (AlgConstants, lq_power_integral, gagliardo_seminorm_p,
                      energy_functional, apply_frac_p_laplacian,
                      rothe_functional, rothe_gradient, scan_alg_constants,

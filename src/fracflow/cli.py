@@ -17,7 +17,7 @@ import numpy as np
 
 from .grid import build_grid, eval_preset, GridFunction
 from .kernel import FlowParams, assemble_kernel
-from .energy import alg_ratios, gagliardo_seminorm_p, lq_power_integral
+from .energy import alg_ratios
 from .rothe import NonConvergence, run_flow
 from . import verify
 from .serialize import dumps_json, write_csv
@@ -185,14 +185,11 @@ def cmd_run(cfg: RunConfig) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
 
-    q, p, h = params.q, params.p, params.h
-    lq_pow = [lq_power_integral(u, q + 1.0) for u in traj.steps]
-    sem = [gagliardo_seminorm_p(u, kernel, p) for u in traj.steps]
-    rows = [[0, 0.0, lq_pow[0], sem[0], traj.steps[0].linf(), 0.0, 0, 0.0]]
-    for m in range(1, traj.n_steps + 1):
-        d = traj.diagnostics[m - 1]
-        rows.append([m, m * h, lq_pow[m], sem[m], traj.steps[m].linf(),
-                     (sem[m - 1] - sem[m]) / (2.0 * p), d.iterations,
+    lq_pow, sem, linf = traj.lq_pow, traj.seminorm, traj.linf
+    rows = [[0, 0.0, lq_pow[0], sem[0], linf[0], 0.0, 0, 0.0]]
+    for m, d in enumerate(traj.diagnostics, 1):
+        rows.append([m, m * params.h, lq_pow[m], sem[m], linf[m],
+                     (sem[m - 1] - sem[m]) / (2.0 * params.p), d.iterations,
                      d.grad_norm])
     write_csv(os.path.join(cfg.output_dir, "trace.csv"),
               ["step", "time", "lq1_pow", "seminorm_p", "linf",
@@ -200,22 +197,22 @@ def cmd_run(cfg: RunConfig) -> int:
 
     report = verify.VerificationReport(meta=_meta(cfg, {
         "scale": traj.scale,
-        "tol_check": 10.0 * params.solver_tol * traj.scale,
+        "tol_check": verify._tol_check(params, traj.scale),
         "n_steps": traj.n_steps,
         "interior_nodes": domain.n_interior,
         "total_nodes": domain.n_nodes,
         "operator_convention": "gradient-exact: ordered pair sum, tail once",
     }))
     if cfg.check_energy:
-        report.add(verify.check_energy_estimates(traj, kernel))
+        report.add(verify.check_energy_estimates(traj))
     if cfg.check_time_derivative:
-        report.add(verify.check_time_derivative_bounds(traj, kernel))
+        report.add(verify.check_time_derivative_bounds(traj))
     if cfg.check_max_principle:
         report.add(verify.check_max_principle(traj))
     if cfg.check_truncation:
-        report.add(verify.check_truncation_energy(traj, kernel, cfg.ell))
+        report.add(verify.check_truncation_energy(traj, cfg.ell))
     if cfg.check_weak_residual:
-        report.add(verify.check_weak_residual(traj, kernel, params))
+        report.add(verify.check_weak_residual(traj))
     if cfg.check_poincare:
         report.add(verify.check_poincare(u0, kernel, params, domain))
     if cfg.check_spacetime:
@@ -229,7 +226,7 @@ def cmd_run(cfg: RunConfig) -> int:
     if cfg.check_levelset:
         report.add(verify.chebyshev_level_sets(
             traj.steps[-1], cfg.ell, params, domain, kernel, u0=u0))
-    report.add(verify.check_initial_trend(traj, kernel))
+    report.add(verify.check_initial_trend(traj))
     _write_report(report, cfg.output_dir)
     return EXIT_OK if report.all_passed() else EXIT_CHECK_FAILED
 

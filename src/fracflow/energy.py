@@ -140,10 +140,14 @@ def rothe_gradient(w: GridFunction, u_prev: GridFunction,
         kernel, params, w.domain.vol / params.h))
 
 
+def _tolerance_scale(seminorm: float, lq_pow: float) -> float:
+    return max(1.0, seminorm, lq_pow)
+
+
 def scale_for(u0: GridFunction, kernel: KernelTable, params: FlowParams) -> float:
     """Tolerance scale for one run: max(1, seminorm^p, L^{q+1} power) of u0."""
-    return max(1.0, gagliardo_seminorm_p(u0, kernel, params.p),
-               lq_power_integral(u0, params.q + 1.0))
+    return _tolerance_scale(gagliardo_seminorm_p(u0, kernel, params.p),
+                            lq_power_integral(u0, params.q + 1.0))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .grid import GridDomain
 
-__all__ = ["FlowParams", "KernelTable", "assemble_kernel", "tail_weight"]
+__all__ = ["FlowParams", "KernelTable", "assemble_kernel"]
 
 
 @dataclass(frozen=True)
@@ -122,13 +122,6 @@ def _tail_weights(domain: GridDomain, params: FlowParams) -> np.ndarray:
         r = dists.min(axis=1)
         t = domain.vol * 2.0 * math.pi * r ** (-sp) / sp
     return t
-
-
-def tail_weight(domain: GridDomain, params: FlowParams, node: int) -> float:
-    """Analytic weight of the region beyond the collar box, seen from one node."""
-    if not (0 <= node < domain.n_nodes):
-        raise ValueError(f"node index {node} outside the collar box grid")
-    return float(_tail_weights(domain, params)[node])
 
 
 _BLOCK_BYTES = 8 << 20     # scratch for one row block of _pair_weights

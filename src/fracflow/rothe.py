@@ -24,13 +24,15 @@ costs a dense solve on the interior nodes, O(n_interior^3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .grid import GridDomain, GridFunction, zero_function
+from .grid import GridDomain, GridFunction
 from .kernel import FlowParams, KernelTable
-from .energy import (sgn_power, scale_for, _expand, _pair_sum,
+from .energy import (sgn_power, scale_for, lq_power_integral,
+                     gagliardo_seminorm_p, _expand, _pair_sum,
                      _step_objective, _step_gradient)
 
 __all__ = [
@@ -301,10 +303,11 @@ def minimize_step(u_prev: GridFunction, kernel: KernelTable, params: FlowParams,
 
 @dataclass(frozen=True, eq=False)
 class RotheTrajectory:
-    """Step sequence u_0 ... u_N of one run, with per-step diagnostics."""
+    """Steps u_0 ... u_N of one run, their diagnostics and energy series."""
 
     domain: GridDomain
     params: FlowParams
+    kernel: KernelTable  # the kernel the steps were solved with
     scale: float
     steps: tuple        # N+1 GridFunctions
     diagnostics: tuple  # N StepDiagnostics, for steps 1..N
@@ -313,9 +316,19 @@ class RotheTrajectory:
     def n_steps(self) -> int:
         return len(self.steps) - 1
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.n_steps + 1) * self.params.h
+    @cached_property
+    def lq_pow(self) -> tuple:      # ||u_m||_{q+1}^{q+1}, m = 0..N
+        return tuple(lq_power_integral(u, self.params.q + 1.0)
+                     for u in self.steps)
+
+    @cached_property
+    def seminorm(self) -> tuple:    # [u_m]^p, m = 0..N
+        return tuple(gagliardo_seminorm_p(u, self.kernel, self.params.p)
+                     for u in self.steps)
+
+    @cached_property
+    def linf(self) -> tuple:        # max |u_m|, m = 0..N
+        return tuple(u.linf() for u in self.steps)
 
     @property
     def t_final(self) -> float:
@@ -332,7 +345,6 @@ def run_flow(u0: GridFunction, kernel: KernelTable, params: FlowParams,
 
     Raises NonFiniteData, before any step, if the tolerance scale of u0
     overflows."""
-    kernel.require_match(u0.domain, params.p)
     scale = scale_for(u0, kernel, params)
     if not math.isfinite(scale):
         raise NonFiniteData(f"the energies of the initial data overflow "
@@ -352,8 +364,8 @@ def run_flow(u0: GridFunction, kernel: KernelTable, params: FlowParams,
         steps.append(gf)
         diags.append(diag)
         current = gf.values
-    return RotheTrajectory(domain=u0.domain, params=params, scale=scale,
-                           steps=tuple(steps), diagnostics=tuple(diags))
+    return RotheTrajectory(domain=u0.domain, params=params, kernel=kernel,
+                           scale=scale, steps=tuple(steps), diagnostics=tuple(diags))
 
 
 def _kind_exponent(kind: str, q: float) -> float:

@@ -20,8 +20,8 @@ import numpy as np
 from .grid import GridDomain, GridFunction
 from .kernel import FlowParams, KernelTable, _node_set_weights
 from .energy import (AlgConstants, sgn_power, lq_power_integral,
-                     gagliardo_seminorm_p, scale_for, rothe_gradient,
-                     _pair_sum)
+                     gagliardo_seminorm_p, rothe_gradient, _pair_sum,
+                     _tolerance_scale)
 from .rothe import RotheTrajectory, run_flow, reconstruct, truncate
 
 __all__ = [
@@ -134,10 +134,6 @@ class SobolevExponents:
     def p_star_defined(self) -> bool:
         return self.p_star is not None
 
-    @property
-    def p_star_bar_defined(self) -> bool:
-        return self.p_star_bar is not None
-
 
 def sobolev_exponents(n: int, s: float, p: float) -> SobolevExponents:
     sp = s * p
@@ -151,8 +147,8 @@ def _require_converged(traj: RotheTrajectory) -> None:
         raise ValueError("trajectory has unconverged steps; refusing to check")
 
 
-def _tol_check(traj: RotheTrajectory) -> float:
-    return 10.0 * traj.params.solver_tol * traj.scale
+def _tol_check(params: FlowParams, scale: float) -> float:
+    return 10.0 * params.solver_tol * scale
 
 
 def _degenerate_weight(a: np.ndarray, b: np.ndarray, expo: float) -> np.ndarray:
@@ -173,15 +169,14 @@ def _degenerate_weight(a: np.ndarray, b: np.ndarray, expo: float) -> np.ndarray:
 # estimates that are exact at the discrete level
 
 
-def check_energy_estimates(traj: RotheTrajectory, kernel: KernelTable) -> list:
+def check_energy_estimates(traj: RotheTrajectory) -> list:
     """Four entries: sup bound, time-integrated seminorm, weighted
     dissipation, and per-step seminorm decay."""
     _require_converged(traj)
     params = traj.params
     q, p, h, vol = params.q, params.p, params.h, traj.domain.vol
-    tol = _tol_check(traj)
-    lq_pow = [lq_power_integral(u, q + 1.0) for u in traj.steps]
-    sem = [gagliardo_seminorm_p(u, kernel, p) for u in traj.steps]
+    tol = _tol_check(params, traj.scale)
+    lq_pow, sem = traj.lq_pow, traj.seminorm
     c2 = alg_constants(q + 1.0).c2
 
     entries = [CheckEntry(
@@ -211,14 +206,14 @@ def check_energy_estimates(traj: RotheTrajectory, kernel: KernelTable) -> list:
     return entries
 
 
-def check_time_derivative_bounds(traj: RotheTrajectory, kernel: KernelTable) -> list:
+def check_time_derivative_bounds(traj: RotheTrajectory) -> list:
     """L2 bound on the half-power interpolant derivative, and for q >= 1 the
     L1 bound on the q-power interpolant derivative."""
     _require_converged(traj)
     params = traj.params
     q, p, h, vol = params.q, params.p, params.h, traj.domain.vol
-    tol = _tol_check(traj)
-    s0 = gagliardo_seminorm_p(traj.steps[0], kernel, p)
+    tol = _tol_check(params, traj.scale)
+    s0 = traj.seminorm[0]
     c1_half = alg_constants((q + 3.0) / 2.0).c1
     full = alg_constants(q + 1.0)
     c2 = full.c2
@@ -237,9 +232,9 @@ def check_time_derivative_bounds(traj: RotheTrajectory, kernel: KernelTable) -> 
         vvals = [sgn_power(u.values, q) for u in traj.steps]
         lhs2 = sum(h * vol * float(np.sum(np.abs(vvals[m] - vvals[m - 1]) / h))
                    for m in range(1, traj.n_steps + 1))
-        t_total = traj.n_steps * h
+        t_total = traj.t_final
         omega_t = traj.domain.omega_volume * t_total
-        l0 = lq_power_integral(traj.steps[0], q + 1.0)
+        l0 = traj.lq_pow[0]
         const2 = c1_full * 2.0 ** ((q - 1.0) / 2.0) / math.sqrt(2.0 * p * c2)
         rhs2 = (const2 * omega_t ** (1.0 / (q + 1.0))
                 * (t_total * l0) ** ((q - 1.0) / (2.0 * (q + 1.0)))
@@ -254,13 +249,12 @@ def check_time_derivative_bounds(traj: RotheTrajectory, kernel: KernelTable) -> 
 def check_max_principle(traj: RotheTrajectory) -> CheckEntry:
     """The flow never exceeds the initial sup bound."""
     _require_converged(traj)
-    lhs = max(u.linf() for u in traj.steps[1:])
     return CheckEntry(name="MAX", ref="sup-norm-bound",
-                      lhs=lhs, rhs=traj.steps[0].linf(), tol=_tol_check(traj))
+                      lhs=max(traj.linf[1:]), rhs=traj.linf[0],
+                      tol=_tol_check(traj.params, traj.scale))
 
 
-def check_truncation_energy(traj: RotheTrajectory, kernel: KernelTable,
-                            ell: int) -> list:
+def check_truncation_energy(traj: RotheTrajectory, ell: int) -> list:
     """Time-derivative energy of the clamped positive/negative parts.
 
     For q >= 1 the bound degrades like ell^(q-1); for 0 < q < 1 the smaller
@@ -272,8 +266,8 @@ def check_truncation_energy(traj: RotheTrajectory, kernel: KernelTable,
         raise ValueError("ell must be at least 2")
     params = traj.params
     q, p, h, vol = params.q, params.p, params.h, traj.domain.vol
-    tol = _tol_check(traj)
-    s0 = gagliardo_seminorm_p(traj.steps[0], kernel, p)
+    tol = _tol_check(params, traj.scale)
+    s0 = traj.seminorm[0]
     c2 = alg_constants(q + 1.0).c2
     interior = traj.domain.interior_mask
 
@@ -307,19 +301,18 @@ def check_truncation_energy(traj: RotheTrajectory, kernel: KernelTable,
     return entries
 
 
-def check_weak_residual(traj: RotheTrajectory, kernel: KernelTable,
-                        params: FlowParams | None = None) -> CheckEntry:
+def check_weak_residual(traj: RotheTrajectory) -> CheckEntry:
     """Max over steps and interior basis directions of the step equation
     residual; bounded by the solver stopping rule."""
     _require_converged(traj)
-    params = params or traj.params
+    params, steps = traj.params, traj.steps
     worst = 0.0
     for m in range(1, traj.n_steps + 1):
-        g = rothe_gradient(traj.steps[m], traj.steps[m - 1], kernel, params)
+        g = rothe_gradient(steps[m], steps[m - 1], traj.kernel, params)
         worst = max(worst, g.linf())
     return CheckEntry(name="RESID", ref="step-equation-residual",
                       lhs=worst, rhs=params.solver_tol * traj.scale,
-                      tol=_tol_check(traj))
+                      tol=_tol_check(params, traj.scale))
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +330,11 @@ def check_poincare(u: GridFunction, kernel: KernelTable, params: FlowParams,
         return CheckEntry(name="POINCARE", ref="poincare-bound",
                           lhs=0.0, rhs=0.0, constant_used=const,
                           skipped="zero function (vacuous)")
-    lhs = lq_power_integral(u, params.p)
-    rhs = const * gagliardo_seminorm_p(u, kernel, params.p)
-    tol = 10.0 * params.solver_tol * scale_for(u, kernel, params)
+    sem = gagliardo_seminorm_p(u, kernel, params.p)
+    scale = _tolerance_scale(sem, lq_power_integral(u, params.q + 1.0))
     return CheckEntry(name="POINCARE", ref="poincare-bound",
-                      lhs=lhs, rhs=rhs, constant_used=const, tol=tol)
+                      lhs=lq_power_integral(u, params.p), rhs=const * sem,
+                      constant_used=const, tol=_tol_check(params, scale))
 
 
 def spacetime_sum_fits(n_nodes: int, t_grid: int) -> bool:
@@ -439,10 +432,10 @@ def check_spacetime_sobolev(traj: RotheTrajectory, s_prime: float,
         dvals[k] = (traj.steps[m].values - traj.steps[m - 1].values) / h
     return check_spacetime_sobolev_values(
         vals, dvals, traj.domain, traj.params.t_end, s_prime, s_bar,
-        tol=_tol_check(traj))
+        tol=_tol_check(traj.params, traj.scale))
 
 
-def check_initial_trend(traj: RotheTrajectory, kernel: KernelTable) -> CheckEntry:
+def check_initial_trend(traj: RotheTrajectory) -> CheckEntry:
     """Informational: seminorm gap between the reconstruction and the initial
     data at shrinking times.  Recorded without pass/fail semantics."""
     _require_converged(traj)
@@ -452,7 +445,7 @@ def check_initial_trend(traj: RotheTrajectory, kernel: KernelTable) -> CheckEntr
     t = traj.params.t_end
     for _ in range(4):
         gap = gagliardo_seminorm_p(reconstruct(traj, "u_lin", t) - u0,
-                                   kernel, p)
+                                   traj.kernel, p)
         gaps.append((t, gap))
         t /= 4.0
     note = " ".join(f"t={tv!r}:{gv!r}" for tv, gv in gaps)
@@ -571,10 +564,11 @@ def chebyshev_level_sets(u: GridFunction, ell: float, params: FlowParams,
     p_star = exps.p_star
     ref_fn = u0 if u0 is not None else u
     c_sob = measure_sobolev_constant(domain, kernel, params)
-    sem_root = gagliardo_seminorm_p(ref_fn, kernel, params.p) ** (1.0 / params.p)
+    sem = gagliardo_seminorm_p(ref_fn, kernel, params.p)
     lhs = domain.vol * float(np.sum(np.maximum(u.values, 0.0) >= ell))
-    rhs = (c_sob * sem_root) ** p_star / float(ell) ** p_star
-    tol = 10.0 * params.solver_tol * scale_for(ref_fn, kernel, params)
+    rhs = (c_sob * sem ** (1.0 / params.p)) ** p_star / float(ell) ** p_star
+    scale = _tolerance_scale(sem, lq_power_integral(ref_fn, params.q + 1.0))
+    tol = _tol_check(params, scale)
     return CheckEntry(name="LEVELSET", ref="level-set-bound",
                       lhs=lhs, rhs=rhs, constant_used=c_sob, tol=tol,
                       note="C_sob measured over 64 seeded probes, not universal")

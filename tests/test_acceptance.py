@@ -45,14 +45,14 @@ def sweep():
                 for preset in PRESETS:
                     u0 = eval_preset(dom, preset, 1.0, seed=7)
                     traj = run_flow(u0, kernel, params)
-                    runs[(s, p, q, preset)] = (traj, kernel)
+                    runs[(s, p, q, preset)] = traj
     return {"runs": runs, "domain": dom, "elapsed": time.time() - t0}
 
 
 def test_criterion_1_energy_estimates(sweep):
     failures = []
-    for key, (traj, kernel) in sweep["runs"].items():
-        for e in verify.check_energy_estimates(traj, kernel):
+    for key, traj in sweep["runs"].items():
+        for e in verify.check_energy_estimates(traj):
             if not e.passed:
                 failures.append((key, e.name, e.lhs, e.rhs))
     ok = not failures and sweep["elapsed"] < 300.0
@@ -64,7 +64,7 @@ def test_criterion_1_energy_estimates(sweep):
 def test_sweep_takes_newton_every_iteration(sweep):
     # the -g fallback is a safeguard only: no sweep step ever needs it
     fallbacks = {key: [d.fallbacks for d in traj.diagnostics]
-                 for key, (traj, _) in sweep["runs"].items()}
+                 for key, traj in sweep["runs"].items()}
     failures = {key: f for key, f in fallbacks.items() if any(f)}
     report_line("Newton direction on every solver iteration of the sweep",
                 not failures)
@@ -76,8 +76,8 @@ def test_sweep_extinction_steps_start_on_the_ray(sweep):
     # orders of magnitude; started at the best multiple of u_prev, no step
     # takes more than 100 iterations, and the whole sweep at most 12,000
     worst = {key: max(d.iterations for d in traj.diagnostics)
-             for key, (traj, _) in sweep["runs"].items() if key[1] - 1.0 < key[2]}
-    total = sum(d.iterations for traj, _ in sweep["runs"].values()
+             for key, traj in sweep["runs"].items() if key[1] - 1.0 < key[2]}
+    total = sum(d.iterations for traj in sweep["runs"].values()
                 for d in traj.diagnostics)
     slow = {key: w for key, w in worst.items() if w > 100}
     report_line(f"extinction steps: worst {max(worst.values())} iterations, "
@@ -88,7 +88,7 @@ def test_sweep_extinction_steps_start_on_the_ray(sweep):
 
 def test_criterion_2_max_principle(sweep):
     failures = []
-    for key, (traj, kernel) in sweep["runs"].items():
+    for key, traj in sweep["runs"].items():
         e = verify.check_max_principle(traj)
         if not e.passed:
             failures.append((key, e.lhs, e.rhs, e.tol))
@@ -98,8 +98,8 @@ def test_criterion_2_max_principle(sweep):
 
 def test_criterion_3_time_derivative_bounds(sweep):
     failures = []
-    for key, (traj, kernel) in sweep["runs"].items():
-        entries = verify.check_time_derivative_bounds(traj, kernel)
+    for key, traj in sweep["runs"].items():
+        entries = verify.check_time_derivative_bounds(traj)
         assert entries[0].constant_used is not None
         if key[2] >= 1.0:
             assert [e.name for e in entries] == ["T1", "T2"]
@@ -115,8 +115,8 @@ def test_criterion_3_time_derivative_bounds(sweep):
 def test_criterion_4_weak_residual(sweep):
     worst = 0.0
     failures = []
-    for key, (traj, kernel) in sweep["runs"].items():
-        e = verify.check_weak_residual(traj, kernel)
+    for key, traj in sweep["runs"].items():
+        e = verify.check_weak_residual(traj)
         worst = max(worst, e.lhs / (1e-9 * traj.scale))
         if e.lhs > 1e-9 * traj.scale:
             failures.append((key, e.lhs, 1e-9 * traj.scale))
@@ -127,11 +127,11 @@ def test_criterion_4_weak_residual(sweep):
 
 def test_criterion_5_truncation_energy(sweep):
     failures = []
-    for key, (traj, kernel) in sweep["runs"].items():
+    for key, traj in sweep["runs"].items():
         q = key[2]
         rhs_by_ell = []
         for ell in (2, 8, 32):
-            entries = verify.check_truncation_energy(traj, kernel, ell)
+            entries = verify.check_truncation_energy(traj, ell)
             assert all(e.skipped is None for e in entries)
             rhs_by_ell.append(entries[0].rhs)
             for e in entries:

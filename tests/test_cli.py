@@ -1,6 +1,10 @@
+import importlib.util
+import inspect
 import json
 import os
 import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,6 +158,16 @@ def test_cmd_ineq_passes_and_reports(tmp_path):
     assert "POINCARE-random" in names and "ST-SOBOLEV-synthetic" in names
 
 
+def replace_everywhere(monkeypatch, fn, replacement):
+    """Bind ``replacement`` in every fracflow namespace that holds ``fn``
+    (the modules import each other's functions by name)."""
+    for key, mod in list(sys.modules.items()):
+        if key == "fracflow" or key.startswith("fracflow."):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, replacement)
+
+
 def test_no_command_runs_the_constant_scan(tmp_path, monkeypatch):
     # the reports use the closed-form constants; the scan is a test oracle.
     # q = 1.7 (alpha = 2.7 and 2.35) is used by no other test, so no constant
@@ -163,11 +177,7 @@ def test_no_command_runs_the_constant_scan(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a command ran scan_alg_constants")
 
-    for key, mod in list(sys.modules.items()):
-        if key == "fracflow" or key.startswith("fracflow."):
-            for attr, value in list(vars(mod).items()):
-                if value is scan_alg_constants:
-                    monkeypatch.setattr(mod, attr, refuse)
+    replace_everywhere(monkeypatch, scan_alg_constants, refuse)
     assert cmd_run(small_run_cfg(tmp_path, q=1.7)) == 0
     assert cmd_ineq(small_run_cfg(tmp_path, n_cells=8), trials=2000,
                     seed=5) == 0
@@ -189,6 +199,77 @@ def test_no_command_builds_the_collar_table(tmp_path, monkeypatch):
                                       t_end=0.08), levels=3, gamma=1.0) == 0
     assert cmd_ineq(small_run_cfg(tmp_path, n_cells=8), trials=2000,
                     seed=5) == 0
+
+
+def count_energy_calls(monkeypatch):
+    """Record the seminorm and L^r power calls of every fracflow module, by
+    the bytes of the function's values (and r)."""
+    from fracflow.energy import gagliardo_seminorm_p, lq_power_integral
+    sem, lq = Counter(), Counter()
+
+    def count_sem(u, *args):
+        sem[u.values.tobytes()] += 1
+        return gagliardo_seminorm_p(u, *args)
+
+    def count_lq(u, r):
+        lq[u.values.tobytes(), r] += 1
+        return lq_power_integral(u, r)
+
+    replace_everywhere(monkeypatch, gagliardo_seminorm_p, count_sem)
+    replace_everywhere(monkeypatch, lq_power_integral, count_lq)
+    return sem, lq
+
+
+def test_run_evaluates_each_step_energy_once(tmp_path, monkeypatch):
+    # the trajectory owns the per-step series that trace.csv and the checks
+    # read, so no step u_m, m >= 1, reaches either energy twice
+    sem, lq = count_energy_calls(monkeypatch)
+    trajs = []
+
+    def keep(*args):
+        trajs.append(rothe.run_flow(*args))
+        return trajs[-1]
+
+    monkeypatch.setattr(cli, "run_flow", keep)
+    cfg = parse_config(write_cfg(tmp_path, f"output_dir = {tmp_path / 'out'}\n"))
+    assert cmd_run(cfg) == 0
+    (traj,) = trajs
+    q1 = traj.params.q + 1.0
+    steps = [u.values.tobytes() for u in traj.steps[1:]]
+    assert len(set(steps)) == traj.n_steps == 50
+    assert all(sem[b] == 1 and lq[b, q1] == 1 for b in steps)
+    # u0: the run scale, the series and POINCARE; the level set is skipped
+    # at s*p = dim
+    u0 = traj.steps[0].values.tobytes()
+    assert sem[u0] == 3
+    # POINCARE's left side ||u0||_p^p is a call at r = p = q + 1 = 2 as well
+    assert lq[u0, q1] == 3 + (traj.params.p == q1)
+    assert sum(sem.values()) == 1 + 51 + 1 + 4   # 4: INIT-TREND gaps
+
+
+def test_converge_evaluates_no_series(tmp_path, monkeypatch):
+    # one seminorm per run_flow, for its tolerance scale, and nothing else
+    sem, _ = count_energy_calls(monkeypatch)
+    cfg = small_run_cfg(tmp_path, n_cells=16, h=0.04, t_end=0.2)
+    assert cmd_converge(cfg, levels=4, gamma=1.0) == 0
+    assert sum(sem.values()) == 4
+
+
+def test_benchmark_layer_names_exist():
+    # the traced benchmark (perfbench/tracer.py) stops with exit 70 when a
+    # name in its LAYERS is gone from fracflow; catch such a deletion here.
+    # Only the names are read: installing the tracer would wrap functions
+    # for the rest of this process.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, names in tracer.LAYERS.items():
+        mod = importlib.import_module(f"fracflow.{module}")
+        for name in names:
+            fn = getattr(mod, name, None)
+            assert inspect.isfunction(fn) and fn.__module__ == mod.__name__, \
+                f"fracflow.{module}.{name}"
 
 
 def test_byte_determinism(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fracflow import FlowParams, assemble_kernel, build_grid, tail_weight
+from fracflow import FlowParams, assemble_kernel, build_grid
 from fracflow.grid import GridFunction
 from fracflow import kernel as kernel_mod
 from fracflow.kernel import _BLOCK_BYTES, _pair_weights
@@ -151,13 +151,13 @@ def test_tail_1d_closed_form_vs_quadrature():
     params = params_with(s=0.5, p=2.0)  # sp = 1
     i = 1
     assert dom.node_coords[i, 0] == 1.0
-    t = tail_weight(dom, params, i)
+    t = kernel_mod._tail_weights(dom, params)[i]
     assert np.isclose(t, 2.0 * dom.vol, rtol=1e-14)
     oracle = dom.vol * tail_oracle_1d(1.0, 0.0, 2.0, 1.0)
     assert abs(t - oracle) <= 1e-10 * abs(oracle)
     # off-center node, non-integer exponent
     params = params_with(s=0.4, p=1.7)
-    t0 = tail_weight(dom, params, 0)
+    t0 = kernel_mod._tail_weights(dom, params)[0]
     x0 = dom.node_coords[0, 0]
     oracle = dom.vol * tail_oracle_1d(x0, 0.0, 2.0, 0.4 * 1.7)
     assert abs(t0 - oracle) <= 1e-10 * abs(oracle)
@@ -165,8 +165,8 @@ def test_tail_1d_closed_form_vs_quadrature():
 
 def test_tail_monotone_in_sp():
     dom = build_grid(1, 0.0, 2.0, 3, 1.0)
-    values = [tail_weight(dom, params_with(s=s, p=2.0), 1) for s in
-              (0.3, 0.5, 0.7, 0.9)]
+    values = [kernel_mod._tail_weights(dom, params_with(s=s, p=2.0))[1]
+              for s in (0.3, 0.5, 0.7, 0.9)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -176,7 +176,7 @@ def test_tail_2d_inscribed_disc():
     params = params_with(s=0.5, p=2.0)
     center = 4  # node-major index of the middle node
     assert np.allclose(dom.node_coords[center], [1.0, 1.0])
-    t = tail_weight(dom, params, center)
+    t = kernel_mod._tail_weights(dom, params)[center]
     assert np.isclose(t, dom.vol * 2.0 * math.pi, rtol=1e-14)
     oracle = quad(lambda r: 2.0 * math.pi * r ** (-2.0), 1.0, np.inf)[0]
     assert abs(t - dom.vol * oracle) <= 1e-10 * dom.vol * oracle
@@ -188,12 +188,6 @@ def test_tail_decreases_away_from_collar_boundary():
     k = assemble_kernel(dom, params)
     half = dom.n_nodes // 2
     assert all(k.tail[i] > k.tail[i + 1] for i in range(half - 1))
-
-
-def test_tail_node_out_of_range():
-    dom = build_grid(1, 0.0, 1.0, 4, 2.0)
-    with pytest.raises(ValueError):
-        tail_weight(dom, params_with(), 99)
 
 
 def test_scaling_law():

@@ -6,7 +6,8 @@ from fracflow import (FlowParams, GridFunction, apply_frac_p_laplacian,
                       gagliardo_seminorm_p, minimize_step, reconstruct,
                       rothe_functional, rothe_gradient, run_flow, truncate,
                       zero_function, NonConvergence)
-from fracflow.energy import _step_objective, scale_for, sgn_power
+from fracflow.energy import (_step_objective, lq_power_integral, scale_for,
+                             sgn_power)
 from fracflow.rothe import (RECONSTRUCTION_KINDS, NonFiniteData,
                             _StepWorkspace, _ray_start)
 
@@ -191,6 +192,23 @@ def test_solver_objective_history_monotone():
     for diag in traj.diagnostics:
         hist = np.array(diag.f_history)
         assert np.all(np.diff(hist) <= slack)
+
+
+def test_trajectory_series_match_direct_evaluation():
+    # the series are built lazily from the same functions on the same arrays
+    dom, params, kernel = make_problem(p=1.5, q=2.0)
+    traj = run_flow(eval_preset(dom, "random", 1.0, seed=3), kernel, params)
+    assert traj.kernel is kernel
+    direct = {
+        "seminorm": [gagliardo_seminorm_p(u, kernel, params.p)
+                     for u in traj.steps],
+        "lq_pow": [lq_power_integral(u, params.q + 1.0) for u in traj.steps],
+        "linf": [u.linf() for u in traj.steps]}
+    for name, values in direct.items():
+        series = getattr(traj, name)
+        assert isinstance(series, tuple) and series is getattr(traj, name)
+        assert len(series) == traj.n_steps + 1
+        assert np.array(series).tobytes() == np.array(values).tobytes()
 
 
 def test_determinism_bitwise():

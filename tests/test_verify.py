@@ -72,10 +72,10 @@ def test_rejects_unconverged_trajectory():
     bad_diag = tuple(replace(d, grad_norm=1.0) for d in traj.diagnostics)
     from fracflow.rothe import RotheTrajectory
     bad = RotheTrajectory(domain=traj.domain, params=traj.params,
-                          scale=traj.scale, steps=traj.steps,
+                          kernel=kernel, scale=traj.scale, steps=traj.steps,
                           diagnostics=bad_diag)
     with pytest.raises(ValueError):
-        verify.check_energy_estimates(bad, kernel)
+        verify.check_energy_estimates(bad)
 
 
 # --- discrete-exact estimates ------------------------------------------------
@@ -83,17 +83,17 @@ def test_rejects_unconverged_trajectory():
 def test_all_checks_vacuous_on_zero_data():
     dom, params, kernel = make_problem()
     traj = run_flow(zero_function(dom), kernel, params)
-    entries = verify.check_energy_estimates(traj, kernel)
-    entries += verify.check_time_derivative_bounds(traj, kernel)
+    entries = verify.check_energy_estimates(traj)
+    entries += verify.check_time_derivative_bounds(traj)
     entries.append(verify.check_max_principle(traj))
-    entries += verify.check_truncation_energy(traj, kernel, 2)
+    entries += verify.check_truncation_energy(traj, 2)
     for e in entries:
         assert e.lhs == 0.0 and e.rhs == 0.0 and e.passed
 
 
 def test_energy_estimates_bump():
     dom, params, kernel, traj = bump_run(n_cells=32, h=0.01, t_end=0.5)
-    entries = verify.check_energy_estimates(traj, kernel)
+    entries = verify.check_energy_estimates(traj)
     names = [e.name for e in entries]
     assert names == ["E1", "E2", "E3", "E4"]
     for e in entries:
@@ -107,7 +107,7 @@ def test_energy_estimates_bump():
 
 def test_time_derivative_bounds_q1_constants_are_one():
     dom, params, kernel, traj = bump_run(q=1.0)
-    t1 = verify.check_time_derivative_bounds(traj, kernel)[0]
+    t1 = verify.check_time_derivative_bounds(traj)[0]
     s0 = gagliardo_seminorm_p(traj.steps[0], kernel, params.p)
     assert t1.constant_used == pytest.approx(1.0)
     assert t1.rhs == pytest.approx(s0 / (2.0 * params.p))
@@ -116,7 +116,7 @@ def test_time_derivative_bounds_q1_constants_are_one():
 
 def test_time_derivative_bounds_q2_records_constants():
     dom, params, kernel, traj = bump_run(q=2.0)
-    entries = verify.check_time_derivative_bounds(traj, kernel)
+    entries = verify.check_time_derivative_bounds(traj)
     assert [e.name for e in entries] == ["T1", "T2"]
     for e in entries:
         assert e.passed and e.constant_used is not None
@@ -125,7 +125,7 @@ def test_time_derivative_bounds_q2_records_constants():
 
 def test_no_l1_entry_below_q1():
     dom, params, kernel, traj = bump_run(q=0.5)
-    entries = verify.check_time_derivative_bounds(traj, kernel)
+    entries = verify.check_time_derivative_bounds(traj)
     assert [e.name for e in entries] == ["T1"]
     assert entries[0].passed
 
@@ -145,7 +145,7 @@ def test_truncation_energy_ell_independent_at_q1():
     dom, params, kernel, traj = bump_run(q=1.0)
     rhs_seen = []
     for ell in (2, 8, 32):
-        entries = verify.check_truncation_energy(traj, kernel, ell)
+        entries = verify.check_truncation_energy(traj, ell)
         assert all(e.passed for e in entries)
         rhs_seen.append(entries[0].rhs)
     assert abs(rhs_seen[0] - rhs_seen[1]) <= 1e-12 * rhs_seen[0]
@@ -154,12 +154,12 @@ def test_truncation_energy_ell_independent_at_q1():
 
 def test_truncation_energy_slow_and_fast_branches():
     _, params, kernel, traj = bump_run(q=2.0)
-    entries = verify.check_truncation_energy(traj, kernel, 4)
+    entries = verify.check_truncation_energy(traj, 4)
     assert [e.name for e in entries] == ["TRUNC-plus-ell4", "TRUNC-minus-ell4"]
     assert all(e.passed for e in entries)
 
     _, params, kernel, traj = bump_run(q=0.5)
-    entries = verify.check_truncation_energy(traj, kernel, 4)
+    entries = verify.check_truncation_energy(traj, 4)
     assert all(e.passed for e in entries)
     assert all("min" in e.note for e in entries)
 
@@ -167,13 +167,13 @@ def test_truncation_energy_slow_and_fast_branches():
 def test_truncation_fast_branch_needs_unit_step():
     dom, params, kernel = make_problem(q=0.5, h=2.0, t_end=4.0)
     traj = run_flow(eval_preset(dom, "bump", 1.0), kernel, params)
-    entries = verify.check_truncation_energy(traj, kernel, 2)
+    entries = verify.check_truncation_energy(traj, 2)
     assert all(e.skipped is not None for e in entries)
 
 
 def test_weak_residual_tracks_solver_tolerance():
     dom, params, kernel, traj = bump_run(p=2.5, q=1.5)
-    e = verify.check_weak_residual(traj, kernel, params)
+    e = verify.check_weak_residual(traj)
     assert e.passed
     assert e.lhs <= params.solver_tol * traj.scale
     # loosened tolerance: the residual lands between the tight and loose levels
@@ -181,14 +181,14 @@ def test_weak_residual_tracks_solver_tolerance():
                        t_end=params.t_end, solver_tol=1e-3)
     kernel2 = assemble_kernel(dom, loose)
     traj2 = run_flow(eval_preset(dom, "bump", 1.0), kernel2, loose)
-    e2 = verify.check_weak_residual(traj2, kernel2, loose)
+    e2 = verify.check_weak_residual(traj2)
     assert 1e-9 < e2.lhs <= 1e-3 * traj2.scale
 
 
 def test_zero_run_residual_zero():
     dom, params, kernel = make_problem()
     traj = run_flow(zero_function(dom), kernel, params)
-    assert verify.check_weak_residual(traj, kernel, params).lhs == 0.0
+    assert verify.check_weak_residual(traj).lhs == 0.0
 
 
 # --- continuum inequalities --------------------------------------------------
@@ -359,7 +359,7 @@ def test_st_sobolev_sums_over_the_support(monkeypatch):
 
 def test_initial_trend_is_informational():
     dom, params, kernel, traj = bump_run(n_cells=8, h=0.01, t_end=0.2)
-    e = verify.check_initial_trend(traj, kernel)
+    e = verify.check_initial_trend(traj)
     assert e.skipped is not None and e.passed
     # the gap shrinks toward t = 0
     assert e.lhs < e.rhs
