@@ -214,7 +214,7 @@ def cmd_run(cfg: RunConfig) -> int:
     if cfg.check_weak_residual:
         report.add(verify.check_weak_residual(traj))
     if cfg.check_poincare:
-        report.add(verify.check_poincare(u0, kernel, params, domain))
+        report.add(verify.check_poincare(u0, kernel, params))
     if cfg.check_spacetime:
         if verify.spacetime_sum_fits(domain.n_nodes, cfg.t_grid):
             report.add(verify.check_spacetime_sobolev(
@@ -225,7 +225,7 @@ def cmd_run(cfg: RunConfig) -> int:
                 lhs=0.0, rhs=0.0, skipped="space-time sum guard exceeded"))
     if cfg.check_levelset:
         report.add(verify.chebyshev_level_sets(
-            traj.steps[-1], cfg.ell, params, domain, kernel, u0=u0))
+            traj.steps[-1], cfg.ell, params, kernel, u0=u0))
     report.add(verify.check_initial_trend(traj))
     _write_report(report, cfg.output_dir)
     return EXIT_OK if report.all_passed() else EXIT_CHECK_FAILED
@@ -294,7 +294,7 @@ def cmd_ineq(cfg: RunConfig, trials: int, seed: int) -> int:
         vals = rng.uniform(-1.0, 1.0, size=domain.n_nodes)
         vals[~domain.interior_mask] = 0.0
         entry = verify.check_poincare(GridFunction(domain, vals), kernel,
-                                      params, domain)
+                                      params)
         if worst is None or entry.margin < worst.margin:
             worst = entry
     worst.name = "POINCARE-random"

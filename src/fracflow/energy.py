@@ -19,8 +19,8 @@ from .kernel import FlowParams, KernelTable
 
 __all__ = [
     "AlgConstants", "sgn_power", "lq_power_integral", "gagliardo_seminorm_p",
-    "energy_functional", "apply_frac_p_laplacian", "rothe_functional",
-    "rothe_gradient", "scan_alg_constants", "alg_ratios", "scale_for",
+    "energy_functional", "apply_frac_p_laplacian", "rothe_gradient",
+    "scan_alg_constants", "alg_ratios", "scale_for",
 ]
 
 
@@ -76,8 +76,9 @@ def _add_pair_gradient(g: np.ndarray, x: np.ndarray, kernel: KernelTable,
 
 
 def gagliardo_seminorm_p(u: GridFunction, kernel: KernelTable, p: float) -> float:
-    """p-th power of the nonlocal seminorm (pair sum plus doubled tail term)."""
-    kernel.require_match(u.domain, p)
+    """p-th power of the nonlocal seminorm (pair sum plus doubled tail term),
+    for the kernel's own s."""
+    kernel.require_match(u.domain, kernel.s, p)
     x = u.interior_values()
     return _pair_sum(x, x, kernel.interior, kernel.boundary, p)
 
@@ -96,7 +97,7 @@ def apply_frac_p_laplacian(u: GridFunction, kernel: KernelTable,
     For every zero-exterior direction phi, <result, phi> equals the
     directional derivative of the energy at u along phi.
     """
-    kernel.require_match(u.domain, p)
+    kernel.require_match(u.domain, kernel.s, p)
     x = u.interior_values()
     return _expand(u.domain, _add_pair_gradient(np.zeros_like(x), x, kernel, p))
 
@@ -122,19 +123,11 @@ def _step_gradient(x: np.ndarray, vprev: np.ndarray, kernel: KernelTable,
     return _add_pair_gradient(g, x, kernel, p, buf)
 
 
-def rothe_functional(w: GridFunction, u_prev: GridFunction,
-                     kernel: KernelTable, params: FlowParams) -> float:
-    """Objective of one implicit step: time coupling plus nonlocal energy."""
-    kernel.require_match(w.domain, params.p)
-    return _step_objective(w.interior_values(),
-                           sgn_power(u_prev.interior_values(), params.q),
-                           kernel, params, w.domain.vol / params.h)
-
-
 def rothe_gradient(w: GridFunction, u_prev: GridFunction,
                    kernel: KernelTable, params: FlowParams) -> GridFunction:
-    """Gradient of ``rothe_functional`` in w; zero on exterior nodes."""
-    kernel.require_match(w.domain, params.p)
+    """Gradient in w of the objective of the implicit step from u_prev
+    (``_step_objective``); zero on exterior nodes."""
+    kernel.require_match(w.domain, params.s, params.p)
     return _expand(w.domain, _step_gradient(
         w.interior_values(), sgn_power(u_prev.interior_values(), params.q),
         kernel, params, w.domain.vol / params.h))
@@ -146,6 +139,7 @@ def _tolerance_scale(seminorm: float, lq_pow: float) -> float:
 
 def scale_for(u0: GridFunction, kernel: KernelTable, params: FlowParams) -> float:
     """Tolerance scale for one run: max(1, seminorm^p, L^{q+1} power) of u0."""
+    kernel.require_match(u0.domain, params.s, params.p)
     return _tolerance_scale(gagliardo_seminorm_p(u0, kernel, params.p),
                             lq_power_integral(u0, params.q + 1.0))
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["GridDomain", "GridFunction", "build_grid", "eval_preset", "zero_function"]
+__all__ = ["GridDomain", "GridFunction", "build_grid", "eval_preset"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,26 +140,14 @@ class GridFunction:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        return GridFunction(self.domain, self.values + other.values)
-
     def __sub__(self, other: "GridFunction") -> "GridFunction":
         return GridFunction(self.domain, self.values - other.values)
-
-    def __mul__(self, scalar: float) -> "GridFunction":
-        return GridFunction(self.domain, self.values * float(scalar))
-
-    __rmul__ = __mul__
 
     def interior_values(self) -> np.ndarray:
         return self.values[self.domain.interior_mask]
 
     def linf(self) -> float:
         return float(np.max(np.abs(self.values))) if self.values.size else 0.0
-
-
-def zero_function(domain: GridDomain) -> GridFunction:
-    return GridFunction(domain, np.zeros(domain.n_nodes))
 
 
 def _bump_profile(domain: GridDomain) -> np.ndarray:

@@ -94,8 +94,9 @@ class KernelTable:
         w.setflags(write=False)
         return w
 
-    def require_match(self, domain: GridDomain, p: float) -> None:
-        expected = (float(self.s), float(p)) + domain.signature()
+    def require_match(self, domain: GridDomain, s: float, p: float) -> None:
+        """Refuse an (s, p, grid) other than the one the table was built for."""
+        expected = (float(s), float(p)) + domain.signature()
         if self.params_hash != expected:
             raise ValueError("kernel table was built for different (s, p, grid)")
 

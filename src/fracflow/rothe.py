@@ -37,10 +37,8 @@ from .energy import (sgn_power, scale_for, lq_power_integral,
 
 __all__ = [
     "NonConvergence", "StepDiagnostics", "RotheTrajectory", "minimize_step",
-    "run_flow", "reconstruct", "truncate", "RECONSTRUCTION_KINDS",
+    "run_flow", "reconstruct", "truncate",
 ]
-
-RECONSTRUCTION_KINDS = ("bar_u", "u_lin", "bar_v", "v_lin", "bar_w", "w_lin")
 
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACK = 200
@@ -71,8 +69,6 @@ class NonFiniteData(ValueError):
 class StepDiagnostics:
     iterations: int
     grad_norm: float
-    functional_value: float
-    f_history: tuple = ()
     fallbacks: int = 0      # iterations where the Newton solve failed
     ray_tau: float = 1.0    # the solve started at ray_tau * u_prev
 
@@ -82,7 +78,7 @@ class _StepWorkspace:
     one (n, n) scratch array that every pair matrix of the solve is formed in."""
 
     def __init__(self, domain: GridDomain, kernel: KernelTable, params: FlowParams):
-        kernel.require_match(domain, params.p)
+        kernel.require_match(domain, params.s, params.p)
         self.kernel = kernel
         self.params = params
         self.mask = domain.interior_mask
@@ -202,20 +198,18 @@ def _ray_start(ws: _StepWorkspace, x0: np.ndarray) -> tuple[float, float]:
 
 
 def _solve_step(ws: _StepWorkspace, u_prev: np.ndarray, tol_abs: float,
-                max_iter: int, keep_history: bool) -> tuple[np.ndarray, StepDiagnostics]:
+                max_iter: int) -> tuple[np.ndarray, StepDiagnostics]:
     q = ws.params.q
     x0 = u_prev[ws.mask]
     if not np.any(x0):
         # unique minimizer of a nonnegative functional vanishing at 0
-        diag = StepDiagnostics(0, 0.0, 0.0, (0.0,) if keep_history else ())
-        return np.zeros_like(x0), diag
+        return np.zeros_like(x0), StepDiagnostics(0, 0.0)
 
     vprev = sgn_power(x0, q)
     tau, f = _ray_start(ws, x0)
     x = tau * x0
     g = ws.gradient(x, vprev)
     gnorm = float(np.max(np.abs(g)))
-    history = [f] if keep_history else None
     # near the minimum the true objective decrease can drop below what the
     # float comparison of f resolves (the curvature is unbounded for p < 2 or
     # q < 1); once that happens the accept rule switches from the objective
@@ -227,10 +221,7 @@ def _solve_step(ws: _StepWorkspace, u_prev: np.ndarray, tol_abs: float,
 
     for it in range(1, max_iter + 1):
         if gnorm <= tol_abs:
-            diag = StepDiagnostics(it - 1, gnorm, f,
-                                   tuple(history) if keep_history else (),
-                                   fallbacks, tau)
-            return x, diag
+            return x, StepDiagnostics(it - 1, gnorm, fallbacks, tau)
         d = ws.newton_direction(x, g)
         if d is None:
             fallbacks += 1
@@ -275,18 +266,13 @@ def _solve_step(ws: _StepWorkspace, u_prev: np.ndarray, tol_abs: float,
             x, g = x_try, g_try
             f = ws.objective(x, vprev)
         gnorm = float(np.max(np.abs(g)))
-        if keep_history:
-            history.append(f)
     if gnorm <= tol_abs:
-        return x, StepDiagnostics(max_iter, gnorm, f,
-                                  tuple(history) if keep_history else (),
-                                  fallbacks, tau)
+        return x, StepDiagnostics(max_iter, gnorm, fallbacks, tau)
     raise NonConvergence(max_iter, gnorm)
 
 
 def minimize_step(u_prev: GridFunction, kernel: KernelTable, params: FlowParams,
-                  scale: float | None = None,
-                  keep_history: bool = False) -> tuple[GridFunction, StepDiagnostics]:
+                  scale: float | None = None) -> tuple[GridFunction, StepDiagnostics]:
     """Solve one implicit step, started at the best multiple of u_prev.
 
     Returns the minimizer together with its diagnostics.  The stopping rule
@@ -297,7 +283,7 @@ def minimize_step(u_prev: GridFunction, kernel: KernelTable, params: FlowParams,
         scale = scale_for(u_prev, kernel, params)
     ws = _StepWorkspace(u_prev.domain, kernel, params)
     x, diag = _solve_step(ws, u_prev.values, params.solver_tol * scale,
-                          params.solver_max_iter, keep_history)
+                          params.solver_max_iter)
     return _expand(u_prev.domain, x), diag
 
 
@@ -339,8 +325,8 @@ class RotheTrajectory:
         return all(d.grad_norm <= tol for d in self.diagnostics)
 
 
-def run_flow(u0: GridFunction, kernel: KernelTable, params: FlowParams,
-             keep_history: bool = False) -> RotheTrajectory:
+def run_flow(u0: GridFunction, kernel: KernelTable,
+             params: FlowParams) -> RotheTrajectory:
     """March N = ceil(t_end/h) implicit steps starting from u0.
 
     Raises NonFiniteData, before any step, if the tolerance scale of u0
@@ -356,8 +342,7 @@ def run_flow(u0: GridFunction, kernel: KernelTable, params: FlowParams,
     current = u0.values
     for m in range(1, params.n_steps + 1):
         try:
-            x, diag = _solve_step(ws, current, tol_abs, params.solver_max_iter,
-                                  keep_history)
+            x, diag = _solve_step(ws, current, tol_abs, params.solver_max_iter)
         except NonConvergence as err:
             raise NonConvergence(err.iterations, err.grad_norm, step_index=m) from None
         gf = _expand(u0.domain, x)
@@ -368,40 +353,20 @@ def run_flow(u0: GridFunction, kernel: KernelTable, params: FlowParams,
                            scale=scale, steps=tuple(steps), diagnostics=tuple(diags))
 
 
-def _kind_exponent(kind: str, q: float) -> float:
-    if kind in ("bar_u", "u_lin"):
-        return 1.0
-    if kind in ("bar_v", "v_lin"):
-        return q
-    if kind in ("bar_w", "w_lin"):
-        return (q + 1.0) / 2.0
-    raise ValueError(f"unknown reconstruction kind {kind!r}")
-
-
-def reconstruct(traj: RotheTrajectory, kind: str, t: float) -> GridFunction:
-    """Evaluate one of the six time reconstructions at t in [0, t_end].
-
-    bar_* are right-continuous step functions; *_lin interpolate the nodal
-    power values |u_m|^(e-1) u_m linearly between knots (not powers of the
-    interpolant).  At knot times both families agree exactly.
-    """
-    e = _kind_exponent(kind, traj.params.q)
+def reconstruct(traj: RotheTrajectory, t: float) -> GridFunction:
+    """The piecewise-linear interpolant of u_0 ... u_N at t in [0, t_end];
+    at a knot time it is that step itself."""
     h = traj.params.h
     n = traj.n_steps
     if t < 0.0 or t > max(traj.params.t_end, traj.t_final):
         raise ValueError(f"t={t} outside [0, {traj.params.t_end}]")
     m_exact = int(round(t / h))
     if 0 <= m_exact <= n and t == m_exact * h:
-        vals = sgn_power(traj.steps[m_exact].values, e)
-        return GridFunction(traj.domain, vals)
+        return traj.steps[m_exact]
     m = min(n, int(math.floor(t / h)) + 1)
-    if kind.startswith("bar"):
-        vals = sgn_power(traj.steps[m].values, e)
-        return GridFunction(traj.domain, vals)
     theta = (t - (m - 1) * h) / h
-    fm = sgn_power(traj.steps[m].values, e)
-    fprev = sgn_power(traj.steps[m - 1].values, e)
-    return GridFunction(traj.domain, theta * fm + (1.0 - theta) * fprev)
+    return GridFunction(traj.domain, theta * traj.steps[m].values
+                        + (1.0 - theta) * traj.steps[m - 1].values)
 
 
 def truncate(u: GridFunction, sign: str, ell: int) -> np.ndarray:

@@ -319,10 +319,12 @@ def check_weak_residual(traj: RotheTrajectory) -> CheckEntry:
 # continuum inequalities with explicit constants
 
 
-def check_poincare(u: GridFunction, kernel: KernelTable, params: FlowParams,
-                   domain: GridDomain) -> CheckEntry:
+def check_poincare(u: GridFunction, kernel: KernelTable,
+                   params: FlowParams) -> CheckEntry:
     """Nonlocal Poincare bound with the explicit far-field constant
-    (sp / (n alpha_n)) (2 diam Omega)^sp."""
+    (sp / (n alpha_n)) (2 diam Omega)^sp, on the domain of u."""
+    domain = u.domain
+    kernel.require_match(domain, params.s, params.p)
     n = domain.dim
     sp = params.s * params.p
     const = sp / (n * _UNIT_BALL_VOL[n]) * (2.0 * domain.omega_diameter) ** sp
@@ -372,23 +374,25 @@ def spacetime_seminorm_values(vals: np.ndarray, domain: GridDomain,
     return dt ** 2 * total
 
 
-def _sample_lin(traj: RotheTrajectory, kind: str, t_grid: int):
-    """Midpoint samples of a reconstruction on t_grid slabs; the size guard
-    of the space-time sums runs first, so an oversized grid samples nothing."""
+def _sample_lin(traj: RotheTrajectory, t_grid: int):
+    """Midpoint samples of the piecewise-linear interpolant on t_grid slabs;
+    the size guard of the space-time sums runs first, so an oversized grid
+    samples nothing."""
     _require_spacetime_fits(traj.domain.n_nodes, t_grid)
     t_total = traj.params.t_end
     dt = t_total / t_grid
     taus = (np.arange(t_grid) + 0.5) * dt
-    vals = np.stack([reconstruct(traj, kind, t).values for t in taus])
+    vals = np.stack([reconstruct(traj, t).values for t in taus])
     return vals, taus, dt
 
 
-def spacetime_seminorm_w1(traj: RotheTrajectory, kind: str, s_prime: float,
+def spacetime_seminorm_w1(traj: RotheTrajectory, s_prime: float,
                           t_grid: int) -> float:
-    """Space-time W^{s',1} seminorm of a reconstruction over the cylinder."""
+    """Space-time W^{s',1} seminorm of the piecewise-linear interpolant over
+    the cylinder."""
     if t_grid < 2:
         raise ValueError("t_grid must be at least 2")
-    vals, _, dt = _sample_lin(traj, kind, t_grid)
+    vals, _, dt = _sample_lin(traj, t_grid)
     return spacetime_seminorm_values(vals, traj.domain, dt, s_prime)
 
 
@@ -423,7 +427,7 @@ def check_spacetime_sobolev(traj: RotheTrajectory, s_prime: float,
                             s_bar: float, t_grid: int) -> CheckEntry:
     """Space-time interpolation bound for the linear-in-time reconstruction."""
     _require_converged(traj)
-    vals, taus, _ = _sample_lin(traj, "u_lin", t_grid)
+    vals, taus, _ = _sample_lin(traj, t_grid)
     h = traj.params.h
     n = traj.n_steps
     dvals = np.empty_like(vals)
@@ -444,7 +448,7 @@ def check_initial_trend(traj: RotheTrajectory) -> CheckEntry:
     gaps = []
     t = traj.params.t_end
     for _ in range(4):
-        gap = gagliardo_seminorm_p(reconstruct(traj, "u_lin", t) - u0,
+        gap = gagliardo_seminorm_p(reconstruct(traj, t) - u0,
                                    traj.kernel, p)
         gaps.append((t, gap))
         t /= 4.0
@@ -489,7 +493,7 @@ def cauchy_refinement_study(u0: GridFunction, kernel: KernelTable,
     n_samp = int(math.floor(params.t_end / h_fine + 1e-12))
     taus = (np.arange(n_samp) + 0.5) * h_fine
     interior = u0.domain.interior_mask
-    sampled = [np.stack([reconstruct(tr, "u_lin", t).values[interior]
+    sampled = [np.stack([reconstruct(tr, t).values[interior]
                          for t in taus]) for tr in trajs]
     vol = u0.domain.vol
 
@@ -514,15 +518,16 @@ def cauchy_refinement_study(u0: GridFunction, kernel: KernelTable,
     return entries
 
 
-def measure_sobolev_constant(domain: GridDomain, kernel: KernelTable,
-                             params: FlowParams, n_probes: int = 64,
-                             seed: int = 1234) -> float:
+def measure_sobolev_constant(kernel: KernelTable, params: FlowParams,
+                             n_probes: int = 64, seed: int = 1234) -> float:
     """Largest ratio ||u||_{p*} / [u] over a seeded probe set.
 
-    A measured surrogate for the embedding constant, recorded per grid; half
-    the probes are nodal noise, half are randomly placed smooth bumps (which
-    sit closer to the extremal ratio).
+    A measured surrogate for the embedding constant, recorded per grid (the
+    kernel's); half the probes are nodal noise, half are randomly placed
+    smooth bumps (which sit closer to the extremal ratio).
     """
+    domain = kernel.domain
+    kernel.require_match(domain, params.s, params.p)
     exps = sobolev_exponents(domain.dim, params.s, params.p)
     if not exps.p_star_defined:
         raise ValueError("embedding exponent undefined: need s*p < dim")
@@ -552,10 +557,12 @@ def measure_sobolev_constant(domain: GridDomain, kernel: KernelTable,
 
 
 def chebyshev_level_sets(u: GridFunction, ell: float, params: FlowParams,
-                         domain: GridDomain, kernel: KernelTable,
+                         kernel: KernelTable,
                          u0: GridFunction | None = None) -> CheckEntry:
     """Measure of the super-level set {u_+ >= ell} against the embedding
     bound (C_sob [u0])^{p*} / ell^{p*} with a measured C_sob."""
+    domain = u.domain
+    kernel.require_match(domain, params.s, params.p)
     exps = sobolev_exponents(domain.dim, params.s, params.p)
     if not exps.p_star_defined:
         return CheckEntry(name="LEVELSET", ref="level-set-bound",
@@ -563,7 +570,7 @@ def chebyshev_level_sets(u: GridFunction, ell: float, params: FlowParams,
                           skipped="p_star undefined (s*p >= dim)")
     p_star = exps.p_star
     ref_fn = u0 if u0 is not None else u
-    c_sob = measure_sobolev_constant(domain, kernel, params)
+    c_sob = measure_sobolev_constant(kernel, params)
     sem = gagliardo_seminorm_p(ref_fn, kernel, params.p)
     lhs = domain.vol * float(np.sum(np.maximum(u.values, 0.0) >= ell))
     rhs = (c_sob * sem ** (1.0 / params.p)) ** p_star / float(ell) ** p_star

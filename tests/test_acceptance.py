@@ -15,11 +15,11 @@ import pytest
 from fracflow import (FlowParams, GridFunction, apply_frac_p_laplacian,
                       assemble_kernel, build_grid, energy_functional,
                       eval_preset, gagliardo_seminorm_p, minimize_step,
-                      reconstruct, rothe_functional, rothe_gradient, run_flow,
-                      scan_alg_constants, zero_function)
+                      reconstruct, rothe_gradient, run_flow)
 from fracflow import verify
 from fracflow.cli import main
 from fracflow.energy import alg_ratios
+from oracles import scan_oracle, st_seminorm_bruteforce, step_objective
 
 S_VALUES = (0.25, 0.5, 0.75)
 P_VALUES = (1.5, 2.0, 3.0)
@@ -192,13 +192,15 @@ def test_criterion_7_gradient_oracles():
             for _ in range(50):
                 phi = GridFunction(dom, bump * rng.uniform(
                     -1.0, 1.0, dom.n_nodes) * dom.interior_mask)
-                fd = (energy_functional(w + eps * phi, kernel, p)
-                      - energy_functional(w + (-eps) * phi, kernel, p)) / (2 * eps)
+                w_plus = GridFunction(dom, w.values + eps * phi.values)
+                w_minus = GridFunction(dom, w.values - eps * phi.values)
+                fd = (energy_functional(w_plus, kernel, p)
+                      - energy_functional(w_minus, kernel, p)) / (2 * eps)
                 inner = float(g_en.values @ phi.values)
                 worst = max(worst, abs(fd - inner) / max(abs(inner), 1e-12))
-                fd = (rothe_functional(w + eps * phi, uprev, kernel, params)
-                      - rothe_functional(w + (-eps) * phi, uprev, kernel,
-                                         params)) / (2 * eps)
+                fd = (step_objective(w_plus, uprev, kernel, params)
+                      - step_objective(w_minus, uprev, kernel,
+                                       params)) / (2 * eps)
                 inner = float(g_ro.values @ phi.values)
                 worst = max(worst, abs(fd - inner) / max(abs(inner), 1e-12))
     report_line(f"7 gradient finite-difference oracles (worst {worst:.2e})",
@@ -208,7 +210,7 @@ def test_criterion_7_gradient_oracles():
 
 def test_criterion_8_algebraic_inequalities():
     # the closed-form constants the reports use, and their brute-force oracle
-    sources = (verify.alg_constants, scan_alg_constants)
+    sources = (verify.alg_constants, scan_oracle)
     exact_ok = all(c.c1 == 1.0 and c.c2 == 1.0
                    for c in (src(2.0) for src in sources))
     violations = 0
@@ -247,28 +249,11 @@ def test_criterion_9_poincare():
         for _ in range(100):
             vals = rng.uniform(-1, 1, dom.n_nodes) * dom.interior_mask
             e = verify.check_poincare(GridFunction(dom, vals), kernel,
-                                      params, dom)
+                                      params)
             violations += 0 if e.passed else 1
     report_line(f"9 Poincare bound with explicit constant "
                 f"({violations} violations / 200 draws)", violations == 0)
     assert violations == 0
-
-
-def st_seminorm_bruteforce(vals, dom, dt, s_prime):
-    n_t, n = vals.shape
-    coords = dom.node_coords
-    total = 0.0
-    for k in range(n_t):
-        for kp in range(n_t):
-            for i in range(n):
-                for j in range(n):
-                    if k == kp and i == j:
-                        continue
-                    d2 = float(((coords[i] - coords[j]) ** 2).sum())
-                    dist = math.sqrt(d2 + ((k - kp) * dt) ** 2)
-                    total += (abs(vals[k, i] - vals[kp, j])
-                              / dist ** (dom.dim + 1 + s_prime))
-    return dom.vol ** 2 * dt ** 2 * total
 
 
 def test_criterion_10_spacetime_interpolation():
@@ -286,9 +271,9 @@ def test_criterion_10_spacetime_interpolation():
     params = FlowParams(s=0.5, p=2.0, q=1.0, h=0.025, t_end=0.1)
     kernel = assemble_kernel(dom, params)
     traj = run_flow(eval_preset(dom, "bump", 1.0), kernel, params)
-    got = verify.spacetime_seminorm_w1(traj, "u_lin", 0.25, 8)
+    got = verify.spacetime_seminorm_w1(traj, 0.25, 8)
     taus = (np.arange(8) + 0.5) * (params.t_end / 8)
-    vals = np.stack([reconstruct(traj, "u_lin", t).values for t in taus])
+    vals = np.stack([reconstruct(traj, t).values for t in taus])
     oracle = st_seminorm_bruteforce(vals, dom, params.t_end / 8, 0.25)
     oracle_ok = abs(got - oracle) <= 1e-12 * oracle
     all_ok &= oracle_ok

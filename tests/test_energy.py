@@ -1,18 +1,13 @@
-import functools
-
 import numpy as np
 import pytest
 
 from fracflow import (FlowParams, GridFunction, apply_frac_p_laplacian,
                       assemble_kernel, build_grid, energy_functional,
                       eval_preset, gagliardo_seminorm_p, lq_power_integral,
-                      rothe_functional, rothe_gradient, scan_alg_constants,
-                      zero_function)
+                      rothe_gradient, scan_alg_constants)
 from fracflow.energy import alg_ratios, scale_for, sgn_power
 from fracflow.verify import alg_constants
-
-# each oracle scan sweeps ~6M points; several tests share the same alphas
-scan_oracle = functools.lru_cache(maxsize=None)(scan_alg_constants)
+from oracles import scan_oracle, step_objective, zero_function
 
 
 def make_problem(n_cells=16, s=0.5, p=2.0, q=1.0, h=0.01):
@@ -50,7 +45,8 @@ def test_lq_homogeneity():
     u = GridFunction(dom, vals)
     for r in (1.0, 2.0, 3.7):
         for lam in (-2.0, 0.5, 3.3):
-            assert np.isclose(lq_power_integral(lam * u, r),
+            lam_u = GridFunction(dom, lam * vals)
+            assert np.isclose(lq_power_integral(lam_u, r),
                               abs(lam) ** r * lq_power_integral(u, r),
                               rtol=1e-13)
 
@@ -116,7 +112,8 @@ def test_seminorm_zero_and_homogeneity():
     w, _ = smooth_pair(dom)
     base = gagliardo_seminorm_p(w, kernel, 2.5)
     for lam in (0.5, -1.7):
-        assert np.isclose(gagliardo_seminorm_p(lam * w, kernel, 2.5),
+        lam_w = GridFunction(dom, lam * w.values)
+        assert np.isclose(gagliardo_seminorm_p(lam_w, kernel, 2.5),
                           abs(lam) ** 2.5 * base, rtol=1e-12)
     assert np.isclose(energy_functional(w, kernel, 2.5), base / 5.0, rtol=1e-14)
 
@@ -134,7 +131,8 @@ def test_operator_zero_linearity_and_exterior():
     u, v = smooth_pair(dom, 3)
     gu = apply_frac_p_laplacian(u, kernel, 2.0).values
     gv = apply_frac_p_laplacian(v, kernel, 2.0).values
-    guv = apply_frac_p_laplacian(u + v, kernel, 2.0).values
+    guv = apply_frac_p_laplacian(GridFunction(dom, u.values + v.values),
+                                 kernel, 2.0).values
     assert np.allclose(guv, gu + gv, rtol=1e-12, atol=1e-14)
     assert np.all(gu[~dom.interior_mask] == 0.0)
 
@@ -146,16 +144,18 @@ def test_gradients_match_finite_differences(p, q):
     w, phi = smooth_pair(dom, seed=11)
     uprev, _ = smooth_pair(dom, seed=12)
     eps = 1e-6
+    w_plus = GridFunction(dom, w.values + eps * phi.values)
+    w_minus = GridFunction(dom, w.values - eps * phi.values)
 
     g = apply_frac_p_laplacian(w, kernel, p)
-    fd = (energy_functional(w + eps * phi, kernel, p)
-          - energy_functional(w + (-eps) * phi, kernel, p)) / (2.0 * eps)
+    fd = (energy_functional(w_plus, kernel, p)
+          - energy_functional(w_minus, kernel, p)) / (2.0 * eps)
     inner = float(g.values @ phi.values)
     assert abs(fd - inner) <= 1e-6 * max(abs(inner), 1e-12)
 
     rg = rothe_gradient(w, uprev, kernel, params)
-    fd = (rothe_functional(w + eps * phi, uprev, kernel, params)
-          - rothe_functional(w + (-eps) * phi, uprev, kernel, params)) / (2.0 * eps)
+    fd = (step_objective(w_plus, uprev, kernel, params)
+          - step_objective(w_minus, uprev, kernel, params)) / (2.0 * eps)
     inner = float(rg.values @ phi.values)
     assert abs(fd - inner) <= 1e-6 * max(abs(inner), 1e-12)
 
@@ -174,12 +174,12 @@ def test_euler_identity_half_seminorm():
 def test_step_functional_values():
     dom, params, kernel = make_problem(8)
     z = zero_function(dom)
-    assert rothe_functional(z, z, kernel, params) == 0.0
+    assert step_objective(z, z, kernel, params) == 0.0
     w, _ = smooth_pair(dom, 5)
-    assert rothe_functional(w, z, kernel, params) > 0.0
+    assert step_objective(w, z, kernel, params) > 0.0
     # w = u_prev collapses the time coupling to -(q/(q+1)) lq / h
     q, h = params.q, params.h
-    val = rothe_functional(w, w, kernel, params)
+    val = step_objective(w, w, kernel, params)
     expect = (-(q / (q + 1.0)) / h * lq_power_integral(w, q + 1.0)
               + energy_functional(w, kernel, params.p))
     assert np.isclose(val, expect, rtol=1e-12)
@@ -191,11 +191,11 @@ def test_step_functional_convex_on_segments():
     w1, _ = smooth_pair(dom, 9)
     w2, _ = smooth_pair(dom, 10)
     scale = scale_for(uprev, kernel, params)
-    f1 = rothe_functional(w1, uprev, kernel, params)
-    f2 = rothe_functional(w2, uprev, kernel, params)
+    f1 = step_objective(w1, uprev, kernel, params)
+    f2 = step_objective(w2, uprev, kernel, params)
     for t in (0.25, 0.5, 0.75):
-        mid = t * w1 + (1.0 - t) * w2
-        fmid = rothe_functional(mid, uprev, kernel, params)
+        mid = GridFunction(dom, t * w1.values + (1.0 - t) * w2.values)
+        fmid = step_objective(mid, uprev, kernel, params)
         assert fmid <= t * f1 + (1.0 - t) * f2 + 1e-12 * scale
 
 

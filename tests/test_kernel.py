@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fracflow import FlowParams, assemble_kernel, build_grid
+from fracflow import (FlowParams, assemble_kernel, build_grid, eval_preset,
+                      minimize_step, rothe_gradient, run_flow, scale_for)
 from fracflow.grid import GridFunction
 from fracflow import kernel as kernel_mod
+from fracflow import verify
 from fracflow.kernel import _BLOCK_BYTES, _pair_weights
 
 
@@ -231,8 +233,19 @@ def test_params_hash_guards_mismatch():
     dom = build_grid(1, 0.0, 1.0, 8, 2.0)
     other = build_grid(1, 0.0, 1.0, 16, 2.0)
     k = assemble_kernel(dom, params_with(s=0.5, p=2.0))
-    k.require_match(dom, 2.0)
-    with pytest.raises(ValueError):
-        k.require_match(dom, 3.0)
-    with pytest.raises(ValueError):
-        k.require_match(other, 2.0)
+    k.require_match(dom, 0.5, 2.0)
+    for bad in ((dom, 0.5, 3.0), (other, 0.5, 2.0), (dom, 0.2, 2.0)):
+        with pytest.raises(ValueError, match=r"\(s, p, grid\)"):
+            k.require_match(*bad)
+    # flow parameters with another s than the kernel's are refused wherever
+    # they meet it, as another p or grid is
+    params = params_with(s=0.2, p=2.0)
+    u = eval_preset(dom, "bump", 1.0)
+    for call in (lambda: run_flow(u, k, params),
+                 lambda: minimize_step(u, k, params),
+                 lambda: scale_for(u, k, params),
+                 lambda: rothe_gradient(u, u, k, params),
+                 lambda: verify.check_poincare(u, k, params),
+                 lambda: verify.chebyshev_level_sets(u, 2, params, k)):
+        with pytest.raises(ValueError, match=r"\(s, p, grid\)"):
+            call()

@@ -4,12 +4,11 @@ import pytest
 from fracflow import (FlowParams, GridFunction, apply_frac_p_laplacian,
                       assemble_kernel, build_grid, eval_preset,
                       gagliardo_seminorm_p, minimize_step, reconstruct,
-                      rothe_functional, rothe_gradient, run_flow, truncate,
-                      zero_function, NonConvergence)
+                      rothe_gradient, run_flow, truncate, NonConvergence)
 from fracflow.energy import (_step_objective, lq_power_integral, scale_for,
                              sgn_power)
-from fracflow.rothe import (RECONSTRUCTION_KINDS, NonFiniteData,
-                            _StepWorkspace, _ray_start)
+from fracflow.rothe import NonFiniteData, _StepWorkspace, _ray_start
+from oracles import step_objective, zero_function
 
 
 def make_problem(n_cells=16, s=0.5, p=2.0, q=1.0, h=0.01, t_end=0.1, **kw):
@@ -29,8 +28,8 @@ def test_step_decreases_objective():
     dom, params, kernel = make_problem(p=2.5, q=1.5)
     u_prev = eval_preset(dom, "bump", 1.0)
     u, diag = minimize_step(u_prev, kernel, params)
-    assert (rothe_functional(u, u_prev, kernel, params)
-            <= rothe_functional(u_prev, u_prev, kernel, params))
+    assert (step_objective(u, u_prev, kernel, params)
+            <= step_objective(u_prev, u_prev, kernel, params))
     scale = scale_for(u_prev, kernel, params)
     assert diag.grad_norm <= params.solver_tol * scale
     assert rothe_gradient(u, u_prev, kernel, params).linf() <= params.solver_tol * scale
@@ -184,13 +183,31 @@ def test_overflowing_data_fails_before_the_first_step(monkeypatch):
         run_flow(eval_preset(dom, "bump", 1e120), kernel, params)
 
 
-def test_solver_objective_history_monotone():
+def test_solver_objective_history_monotone(monkeypatch):
+    # the Newton direction is formed once per iteration, at the current
+    # iterate: record the iterates there and re-evaluate the objective
+    iterates = []
+    newton = _StepWorkspace.newton_direction
+
+    def spy(self, x, g):
+        iterates.append(x.copy())
+        return newton(self, x, g)
+
+    monkeypatch.setattr(_StepWorkspace, "newton_direction", spy)
     dom, params, kernel = make_problem(p=1.5, q=0.5)
     u0 = eval_preset(dom, "step", 1.0)
-    traj = run_flow(u0, kernel, params, keep_history=True)
+    traj = run_flow(u0, kernel, params)
+    assert len(iterates) == sum(d.iterations for d in traj.diagnostics) > 0
     slack = 1e-12 * traj.scale
-    for diag in traj.diagnostics:
-        hist = np.array(diag.f_history)
+    vol_h = dom.vol / params.h
+    start = 0
+    for m, diag in enumerate(traj.diagnostics, 1):
+        xs = iterates[start:start + diag.iterations]
+        xs.append(traj.steps[m].interior_values())
+        start += diag.iterations
+        vprev = sgn_power(traj.steps[m - 1].interior_values(), params.q)
+        hist = np.array([_step_objective(x, vprev, kernel, params, vol_h)
+                         for x in xs])
         assert np.all(np.diff(hist) <= slack)
 
 
@@ -224,56 +241,44 @@ def test_reconstruction_knots_and_midpoints():
     dom, params, kernel = make_problem(q=1.7)
     u0 = eval_preset(dom, "bump", 1.0)
     traj = run_flow(u0, kernel, params)
-    h, q = params.h, params.q
+    h = params.h
     for m in (0, 1, traj.n_steps):
         t = m * h
         um = traj.steps[m].values
-        assert np.array_equal(reconstruct(traj, "u_lin", t).values, um)
-        assert np.array_equal(reconstruct(traj, "bar_u", t).values, um)
-        assert np.array_equal(reconstruct(traj, "bar_v", t).values,
-                              sgn_power(um, q))
-        assert np.array_equal(reconstruct(traj, "bar_w", t).values,
-                              sgn_power(um, (q + 1.0) / 2.0))
+        assert np.array_equal(reconstruct(traj, t).values, um)
     mid = 1.5 * h
     expect = 0.5 * (traj.steps[1].values + traj.steps[2].values)
-    assert np.allclose(reconstruct(traj, "u_lin", mid).values, expect,
+    assert np.allclose(reconstruct(traj, mid).values, expect,
                        rtol=1e-12, atol=1e-15)
     with pytest.raises(ValueError):
-        reconstruct(traj, "u_lin", -0.01)
+        reconstruct(traj, -0.01)
     with pytest.raises(ValueError):
-        reconstruct(traj, "u_lin", params.t_end + 10 * h)
-    with pytest.raises(ValueError):
-        reconstruct(traj, "nope", 0.0)
+        reconstruct(traj, params.t_end + 10 * h)
 
 
 def test_interpolation_elementary_bounds():
-    """Step/linear reconstructions obey the four pointwise comparisons."""
+    """The linear interpolant obeys the four pointwise comparisons with the
+    right-continuous step function, which is u_m on ((m-1)h, mh]."""
     dom, params, kernel = make_problem(q=0.8, h=0.02, t_end=0.1)
     u0 = eval_preset(dom, "random", 1.0, seed=9)
     traj = run_flow(u0, kernel, params)
-    h, q = params.h, params.q
+    h = params.h
     rng = np.random.default_rng(2)
-    kinds = (("bar_u", "u_lin", 1.0), ("bar_v", "v_lin", q),
-             ("bar_w", "w_lin", (q + 1.0) / 2.0))
     tol = 1e-12
     for m in range(1, traj.n_steps + 1):
         for t in rng.uniform((m - 1) * h, m * h, size=10):
             theta_r = (m * h - t) / h
-            for bar_kind, lin_kind, e in kinds:
-                fm = sgn_power(traj.steps[m].values, e)
-                fprev = sgn_power(traj.steps[m - 1].values, e)
-                bar = reconstruct(traj, bar_kind, t).values
-                lin = reconstruct(traj, lin_kind, t).values
-                # convex-combination bound
-                assert np.all(np.abs(lin) <= (1 - theta_r) * np.abs(fm)
-                              + theta_r * np.abs(fprev) + tol)
-                # gap to the step function, local and history forms
-                assert np.all(np.abs(bar - lin)
-                              <= theta_r * np.abs(fm - fprev) + tol)
-                bar_lag = (sgn_power(traj.steps[m - 1].values, e) if t - h <= 0
-                           else reconstruct(traj, bar_kind, t - h).values)
-                assert np.all(np.abs(lin) <= np.abs(bar) + np.abs(bar_lag) + tol)
-                assert np.all(np.abs(bar - lin) <= np.abs(bar - bar_lag) + tol)
+            bar = traj.steps[m].values          # the step function at t
+            bar_lag = traj.steps[m - 1].values  # ... and at t - h
+            lin = reconstruct(traj, t).values
+            # convex-combination bound
+            assert np.all(np.abs(lin) <= (1 - theta_r) * np.abs(bar)
+                          + theta_r * np.abs(bar_lag) + tol)
+            # gap to the step function, local and history forms
+            assert np.all(np.abs(bar - lin)
+                          <= theta_r * np.abs(bar - bar_lag) + tol)
+            assert np.all(np.abs(lin) <= np.abs(bar) + np.abs(bar_lag) + tol)
+            assert np.all(np.abs(bar - lin) <= np.abs(bar - bar_lag) + tol)
 
 
 def test_near_unit_p_converges_on_symmetric_data():

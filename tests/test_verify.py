@@ -1,15 +1,14 @@
-import math
-
 import numpy as np
 import pytest
 
 from fracflow import (FlowParams, GridFunction, assemble_kernel, build_grid,
                       eval_preset, gagliardo_seminorm_p, lq_power_integral,
-                      run_flow, zero_function)
+                      reconstruct, run_flow)
 from fracflow import kernel as kernel_mod
 from fracflow import verify
 from fracflow.verify import (CheckEntry, VerificationReport,
                              sobolev_exponents, _degenerate_weight)
+from oracles import st_seminorm_bruteforce, zero_function
 
 
 def make_problem(n_cells=16, dim=1, s=0.5, p=2.0, q=1.0, h=0.01, t_end=0.1, **kw):
@@ -200,7 +199,7 @@ def test_poincare_single_node_hand_case():
     vals = np.zeros(dom.n_nodes)
     vals[np.flatnonzero(dom.interior_mask)[3]] = 1.0
     u = GridFunction(dom, vals)
-    e = verify.check_poincare(u, kernel, params, dom)
+    e = verify.check_poincare(u, kernel, params)
     assert e.constant_used == pytest.approx(1.0)
     assert e.rhs == pytest.approx(gagliardo_seminorm_p(u, kernel, 2.0))
     assert e.lhs == pytest.approx(dom.vol)
@@ -212,15 +211,15 @@ def test_poincare_scale_invariant_verdict():
     rng = np.random.default_rng(0)
     vals = rng.uniform(-1, 1, dom.n_nodes) * dom.interior_mask
     u = GridFunction(dom, vals)
-    e1 = verify.check_poincare(u, kernel, params, dom)
-    e2 = verify.check_poincare(17.0 * u, kernel, params, dom)
+    e1 = verify.check_poincare(u, kernel, params)
+    e2 = verify.check_poincare(GridFunction(dom, 17.0 * vals), kernel, params)
     assert e1.passed == e2.passed
     assert e2.lhs == pytest.approx(17.0 ** 2.5 * e1.lhs, rel=1e-12)
 
 
 def test_poincare_zero_function_skipped():
     dom, params, kernel = make_problem()
-    e = verify.check_poincare(zero_function(dom), kernel, params, dom)
+    e = verify.check_poincare(zero_function(dom), kernel, params)
     assert e.skipped is not None and e.passed
 
 
@@ -229,29 +228,11 @@ def test_poincare_random_sweep():
     rng = np.random.default_rng(101)
     for _ in range(100):
         vals = rng.uniform(-1, 1, dom.n_nodes) * dom.interior_mask
-        e = verify.check_poincare(GridFunction(dom, vals), kernel, params, dom)
+        e = verify.check_poincare(GridFunction(dom, vals), kernel, params)
         assert e.passed
 
 
 # --- space-time seminorm and interpolation bound -----------------------------
-
-def st_seminorm_bruteforce(vals, dom, dt, s_prime):
-    """Literal four-fold loop over the midpoint sample."""
-    n_t, n = vals.shape
-    coords = dom.node_coords
-    total = 0.0
-    for k in range(n_t):
-        for kp in range(n_t):
-            for i in range(n):
-                for j in range(n):
-                    if k == kp and i == j:
-                        continue
-                    d2 = float(((coords[i] - coords[j]) ** 2).sum())
-                    dist = math.sqrt(d2 + ((k - kp) * dt) ** 2)
-                    total += (abs(vals[k, i] - vals[kp, j])
-                              / dist ** (dom.dim + 1 + s_prime))
-    return dom.vol ** 2 * dt ** 2 * total
-
 
 def test_st_seminorm_zero_and_scaling():
     dom, params, kernel = make_problem(n_cells=4)
@@ -267,10 +248,9 @@ def test_st_seminorm_zero_and_scaling():
 
 def test_st_seminorm_matches_bruteforce_oracle():
     dom, params, kernel, traj = bump_run(n_cells=4, h=0.02, t_end=0.08)
-    val = verify.spacetime_seminorm_w1(traj, "u_lin", 0.25, 8)
+    val = verify.spacetime_seminorm_w1(traj, 0.25, 8)
     taus = (np.arange(8) + 0.5) * (params.t_end / 8)
-    from fracflow import reconstruct
-    vals = np.stack([reconstruct(traj, "u_lin", t).values for t in taus])
+    vals = np.stack([reconstruct(traj, t).values for t in taus])
     oracle = st_seminorm_bruteforce(vals, dom, params.t_end / 8, 0.25)
     assert abs(val - oracle) <= 1e-12 * oracle
 
@@ -305,7 +285,7 @@ def test_st_seminorm_2d_matches_bruteforce():
 def test_st_seminorm_guard():
     dom, params, kernel, traj = bump_run(n_cells=4)
     with pytest.raises(ValueError):
-        verify.spacetime_seminorm_w1(traj, "u_lin", 0.25, 10 ** 5)
+        verify.spacetime_seminorm_w1(traj, 0.25, 10 ** 5)
 
 
 def test_st_sobolev_zero_and_time_constant():
@@ -403,18 +383,18 @@ def test_chebyshev_level_sets():
     # sp >= n: gated off
     dom, params, kernel = make_problem(s=0.5, p=2.0)
     u = eval_preset(dom, "bump", 1.0)
-    e = verify.chebyshev_level_sets(u, 2, params, dom, kernel)
+    e = verify.chebyshev_level_sets(u, 2, params, kernel)
     assert e.skipped is not None
 
     # sp < n, bounded data below the level: empty level set
     dom, params, kernel = make_problem(s=0.25, p=2.0)
     u = eval_preset(dom, "bump", 1.0)
-    e = verify.chebyshev_level_sets(u, 2, params, dom, kernel)
+    e = verify.chebyshev_level_sets(u, 2, params, kernel)
     assert e.lhs == 0.0 and e.passed and e.constant_used > 0.0
 
     # non-vacuous level set still inside the bound
     u5 = eval_preset(dom, "bump", 5.0)
-    e = verify.chebyshev_level_sets(u5, 2, params, dom, kernel)
+    e = verify.chebyshev_level_sets(u5, 2, params, kernel)
     assert e.lhs > 0.0 and e.passed
 
 
@@ -423,6 +403,5 @@ def test_chebyshev_2d_run():
                                        h=0.02, t_end=0.04)
     u0 = eval_preset(dom, "bump", 1.0)
     traj = run_flow(u0, kernel, params)
-    e = verify.chebyshev_level_sets(traj.steps[-1], 2, params, dom, kernel,
-                                    u0=u0)
+    e = verify.chebyshev_level_sets(traj.steps[-1], 2, params, kernel, u0=u0)
     assert e.passed and e.constant_used > 0.0
