@@ -17,8 +17,12 @@ damped Newton from u_prev itself would close in thousands of small steps.
 Once the objective decrease drops below float resolution the accept rule
 switches to the residual norm, which is what the tight gradient stopping
 rule actually needs.  Should the Newton solve fail, the plain negative
-gradient takes its place under the same line search.  Each Newton iteration
-costs a dense solve on the interior nodes, O(n_interior^3).
+gradient takes its place under the same line search.  For p >= 2 the Newton
+system is solved inexactly by Jacobi-preconditioned conjugate gradients, one
+dense O(n_interior^2) product per CG iteration, to a residual below a quarter
+of the step's stopping tolerance; for p < 2, where the clamped pair weights
+make the model too ill-conditioned for CG, by a dense O(n_interior^3) LU
+solve.
 """
 
 from __future__ import annotations
@@ -50,10 +54,13 @@ class NonConvergence(RuntimeError):
     Usually a sign that the time step h or the tolerance is misconfigured.
     """
 
-    def __init__(self, iterations: int, grad_norm: float, step_index: int | None = None):
+    def __init__(self, iterations: int, grad_norm: float,
+                 step_index: int | None = None,
+                 diagnostics: StepDiagnostics | None = None):
         self.iterations = iterations
         self.grad_norm = grad_norm
         self.step_index = step_index
+        self.diagnostics = diagnostics  # the failing step's history so far
         where = "" if step_index is None else f" at step {step_index}"
         super().__init__(
             f"step solver did not reach tolerance{where}: "
@@ -71,20 +78,27 @@ class StepDiagnostics:
     grad_norm: float
     fallbacks: int = 0      # iterations where the Newton solve failed
     ray_tau: float = 1.0    # the solve started at ray_tau * u_prev
+    linear_iters: int = 0   # CG iterations over the step; 0 for direct solves
 
 
 class _StepWorkspace:
     """Step-invariant quantities of one run, on the interior nodes, and the
-    one (n, n) scratch array that every pair matrix of the solve is formed in."""
+    one (n, n) scratch array that every pair matrix of the solve is formed in.
 
-    def __init__(self, domain: GridDomain, kernel: KernelTable, params: FlowParams):
+    ``tol_abs`` is the run's gradient stopping tolerance; ``linear_iters``
+    counts the CG iterations of the Newton solves since the step began."""
+
+    def __init__(self, domain: GridDomain, kernel: KernelTable,
+                 params: FlowParams, tol_abs: float):
         kernel.require_match(domain, params.s, params.p)
         self.kernel = kernel
         self.params = params
+        self.tol_abs = tol_abs
         self.mask = domain.interior_mask
         self.vol_h = domain.vol / params.h
         n = kernel.interior.shape[0]
         self.buf = np.empty((n, n))
+        self.linear_iters = 0
 
     def objective(self, x: np.ndarray, vprev: np.ndarray) -> float:
         return _step_objective(x, vprev, self.kernel, self.params, self.vol_h,
@@ -103,8 +117,9 @@ class _StepWorkspace:
         (diagonal time term plus a weighted graph Laplacian plus positive
         tails), so the solve yields a descent direction.
 
-        The model is assembled in the workspace array, so the memory it needs
-        is that array plus the copy LAPACK's solve makes of it.
+        The model is assembled in the workspace array.  For p >= 2 its pair
+        weights are bounded and ``_cg`` solves it in place, with no further
+        (n, n) memory; for p < 2 LAPACK's solve takes a copy of it.
         """
         p, q, kern = self.params.p, self.params.q, self.kernel
         floor = 32.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(x))))
@@ -119,12 +134,53 @@ class _StepWorkspace:
         hess = wd                   # wd is not read past di
         hess *= -(p - 1.0)
         hess[np.diag_indices_from(hess)] += di
-        try:
-            d = np.linalg.solve(hess, -g)
-        except np.linalg.LinAlgError:
+        if p >= 2.0:
+            d = self._cg(hess, g)
+        else:
+            try:
+                d = np.linalg.solve(hess, -g)
+            except np.linalg.LinAlgError:
+                return None
+        if d is None or not np.all(np.isfinite(d)) or float(d @ g) >= 0.0:
             return None
-        if not np.all(np.isfinite(d)) or float(d @ g) >= 0.0:
-            return None
+        return d
+
+    def _cg(self, hess: np.ndarray, g: np.ndarray) -> np.ndarray | None:
+        """Inexact solution of hess d = -g by Jacobi-preconditioned conjugate
+        gradients from d = 0.
+
+        Stops once the residual inf-norm is at most tol_abs / 4, so that the
+        exact quadratic model (p = 2, q = 1) still ends its step in one Newton
+        iteration; or once it reaches roundoff relative to g; or after n
+        iterations.  Every iterate from d = 0 of an SPD system is a descent
+        direction, so the last one is returned.  None if the model shows
+        non-positive or non-finite curvature along a search direction.
+        """
+        eps = np.finfo(float).eps
+        stop = max(0.25 * self.tol_abs,
+                   64.0 * eps * float(np.max(np.abs(g))))
+        dinv = 1.0 / hess.diagonal()
+        d = np.zeros_like(g)
+        r = -g
+        z = dinv * r
+        direction = z.copy()
+        rz = float(r @ z)
+        for _ in range(g.size):
+            self.linear_iters += 1
+            hd = hess @ direction
+            curv = float(direction @ hd)
+            if not (0.0 < curv < math.inf):
+                return None
+            alpha = rz / curv
+            d += alpha * direction
+            r -= alpha * hd
+            if float(np.max(np.abs(r))) <= stop:
+                break
+            z = dinv * r
+            rz_next = float(r @ z)
+            direction *= rz_next / rz
+            direction += z
+            rz = rz_next
         return d
 
 
@@ -168,38 +224,49 @@ def _ray_start(ws: _StepWorkspace, x0: np.ndarray) -> tuple[float, float]:
 
     so the ray costs one pair sum.  F' rises from -vol_h S1 near 0 to P/2 at
     1, so its one root in (0, 1] is the minimizer.  In s = log tau,
-    F'(e^s) = a (e^(qs) - 1) + b e^((p-1)s) is increasing and convex, so
-    Newton started right of the root descends onto it without overshooting.
-    The start s = min(0, log(a/b) / (p-1)) is right of the root (there
-    b e^((p-1)s) >= a, or s = 0) and tracks it when tau is tiny, as on the
+    F'(e^s) / a = (e^(qs) - 1) + c e^((p-1)s), with a = vol_h S1, b = P/2 and
+    c = b/a, is increasing and convex, so Newton started right of the root
+    descends onto it without overshooting.  The start
+    s = min(0, -log(c) / (p-1)) is right of the root (there
+    c e^((p-1)s) >= 1, or s = 0) and tracks it when tau is tiny, as on the
     step where a p - 1 < q flow dies out (tau near 1e-5), so no bracket is
     fixed in advance.  Iteration stops once the root is pinned to a few
     ulps of tau, or once roundoff has carried s past it.
+
+    Both sums are taken on x0 / M, M = max |x0|, and log c gets the scaling
+    back as (p - q - 1) log M: S1 is M^(q+1) times the first sum, and would
+    underflow on its own once an extinguishing flow is small enough (a sup of
+    1e-110 at q = 2), where the ray would then stop moving.
     """
     p, q = ws.params.p, ws.params.q
-    s1 = float(np.sum(np.abs(x0) ** (q + 1.0)))
-    pair = _pair_sum(x0, x0, ws.kernel.interior, ws.kernel.boundary, p, ws.buf)
+    m = float(np.max(np.abs(x0)))
+    y = x0 / m
+    s1 = float(np.sum(np.abs(y) ** (q + 1.0)))
+    pair = _pair_sum(y, y, ws.kernel.interior, ws.kernel.boundary, p, ws.buf)
     a, b = ws.vol_h * s1, 0.5 * pair
     s = 0.0
     if a > 0.0 and b > 0.0 and math.isfinite(a + b):
-        s = min(0.0, (math.log(a) - math.log(b)) / (p - 1.0))
+        log_c = math.log(b) - math.log(a) + (p - q - 1.0) * math.log(m)
+        s = min(0.0, -log_c / (p - 1.0))
         for _ in range(100):
-            eq, ep = math.exp(q * s), math.exp((p - 1.0) * s)
-            phi = a * math.expm1(q * s) + b * ep
+            eq, ec = math.exp(q * s), math.exp(log_c + (p - 1.0) * s)
+            phi = math.expm1(q * s) + ec
             if phi <= 0.0:
                 break
-            ds = phi / (a * q * eq + b * (p - 1.0) * ep)
+            ds = phi / (q * eq + (p - 1.0) * ec)
             s -= ds
             if ds <= 4.0 * np.finfo(float).eps:
                 break
     tau = math.exp(s)
-    f = a * (tau ** (q + 1.0) / (q + 1.0) - tau) + tau ** p * pair / (2.0 * p)
+    f = (a * m ** (q + 1.0) * (tau ** (q + 1.0) / (q + 1.0) - tau)
+         + (tau * m) ** p * pair / (2.0 * p))
     return tau, f
 
 
-def _solve_step(ws: _StepWorkspace, u_prev: np.ndarray, tol_abs: float,
-                max_iter: int) -> tuple[np.ndarray, StepDiagnostics]:
-    q = ws.params.q
+def _solve_step(ws: _StepWorkspace,
+                u_prev: np.ndarray) -> tuple[np.ndarray, StepDiagnostics]:
+    q, tol_abs, max_iter = ws.params.q, ws.tol_abs, ws.params.solver_max_iter
+    ws.linear_iters = 0
     x0 = u_prev[ws.mask]
     if not np.any(x0):
         # unique minimizer of a nonnegative functional vanishing at 0
@@ -221,7 +288,8 @@ def _solve_step(ws: _StepWorkspace, u_prev: np.ndarray, tol_abs: float,
 
     for it in range(1, max_iter + 1):
         if gnorm <= tol_abs:
-            return x, StepDiagnostics(it - 1, gnorm, fallbacks, tau)
+            return x, StepDiagnostics(it - 1, gnorm, fallbacks, tau,
+                                      ws.linear_iters)
         d = ws.newton_direction(x, g)
         if d is None:
             fallbacks += 1
@@ -257,7 +325,8 @@ def _solve_step(ws: _StepWorkspace, u_prev: np.ndarray, tol_abs: float,
                 if accepted:
                     break
             if not accepted:
-                raise NonConvergence(it, gnorm)
+                raise NonConvergence(it, gnorm, diagnostics=StepDiagnostics(
+                    it, gnorm, fallbacks, tau, ws.linear_iters))
             snapped = _snap_clusters(x_try)
             if snapped is not None:
                 g_snap = ws.gradient(snapped, vprev)
@@ -266,9 +335,10 @@ def _solve_step(ws: _StepWorkspace, u_prev: np.ndarray, tol_abs: float,
             x, g = x_try, g_try
             f = ws.objective(x, vprev)
         gnorm = float(np.max(np.abs(g)))
+    diag = StepDiagnostics(max_iter, gnorm, fallbacks, tau, ws.linear_iters)
     if gnorm <= tol_abs:
-        return x, StepDiagnostics(max_iter, gnorm, fallbacks, tau)
-    raise NonConvergence(max_iter, gnorm)
+        return x, diag
+    raise NonConvergence(max_iter, gnorm, diagnostics=diag)
 
 
 def minimize_step(u_prev: GridFunction, kernel: KernelTable, params: FlowParams,
@@ -281,9 +351,9 @@ def minimize_step(u_prev: GridFunction, kernel: KernelTable, params: FlowParams,
     """
     if scale is None:
         scale = scale_for(u_prev, kernel, params)
-    ws = _StepWorkspace(u_prev.domain, kernel, params)
-    x, diag = _solve_step(ws, u_prev.values, params.solver_tol * scale,
-                          params.solver_max_iter)
+    ws = _StepWorkspace(u_prev.domain, kernel, params,
+                        params.solver_tol * scale)
+    x, diag = _solve_step(ws, u_prev.values)
     return _expand(u_prev.domain, x), diag
 
 
@@ -335,16 +405,16 @@ def run_flow(u0: GridFunction, kernel: KernelTable,
     if not math.isfinite(scale):
         raise NonFiniteData(f"the energies of the initial data overflow "
                             f"(tolerance scale {scale!r})")
-    ws = _StepWorkspace(u0.domain, kernel, params)
-    tol_abs = params.solver_tol * scale
+    ws = _StepWorkspace(u0.domain, kernel, params, params.solver_tol * scale)
     steps = [u0]
     diags = []
     current = u0.values
     for m in range(1, params.n_steps + 1):
         try:
-            x, diag = _solve_step(ws, current, tol_abs, params.solver_max_iter)
+            x, diag = _solve_step(ws, current)
         except NonConvergence as err:
-            raise NonConvergence(err.iterations, err.grad_norm, step_index=m) from None
+            raise NonConvergence(err.iterations, err.grad_norm, step_index=m,
+                                 diagnostics=err.diagnostics) from None
         gf = _expand(u0.domain, x)
         steps.append(gf)
         diags.append(diag)

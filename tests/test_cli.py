@@ -2,6 +2,7 @@ import importlib.util
 import inspect
 import json
 import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -270,6 +271,19 @@ def test_benchmark_layer_names_exist():
             fn = getattr(mod, name, None)
             assert inspect.isfunction(fn) and fn.__module__ == mod.__name__, \
                 f"fracflow.{module}.{name}"
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency and its import alone costs about
+    # 0.3 s; no command may pull it in.  A fresh interpreter is needed,
+    # because this test process has imported scipy already
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, fracflow.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 def test_byte_determinism(tmp_path):
