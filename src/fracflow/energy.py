@@ -6,6 +6,13 @@ the double-integral convention: the pair sum runs over ordered pairs (both
 beyond the collar pairs with each node in both orders.  The energy is the
 seminorm divided by 2p, and ``apply_frac_p_laplacian`` is its exact gradient
 on the interior nodes.
+
+At p = 2 the pair operator is linear: it is the graph Laplacian
+L = diag(degree) - interior of the kernel (``KernelTable.degree``), the
+gradient is L x and the pair sum of x with itself is 2 x.(L x), so both are
+one matrix-vector product and no (n, n) pair matrix is formed.  Every other
+p, and every sum of two different vectors, forms |a_i - b_j|^r over the
+pairs.
 """
 
 from __future__ import annotations
@@ -59,11 +66,29 @@ def _pair_sum(a: np.ndarray, b: np.ndarray, block: np.ndarray,
                    + float(np.sum(boundary * np.abs(b) ** r)))
 
 
+def _laplacian(x: np.ndarray, kernel: KernelTable) -> np.ndarray:
+    """L x for the graph Laplacian L = diag(degree) - interior: the pair
+    operator at p = 2."""
+    return kernel.degree * x - kernel.interior @ x
+
+
+def _self_pair_sum(x: np.ndarray, kernel: KernelTable, p: float,
+                   buf: np.ndarray | None = None) -> float:
+    """``_pair_sum(x, x, ...)`` on the interior block: at p = 2 it is
+    2 x.(L x), otherwise the pair matrix is formed in ``buf`` when given."""
+    if p == 2.0:
+        return 2.0 * float(x @ _laplacian(x, kernel))
+    return _pair_sum(x, x, kernel.interior, kernel.boundary, p, buf)
+
+
 def _add_pair_gradient(g: np.ndarray, x: np.ndarray, kernel: KernelTable,
                        p: float, buf: np.ndarray | None = None) -> np.ndarray:
-    """g += gradient of ``_pair_sum(x, x, ...) / (2p)`` on the interior
-    block, in place so that the caller's own terms stay first in the
-    floating-point sum.  The pair matrix is formed in ``buf`` when given."""
+    """g += gradient of ``_self_pair_sum(x, ...) / (2p)``, in place so that
+    the caller's own terms stay first in the floating-point sum.  At p = 2
+    it is L x; otherwise the pair matrix is formed in ``buf`` when given."""
+    if p == 2.0:
+        g += _laplacian(x, kernel)
+        return g
     m = np.subtract.outer(x, x, out=buf)
     negative = m < 0.0
     np.abs(m, out=m)
@@ -79,8 +104,7 @@ def gagliardo_seminorm_p(u: GridFunction, kernel: KernelTable, p: float) -> floa
     """p-th power of the nonlocal seminorm (pair sum plus doubled tail term),
     for the kernel's own s."""
     kernel.require_match(u.domain, kernel.s, p)
-    x = u.interior_values()
-    return _pair_sum(x, x, kernel.interior, kernel.boundary, p)
+    return _self_pair_sum(u.interior_values(), kernel, p)
 
 
 def energy_functional(u: GridFunction, kernel: KernelTable, p: float) -> float:
@@ -110,7 +134,7 @@ def _step_objective(x: np.ndarray, vprev: np.ndarray, kernel: KernelTable,
     p, q = params.p, params.q
     time_part = vol_h * float(
         np.sum(np.abs(x) ** (q + 1.0) / (q + 1.0) - vprev * x))
-    pair = _pair_sum(x, x, kernel.interior, kernel.boundary, p, buf)
+    pair = _self_pair_sum(x, kernel, p, buf)
     return time_part + pair / (2.0 * p)
 
 

@@ -73,9 +73,11 @@ class KernelTable:
     the diagonal: interior is the interior block of weights; tail[i] = vol *
     integral of the kernel over the region beyond the collar box (closed
     radial form); boundary[i] = tail[i] + sum_{j exterior} weights[i, j] is
-    what acts on |u_i| of a zero-exterior u.  The full collar table
-    ``weights`` is the test oracle: it is built on first read, and no
-    computation reads it.  Rebuilt whenever (s, p, grid) changes;
+    what acts on |u_i| of a zero-exterior u; degree[i] = boundary[i] +
+    sum_j interior[i, j] is node i's total weight, so that at p = 2 the pair
+    operator is the graph Laplacian diag(degree) - interior.  The full
+    collar table ``weights`` is the test oracle: it is built on first read,
+    and no computation reads it.  Rebuilt whenever (s, p, grid) changes;
     params_hash records what it was built for.
     """
 
@@ -85,6 +87,7 @@ class KernelTable:
     tail: np.ndarray = field(repr=False)
     interior: np.ndarray = field(repr=False)
     boundary: np.ndarray = field(repr=False)
+    degree: np.ndarray = field(repr=False)
     params_hash: tuple = ()
 
     @cached_property
@@ -188,9 +191,10 @@ def assemble_kernel(domain: GridDomain, params: FlowParams) -> KernelTable:
                                           domain.dim + params.s * params.p)
     tail = _tail_weights(domain, params)
     boundary = outside + tail[mask]
-    for arr in (tail, interior, boundary):
+    degree = interior.sum(axis=1) + boundary
+    for arr in (tail, interior, boundary, degree):
         arr.setflags(write=False)
     phash = (float(params.s), float(params.p)) + domain.signature()
     return KernelTable(domain=domain, s=params.s, p=params.p,
                        tail=tail, interior=interior,
-                       boundary=boundary, params_hash=phash)
+                       boundary=boundary, degree=degree, params_hash=phash)

@@ -22,7 +22,12 @@ system is solved inexactly by Jacobi-preconditioned conjugate gradients, one
 dense O(n_interior^2) product per CG iteration, to a residual below a quarter
 of the step's stopping tolerance; for p < 2, where the clamped pair weights
 make the model too ill-conditioned for CG, by a dense O(n_interior^3) LU
-solve.
+solve.  At p = 2 the pair operator is the kernel's graph Laplacian L (see
+``energy``): the objective, the gradient and every CG product are each one
+product with the interior block, the model L + diag(time term) is never
+assembled, and the workspace holds no (n, n) array.  For p != 2 the
+objective, the gradient and the model each form one pair matrix in the
+workspace array.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import numpy as np
 from .grid import GridDomain, GridFunction
 from .kernel import FlowParams, KernelTable
 from .energy import (sgn_power, scale_for, lq_power_integral,
-                     gagliardo_seminorm_p, _expand, _pair_sum,
+                     gagliardo_seminorm_p, _expand, _self_pair_sum,
                      _step_objective, _step_gradient)
 
 __all__ = [
@@ -79,11 +84,15 @@ class StepDiagnostics:
     fallbacks: int = 0      # iterations where the Newton solve failed
     ray_tau: float = 1.0    # the solve started at ray_tau * u_prev
     linear_iters: int = 0   # CG iterations over the step; 0 for direct solves
+    backtracks: int = 0     # line-search halvings over the step, both rules
+    residual_start: int = 0  # first iteration under the residual rule; 0: none
+    snaps: int = 0          # iterations whose point was a cluster snap
 
 
 class _StepWorkspace:
-    """Step-invariant quantities of one run, on the interior nodes, and the
-    one (n, n) scratch array that every pair matrix of the solve is formed in.
+    """Step-invariant quantities of one run, on the interior nodes, and for
+    p != 2 the one (n, n) scratch array that every pair matrix of the solve
+    is formed in (``buf``; None at p = 2, where no pair matrix is formed).
 
     ``tol_abs`` is the run's gradient stopping tolerance; ``linear_iters``
     counts the CG iterations of the Newton solves since the step began."""
@@ -97,7 +106,7 @@ class _StepWorkspace:
         self.mask = domain.interior_mask
         self.vol_h = domain.vol / params.h
         n = kernel.interior.shape[0]
-        self.buf = np.empty((n, n))
+        self.buf = None if params.p == 2.0 else np.empty((n, n))
         self.linear_iters = 0
 
     def objective(self, x: np.ndarray, vprev: np.ndarray) -> float:
@@ -117,37 +126,48 @@ class _StepWorkspace:
         (diagonal time term plus a weighted graph Laplacian plus positive
         tails), so the solve yields a descent direction.
 
-        The model is assembled in the workspace array.  For p >= 2 its pair
-        weights are bounded and ``_cg`` solves it in place, with no further
-        (n, n) memory; for p < 2 LAPACK's solve takes a copy of it.
+        At p = 2 the model is L + diag(vol_h q |x|^(q-1)), with L the
+        kernel's graph Laplacian, and ``_cg`` applies it as
+        di * v - interior @ v: nothing is assembled.  Otherwise the model is
+        assembled in the workspace array.  For p > 2 its pair weights are
+        bounded and ``_cg`` multiplies by it, with no further (n, n) memory;
+        for p < 2 LAPACK's solve takes a copy of it.
         """
         p, q, kern = self.params.p, self.params.q, self.kernel
-        floor = 32.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(x))))
-        wd = np.subtract.outer(x, x, out=self.buf)
-        np.abs(wd, out=wd)
-        np.maximum(wd, floor, out=wd)
-        wd **= p - 2.0
-        wd *= kern.interior
-        absx = np.maximum(np.abs(x), floor)
-        di = ((p - 1.0) * (wd.sum(axis=1) + kern.boundary * absx ** (p - 2.0))
-              + self.vol_h * q * absx ** (q - 1.0))
-        hess = wd                   # wd is not read past di
-        hess *= -(p - 1.0)
-        hess[np.diag_indices_from(hess)] += di
-        if p >= 2.0:
-            d = self._cg(hess, g)
+        absx = np.abs(x)
+        floor = 32.0 * np.finfo(float).eps * max(1.0, float(absx.max()))
+        np.maximum(absx, floor, out=absx)
+        time_di = self.vol_h * q * absx ** (q - 1.0)
+        if p == 2.0:
+            di = kern.degree + time_di
+            d = self._cg(lambda v: di * v - kern.interior @ v, di, g)
         else:
-            try:
-                d = np.linalg.solve(hess, -g)
-            except np.linalg.LinAlgError:
-                return None
+            wd = np.subtract.outer(x, x, out=self.buf)
+            np.abs(wd, out=wd)
+            np.maximum(wd, floor, out=wd)
+            wd **= p - 2.0
+            wd *= kern.interior
+            di = ((p - 1.0) * (wd.sum(axis=1) + kern.boundary * absx ** (p - 2.0))
+                  + time_di)
+            hess = wd               # wd is not read past di
+            hess *= -(p - 1.0)
+            hess[np.diag_indices_from(hess)] += di
+            if p > 2.0:
+                d = self._cg(lambda v: hess @ v, di, g)
+            else:
+                try:
+                    d = np.linalg.solve(hess, -g)
+                except np.linalg.LinAlgError:
+                    return None
         if d is None or not np.all(np.isfinite(d)) or float(d @ g) >= 0.0:
             return None
         return d
 
-    def _cg(self, hess: np.ndarray, g: np.ndarray) -> np.ndarray | None:
-        """Inexact solution of hess d = -g by Jacobi-preconditioned conjugate
-        gradients from d = 0.
+    def _cg(self, apply, diag: np.ndarray,
+            g: np.ndarray) -> np.ndarray | None:
+        """Inexact solution of H d = -g by Jacobi-preconditioned conjugate
+        gradients from d = 0, for the SPD model H given by its product
+        ``apply(v)`` = H v (a fresh array) and its diagonal ``diag``.
 
         Stops once the residual inf-norm is at most tol_abs / 4, so that the
         exact quadratic model (p = 2, q = 1) still ends its step in one Newton
@@ -155,28 +175,30 @@ class _StepWorkspace:
         iterations.  Every iterate from d = 0 of an SPD system is a descent
         direction, so the last one is returned.  None if the model shows
         non-positive or non-finite curvature along a search direction.
+        On small grids numpy's per-call cost dominates an iteration, so the
+        updates are made in place, in preallocated arrays.
         """
         eps = np.finfo(float).eps
-        stop = max(0.25 * self.tol_abs,
-                   64.0 * eps * float(np.max(np.abs(g))))
-        dinv = 1.0 / hess.diagonal()
+        stop = max(0.25 * self.tol_abs, 64.0 * eps * float(np.abs(g).max()))
+        dinv = 1.0 / diag
         d = np.zeros_like(g)
         r = -g
         z = dinv * r
         direction = z.copy()
+        step = np.empty_like(g)
         rz = float(r @ z)
         for _ in range(g.size):
             self.linear_iters += 1
-            hd = hess @ direction
+            hd = apply(direction)
             curv = float(direction @ hd)
             if not (0.0 < curv < math.inf):
                 return None
             alpha = rz / curv
-            d += alpha * direction
-            r -= alpha * hd
-            if float(np.max(np.abs(r))) <= stop:
+            d += np.multiply(alpha, direction, out=step)
+            r -= np.multiply(alpha, hd, out=hd)
+            if float(np.abs(r, out=z).max()) <= stop:
                 break
-            z = dinv * r
+            np.multiply(dinv, r, out=z)
             rz_next = float(r @ z)
             direction *= rz_next / rz
             direction += z
@@ -242,7 +264,7 @@ def _ray_start(ws: _StepWorkspace, x0: np.ndarray) -> tuple[float, float]:
     m = float(np.max(np.abs(x0)))
     y = x0 / m
     s1 = float(np.sum(np.abs(y) ** (q + 1.0)))
-    pair = _pair_sum(y, y, ws.kernel.interior, ws.kernel.boundary, p, ws.buf)
+    pair = _self_pair_sum(y, ws.kernel, p, ws.buf)
     a, b = ws.vol_h * s1, 0.5 * pair
     s = 0.0
     if a > 0.0 and b > 0.0 and math.isfinite(a + b):
@@ -284,12 +306,16 @@ def _solve_step(ws: _StepWorkspace,
     noise = 8.0 * np.finfo(float).eps
     residual_mode = False
     stalled = 0
-    fallbacks = 0
+    fallbacks = backtracks = residual_start = snaps = 0
+
+    def diagnostics(iterations: int) -> StepDiagnostics:
+        return StepDiagnostics(iterations, gnorm, fallbacks, tau,
+                               ws.linear_iters, backtracks, residual_start,
+                               snaps)
 
     for it in range(1, max_iter + 1):
         if gnorm <= tol_abs:
-            return x, StepDiagnostics(it - 1, gnorm, fallbacks, tau,
-                                      ws.linear_iters)
+            return x, diagnostics(it - 1)
         d = ws.newton_direction(x, g)
         if d is None:
             fallbacks += 1
@@ -304,12 +330,14 @@ def _solve_step(ws: _StepWorkspace,
                 if np.isfinite(f_try) and f_try <= f + _ARMIJO_C * t * slope + floor:
                     break
                 t *= 0.5
+                backtracks += 1
             stalled = stalled + 1 if f_try >= f - floor else 0
             if stalled >= 2:
                 residual_mode = True
             x, f = x_try, f_try
             g = ws.gradient(x, vprev)
         else:
+            residual_start = residual_start or it
             merit = float(np.linalg.norm(g))
             accepted = False
             for trial_d in (d, -g):
@@ -322,20 +350,21 @@ def _solve_step(ws: _StepWorkspace,
                         accepted = True
                         break
                     t *= 0.5
+                    backtracks += 1
                 if accepted:
                     break
             if not accepted:
-                raise NonConvergence(it, gnorm, diagnostics=StepDiagnostics(
-                    it, gnorm, fallbacks, tau, ws.linear_iters))
+                raise NonConvergence(it, gnorm, diagnostics=diagnostics(it))
             snapped = _snap_clusters(x_try)
             if snapped is not None:
                 g_snap = ws.gradient(snapped, vprev)
                 if float(np.linalg.norm(g_snap)) < m_try:
                     x_try, g_try = snapped, g_snap
+                    snaps += 1
             x, g = x_try, g_try
             f = ws.objective(x, vprev)
         gnorm = float(np.max(np.abs(g)))
-    diag = StepDiagnostics(max_iter, gnorm, fallbacks, tau, ws.linear_iters)
+    diag = diagnostics(max_iter)
     if gnorm <= tol_abs:
         return x, diag
     raise NonConvergence(max_iter, gnorm, diagnostics=diag)

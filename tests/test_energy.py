@@ -5,7 +5,9 @@ from fracflow import (FlowParams, GridFunction, apply_frac_p_laplacian,
                       assemble_kernel, build_grid, energy_functional,
                       eval_preset, gagliardo_seminorm_p, lq_power_integral,
                       rothe_gradient, scan_alg_constants)
-from fracflow.energy import alg_ratios, scale_for, sgn_power
+from fracflow.energy import (_pair_sum, _step_gradient, _step_objective,
+                             alg_ratios, scale_for, sgn_power)
+from fracflow.rothe import _StepWorkspace, _ray_start
 from fracflow.verify import alg_constants
 from oracles import scan_oracle, step_objective, zero_function
 
@@ -207,6 +209,63 @@ def test_p2_operator_monotone():
         gu = apply_frac_p_laplacian(u, kernel, 2.0).values
         gv = apply_frac_p_laplacian(v, kernel, 2.0).values
         assert float((gu - gv) @ (u.values - v.values)) >= -1e-14
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("q", [1.0, 0.5])
+def test_p2_laplacian_path_matches_elementwise_sums(dim, q):
+    # at p = 2 every pair quantity is one product with the graph Laplacian
+    # L = diag(degree) - interior; each must match the elementwise pair sums,
+    # over the full collar table and through _pair_sum, to roundoff
+    if dim == 1:
+        dom = build_grid(1, 0.0, 1.0, 32, 2.0)
+    else:
+        dom = build_grid(2, (0.0, 0.0), (1.0, 1.0), 8, 2.0)
+    params = FlowParams(s=0.5, p=2.0, q=q, h=0.01, t_end=0.01)
+    kernel = assemble_kernel(dom, params)
+    vol_h = dom.vol / params.h
+    mask = dom.interior_mask
+    ws = _StepWorkspace(dom, kernel, params, params.solver_tol)
+    assert ws.buf is None
+    rtol = 1e-13
+    for seed in range(3):
+        u = eval_preset(dom, "random", 1.0, seed=seed)
+        vals, x = u.values, u.interior_values()
+        diff = np.subtract.outer(vals, vals)
+        pair = (np.sum(kernel.weights * diff ** 2)
+                + 2.0 * np.sum(kernel.tail * vals ** 2))
+        elementwise = _pair_sum(x, x, kernel.interior, kernel.boundary, 2.0)
+        assert elementwise == pytest.approx(pair, rel=rtol, abs=0.0)
+        assert gagliardo_seminorm_p(u, kernel, 2.0) == pytest.approx(
+            elementwise, rel=rtol, abs=0.0)
+        grad = (np.sum(kernel.weights * diff, axis=1)
+                + kernel.tail * vals) * mask
+        atol = rtol * np.abs(grad).max()
+        np.testing.assert_allclose(apply_frac_p_laplacian(u, kernel, 2.0).values,
+                                   grad, rtol=0.0, atol=atol)
+
+        x_prev = eval_preset(dom, "random", 1.0, seed=seed + 10).interior_values()
+        vprev = sgn_power(x_prev, q)
+        time_part = vol_h * np.sum(np.abs(x) ** (q + 1.0) / (q + 1.0) - vprev * x)
+        assert _step_objective(x, vprev, kernel, params, vol_h) == pytest.approx(
+            time_part + elementwise / 4.0, rel=rtol, abs=0.0)
+        step_grad = vol_h * (sgn_power(x, q) - vprev) + grad[mask]
+        np.testing.assert_allclose(
+            _step_gradient(x, vprev, kernel, params, vol_h), step_grad,
+            rtol=0.0, atol=rtol * np.abs(step_grad).max())
+
+        # the ray minimizer from u_prev = x solves
+        # vol_h S1 (tau^q - 1) + tau P / 2 = 0, P the elementwise pair sum
+        s1 = np.sum(np.abs(x) ** (q + 1.0))
+        lo, hi = 0.0, 1.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if vol_h * s1 * (mid ** q - 1.0) + mid * elementwise / 2.0 < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        tau, _ = _ray_start(ws, x)
+        assert tau == pytest.approx(0.5 * (lo + hi), rel=rtol, abs=0.0)
 
 
 def test_scan_constants_alpha2_exact():

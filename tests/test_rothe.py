@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,9 @@ from fracflow import (FlowParams, GridFunction, apply_frac_p_laplacian,
                       rothe_gradient, run_flow, truncate, NonConvergence)
 from fracflow.energy import (_step_objective, lq_power_integral, scale_for,
                              sgn_power)
-from fracflow.rothe import NonFiniteData, _StepWorkspace, _ray_start
+from fracflow import rothe
+from fracflow.rothe import (NonFiniteData, _StepWorkspace, _ray_start,
+                            _solve_step)
 from oracles import step_objective, zero_function
 
 
@@ -185,6 +189,98 @@ def test_cg_direction_meets_its_residual_target(dim, p, q):
             + ws.vol_h * q * np.abs(x) ** (q - 1.0))
         assert np.max(np.abs(hess @ d + g)) <= tol_abs / 4.0
         assert d @ g < 0.0
+
+
+def test_p2_step_forms_no_pair_matrix():
+    # at p = 2 the objective, the gradient and the Newton model are products
+    # with the interior block: a whole step solve, workspace included, peaks
+    # below one (n, n) array; at p = 3 the workspace array alone reaches it
+    dom = build_grid(2, (0.0, 0.0), (1.0, 1.0), 16, 2.0)
+    n = dom.n_interior
+    u_prev = eval_preset(dom, "random", 1.0, seed=0)
+    for p, q in ((2.0, 0.5), (3.0, 0.5)):
+        params = FlowParams(s=0.5, p=p, q=q, h=0.01, t_end=0.01)
+        kernel = assemble_kernel(dom, params)
+        tol_abs = params.solver_tol * scale_for(u_prev, kernel, params)
+        tracemalloc.start()
+        try:
+            ws = _StepWorkspace(dom, kernel, params, tol_abs)
+            _, diag = _solve_step(ws, u_prev.values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert diag.iterations > 1 and diag.linear_iters > 0
+        assert (peak < n * n * 8) == (p == 2.0), (p, peak, n * n * 8)
+
+
+def _parse_step_calls(events):
+    """Counters of one step solve from the sequence of its objective ("o"),
+    gradient ("g") and non-None cluster-snap ("s") calls: an iteration under
+    the objective rule is o+ g, one under the residual rule is g+ [s g] o,
+    and every repeat of the first letter is one line-search halving."""
+    letters = "".join(e[0] for e in events)
+    assert letters[0] == "g"        # the gradient at the ray start
+    pos, it, backtracks, residual_start, snaps = 1, 0, 0, 0, 0
+    while pos < len(letters):
+        it += 1
+        first = letters[pos]
+        run = len(letters[pos:]) - len(letters[pos:].lstrip(first))
+        backtracks += run - 1
+        pos += run
+        if first == "o":
+            assert letters[pos] == "g"
+            pos += 1
+            continue
+        residual_start = residual_start or it
+        if letters[pos] == "s":
+            snapped = events[pos][1]
+            assert letters[pos + 1] == "g"
+            pos += 2
+            snaps += np.array_equal(events[pos][1], snapped)
+        assert letters[pos] == "o"
+        pos += 1
+    return it, backtracks, residual_start, snaps
+
+
+@pytest.mark.parametrize("s,p,q,preset,seed,step", [
+    (0.5, 1.5, 2.0, "random", 3, 6),    # enters the residual rule
+    (0.9, 1.2, 0.3, "bump", 0, 4),      # ... and takes a cluster snap
+])
+def test_step_counters_match_the_call_sequence(monkeypatch, s, p, q, preset,
+                                               seed, step):
+    # backtracks, residual_start and snaps are read back from the sequence
+    # of objective, gradient and snap calls of the step's solve
+    dom, params, kernel = make_problem(s=s, p=p, q=q, t_end=0.01 * step)
+    traj = run_flow(eval_preset(dom, preset, 1.0, seed=seed), kernel, params)
+    diag = traj.diagnostics[-1]
+    assert diag.residual_start > 0
+
+    events = []
+    ws = _StepWorkspace(dom, kernel, params, params.solver_tol * traj.scale)
+    objective, gradient, snap = ws.objective, ws.gradient, rothe._snap_clusters
+
+    def spy_objective(x, vprev):
+        events.append(("o", x.copy()))
+        return objective(x, vprev)
+
+    def spy_gradient(x, vprev):
+        events.append(("g", x.copy()))
+        return gradient(x, vprev)
+
+    def spy_snap(x):
+        out = snap(x)
+        if out is not None:
+            events.append(("s", out.copy()))
+        return out
+
+    ws.objective, ws.gradient = spy_objective, spy_gradient
+    monkeypatch.setattr(rothe, "_snap_clusters", spy_snap)
+    _, again = _solve_step(ws, traj.steps[-2].values)
+    assert again == diag
+    assert _parse_step_calls(events) == (
+        diag.iterations, diag.backtracks, diag.residual_start, diag.snaps)
+    assert diag.backtracks > 0
+    assert (diag.snaps > 0) == (p < 1.5)
 
 
 def test_ground_state_step_is_the_ray_start():
