@@ -126,22 +126,16 @@ def apply_frac_p_laplacian(u: GridFunction, kernel: KernelTable,
     return _expand(u.domain, _add_pair_gradient(np.zeros_like(x), x, kernel, p))
 
 
-def _step_objective(x: np.ndarray, vprev: np.ndarray, kernel: KernelTable,
-                    params: FlowParams, vol_h: float,
-                    buf: np.ndarray | None = None) -> float:
-    """Objective of one implicit step at interior values x, given
-    vprev = sgn_power(u_prev, q) on the interior and vol_h = vol / h."""
-    p, q = params.p, params.q
-    time_part = vol_h * float(
-        np.sum(np.abs(x) ** (q + 1.0) / (q + 1.0) - vprev * x))
-    pair = _self_pair_sum(x, kernel, p, buf)
-    return time_part + pair / (2.0 * p)
-
-
 def _step_gradient(x: np.ndarray, vprev: np.ndarray, kernel: KernelTable,
                    params: FlowParams, vol_h: float,
                    buf: np.ndarray | None = None) -> np.ndarray:
-    """Gradient of ``_step_objective`` in x, on the interior nodes."""
+    """Gradient in x, on the interior nodes, of the objective of one
+    implicit step,
+
+        vol_h sum_i ( |x_i|^(q+1)/(q+1) - vprev_i x_i ) + pair sum / (2p),
+
+    given vprev = sgn_power(u_prev, q) on the interior and vol_h = vol / h.
+    Its zero is the step's equation, which the solver drives to tolerance."""
     p, q = params.p, params.q
     g = vol_h * (sgn_power(x, q) - vprev)
     return _add_pair_gradient(g, x, kernel, p, buf)
@@ -150,7 +144,8 @@ def _step_gradient(x: np.ndarray, vprev: np.ndarray, kernel: KernelTable,
 def rothe_gradient(w: GridFunction, u_prev: GridFunction,
                    kernel: KernelTable, params: FlowParams) -> GridFunction:
     """Gradient in w of the objective of the implicit step from u_prev
-    (``_step_objective``); zero on exterior nodes."""
+    (``_step_gradient``), the residual of the step's equation; zero on
+    exterior nodes."""
     kernel.require_match(w.domain, params.s, params.p)
     return _expand(w.domain, _step_gradient(
         w.interior_values(), sgn_power(u_prev.interior_values(), params.q),

@@ -1,33 +1,38 @@
-"""Implicit time stepping by per-step convex minimization.
+"""Implicit time stepping: one Newton solve of each step's equation.
 
-Each step solves
+Each step solves the Euler-Lagrange equation
 
-    min_w  (vol/h) sum_i ( |w_i|^{q+1}/(q+1) - |u_i|^{q-1} u_i w_i )
-           + seminorm_p(w) / (2p)
+    (vol/h) (|w|^{q-1} w - |u|^{q-1} u) + A_p(w) = 0
 
-over the interior nodes (exterior nodes are hard-constrained to zero).  The
-objective is strictly convex and C^1 for every p > 1, q > 0, so no smoothing
-of the power nonlinearities is needed.  Steps are proposed by a damped
-Newton direction from a clamped curvature model, at every problem size, and
-accepted by Armijo backtracking.  Newton starts at the best multiple
-tau * u_prev of the previous step (the ray predictor, ``_ray_start``): the
-objective along that ray has a closed form in two sums, and on the step
-where a p - 1 < q flow dies out, u drops by orders of magnitude, which
-damped Newton from u_prev itself would close in thousands of small steps.
-Once the objective decrease drops below float resolution the accept rule
-switches to the residual norm, which is what the tight gradient stopping
-rule actually needs.  Should the Newton solve fail, the plain negative
-gradient takes its place under the same line search.  For p >= 2 the Newton
-system is solved inexactly by Jacobi-preconditioned conjugate gradients, one
-dense O(n_interior^2) product per CG iteration, to a residual below a quarter
-of the step's stopping tolerance; for p < 2, where the clamped pair weights
+on the interior nodes (exterior nodes are hard-constrained to zero), where
+A_p is the gradient of seminorm_p / (2p); w is the unique minimizer of the
+strictly convex, C^1 step objective
+
+    (vol/h) sum_i ( |w_i|^{q+1}/(q+1) - |u_i|^{q-1} u_i w_i )
+           + seminorm_p(w) / (2p),
+
+so no smoothing of the power nonlinearities is needed.  Steps are proposed
+by a damped Newton direction from a clamped curvature model, at every
+problem size, and accepted by one rule: backtracking on the 2-norm of the
+step's gradient (the residual merit of Newton's method for nonlinear
+equations), which is what the gradient stopping rule measures.  Should the
+Newton solve fail, the plain negative gradient takes its place under the
+same line search.  After each accepted point the solver tries snapping
+coordinates that agree to roundoff onto their mean (``_snap_clusters``).
+Newton starts at the best multiple tau * u_prev of the previous step (the
+ray predictor, ``_ray_start``): the objective along that ray has a closed
+form in two sums, and on the step where a p - 1 < q flow dies out, u drops
+by orders of magnitude, which damped Newton from u_prev itself would close
+in thousands of small steps.  For p >= 2 the Newton system is solved
+inexactly by Jacobi-preconditioned conjugate gradients, one dense
+O(n_interior^2) product per CG iteration, to a residual below a quarter of
+the step's stopping tolerance; for p < 2, where the clamped pair weights
 make the model too ill-conditioned for CG, by a dense O(n_interior^3) LU
 solve.  At p = 2 the pair operator is the kernel's graph Laplacian L (see
-``energy``): the objective, the gradient and every CG product are each one
-product with the interior block, the model L + diag(time term) is never
-assembled, and the workspace holds no (n, n) array.  For p != 2 the
-objective, the gradient and the model each form one pair matrix in the
-workspace array.
+``energy``): the gradient and every CG product are each one product with
+the interior block, the model L + diag(time term) is never assembled, and
+the workspace holds no (n, n) array.  For p != 2 the gradient and the model
+each form one pair matrix in the workspace array.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from .grid import GridDomain, GridFunction
 from .kernel import FlowParams, KernelTable
 from .energy import (sgn_power, scale_for, lq_power_integral,
                      gagliardo_seminorm_p, _expand, _self_pair_sum,
-                     _step_objective, _step_gradient)
+                     _step_gradient)
 
 __all__ = [
     "NonConvergence", "StepDiagnostics", "RotheTrajectory", "minimize_step",
@@ -50,7 +55,6 @@ __all__ = [
 ]
 
 _ARMIJO_C = 1e-4
-_MAX_BACKTRACK = 200
 
 
 class NonConvergence(RuntimeError):
@@ -84,8 +88,7 @@ class StepDiagnostics:
     fallbacks: int = 0      # iterations where the Newton solve failed
     ray_tau: float = 1.0    # the solve started at ray_tau * u_prev
     linear_iters: int = 0   # CG iterations over the step; 0 for direct solves
-    backtracks: int = 0     # line-search halvings over the step, both rules
-    residual_start: int = 0  # first iteration under the residual rule; 0: none
+    backtracks: int = 0     # line-search halvings over the step
     snaps: int = 0          # iterations whose point was a cluster snap
 
 
@@ -108,10 +111,6 @@ class _StepWorkspace:
         n = kernel.interior.shape[0]
         self.buf = None if params.p == 2.0 else np.empty((n, n))
         self.linear_iters = 0
-
-    def objective(self, x: np.ndarray, vprev: np.ndarray) -> float:
-        return _step_objective(x, vprev, self.kernel, self.params, self.vol_h,
-                               self.buf)
 
     def gradient(self, x: np.ndarray, vprev: np.ndarray) -> np.ndarray:
         return _step_gradient(x, vprev, self.kernel, self.params, self.vol_h,
@@ -221,22 +220,17 @@ def _snap_clusters(x: np.ndarray) -> np.ndarray | None:
     out[np.abs(out) <= 8.0 * eps * scale] = 0.0
     order = np.argsort(out)
     xs = out[order]
-    gaps = np.diff(xs)
-    close = gaps <= 32.0 * eps * np.maximum(np.abs(xs[:-1]), np.abs(xs[1:]))
-    if not close.any() and np.array_equal(out, x):
-        return None
-    start = 0
-    for i in range(len(gaps) + 1):
-        if i == len(gaps) or not close[i]:
-            if i > start:
-                out[order[start:i + 1]] = xs[start:i + 1].mean()
-            start = i + 1
+    close = np.diff(xs) <= 32.0 * eps * np.maximum(np.abs(xs[:-1]),
+                                                   np.abs(xs[1:]))
+    # each run of sorted values joined by close gaps becomes its mean
+    starts = np.flatnonzero(np.concatenate(([True], ~close)))
+    counts = np.diff(np.append(starts, xs.size))
+    out[order] = np.repeat(np.add.reduceat(xs, starts) / counts, counts)
     return None if np.array_equal(out, x) else out
 
 
-def _ray_start(ws: _StepWorkspace, x0: np.ndarray) -> tuple[float, float]:
-    """The minimizer tau of the step objective on the ray tau * x0, and the
-    objective value there.
+def _ray_start(ws: _StepWorkspace, x0: np.ndarray) -> float:
+    """The minimizer tau of the step objective on the ray tau * x0.
 
     With S1 = sum |x0|^(q+1) (which is vprev . x0) and P the pair sum of x0
     (which scales as tau^p along the ray),
@@ -279,39 +273,28 @@ def _ray_start(ws: _StepWorkspace, x0: np.ndarray) -> tuple[float, float]:
             s -= ds
             if ds <= 4.0 * np.finfo(float).eps:
                 break
-    tau = math.exp(s)
-    f = (a * m ** (q + 1.0) * (tau ** (q + 1.0) / (q + 1.0) - tau)
-         + (tau * m) ** p * pair / (2.0 * p))
-    return tau, f
+    return math.exp(s)
 
 
 def _solve_step(ws: _StepWorkspace,
                 u_prev: np.ndarray) -> tuple[np.ndarray, StepDiagnostics]:
-    q, tol_abs, max_iter = ws.params.q, ws.tol_abs, ws.params.solver_max_iter
+    tol_abs, max_iter = ws.tol_abs, ws.params.solver_max_iter
     ws.linear_iters = 0
     x0 = u_prev[ws.mask]
     if not np.any(x0):
         # unique minimizer of a nonnegative functional vanishing at 0
         return np.zeros_like(x0), StepDiagnostics(0, 0.0)
 
-    vprev = sgn_power(x0, q)
-    tau, f = _ray_start(ws, x0)
+    vprev = sgn_power(x0, ws.params.q)
+    tau = _ray_start(ws, x0)
     x = tau * x0
     g = ws.gradient(x, vprev)
     gnorm = float(np.max(np.abs(g)))
-    # near the minimum the true objective decrease can drop below what the
-    # float comparison of f resolves (the curvature is unbounded for p < 2 or
-    # q < 1); once that happens the accept rule switches from the objective
-    # to the residual 2-norm, which keeps ~7 extra digits of headroom
-    noise = 8.0 * np.finfo(float).eps
-    residual_mode = False
-    stalled = 0
-    fallbacks = backtracks = residual_start = snaps = 0
+    fallbacks = backtracks = snaps = 0
 
     def diagnostics(iterations: int) -> StepDiagnostics:
         return StepDiagnostics(iterations, gnorm, fallbacks, tau,
-                               ws.linear_iters, backtracks, residual_start,
-                               snaps)
+                               ws.linear_iters, backtracks, snaps)
 
     for it in range(1, max_iter + 1):
         if gnorm <= tol_abs:
@@ -320,49 +303,30 @@ def _solve_step(ws: _StepWorkspace,
         if d is None:
             fallbacks += 1
             d = -g
-        if not residual_mode:
-            slope = float(g @ d)
+        merit = float(np.linalg.norm(g))
+        accepted = False
+        for trial_d in (d, -g):
             t = 1.0
-            floor = noise * (1.0 + abs(f))
-            for _ in range(_MAX_BACKTRACK):
-                x_try = x + t * d
-                f_try = ws.objective(x_try, vprev)
-                if np.isfinite(f_try) and f_try <= f + _ARMIJO_C * t * slope + floor:
+            for _ in range(60):
+                x_try = x + t * trial_d
+                g_try = ws.gradient(x_try, vprev)
+                m_try = float(np.linalg.norm(g_try))
+                if np.isfinite(m_try) and m_try <= (1.0 - _ARMIJO_C * t) * merit:
+                    accepted = True
                     break
                 t *= 0.5
                 backtracks += 1
-            stalled = stalled + 1 if f_try >= f - floor else 0
-            if stalled >= 2:
-                residual_mode = True
-            x, f = x_try, f_try
-            g = ws.gradient(x, vprev)
-        else:
-            residual_start = residual_start or it
-            merit = float(np.linalg.norm(g))
-            accepted = False
-            for trial_d in (d, -g):
-                t = 1.0
-                for _ in range(60):
-                    x_try = x + t * trial_d
-                    g_try = ws.gradient(x_try, vprev)
-                    m_try = float(np.linalg.norm(g_try))
-                    if np.isfinite(m_try) and m_try <= (1.0 - _ARMIJO_C * t) * merit:
-                        accepted = True
-                        break
-                    t *= 0.5
-                    backtracks += 1
-                if accepted:
-                    break
-            if not accepted:
-                raise NonConvergence(it, gnorm, diagnostics=diagnostics(it))
-            snapped = _snap_clusters(x_try)
-            if snapped is not None:
-                g_snap = ws.gradient(snapped, vprev)
-                if float(np.linalg.norm(g_snap)) < m_try:
-                    x_try, g_try = snapped, g_snap
-                    snaps += 1
-            x, g = x_try, g_try
-            f = ws.objective(x, vprev)
+            if accepted:
+                break
+        if not accepted:
+            raise NonConvergence(it, gnorm, diagnostics=diagnostics(it))
+        snapped = _snap_clusters(x_try)
+        if snapped is not None:
+            g_snap = ws.gradient(snapped, vprev)
+            if float(np.linalg.norm(g_snap)) < m_try:
+                x_try, g_try = snapped, g_snap
+                snaps += 1
+        x, g = x_try, g_try
         gnorm = float(np.max(np.abs(g)))
     diag = diagnostics(max_iter)
     if gnorm <= tol_abs:

@@ -1,8 +1,9 @@
 """Test oracles shared by the test modules.
 
-None of this is reached by a ``fracflow`` command: it builds test data or
-evaluates a quantity the solver computes on interior vectors, from whole
-grid functions.
+None of this is reached by a ``fracflow`` command: it builds test data,
+evaluates a quantity the solver never needs (the step objective, whose
+gradient the solver drives to zero), or is the slow reference version of a
+solver routine.
 """
 
 import functools
@@ -11,7 +12,7 @@ import math
 import numpy as np
 
 from fracflow import GridFunction, scan_alg_constants
-from fracflow.energy import _step_objective, sgn_power
+from fracflow.energy import _self_pair_sum, sgn_power
 
 
 def zero_function(domain):
@@ -19,12 +20,42 @@ def zero_function(domain):
     return GridFunction(domain, np.zeros(domain.n_nodes))
 
 
+def interior_step_objective(x, vprev, kernel, params, vol_h):
+    """Objective of one implicit step at interior values x, given
+    vprev = sgn_power(u_prev, q) on the interior and vol_h = vol / h; its
+    gradient is ``energy._step_gradient``."""
+    p, q = params.p, params.q
+    time_part = vol_h * float(
+        np.sum(np.abs(x) ** (q + 1.0) / (q + 1.0) - vprev * x))
+    pair = _self_pair_sum(x, kernel, p)
+    return time_part + pair / (2.0 * p)
+
+
 def step_objective(w, u_prev, kernel, params):
-    """Objective of one implicit step from u_prev, at w: the solver's own
-    ``_step_objective`` on the interior values."""
-    return _step_objective(w.interior_values(),
-                           sgn_power(u_prev.interior_values(), params.q),
-                           kernel, params, w.domain.vol / params.h)
+    """Objective of one implicit step from u_prev, at w."""
+    return interior_step_objective(
+        w.interior_values(), sgn_power(u_prev.interior_values(), params.q),
+        kernel, params, w.domain.vol / params.h)
+
+
+def snap_clusters_loop(x):
+    """``rothe._snap_clusters`` as a loop over the gaps of the sorted values:
+    each maximal run joined by close gaps is set to its mean."""
+    eps = np.finfo(float).eps
+    out = x.copy()
+    scale = max(1.0, float(np.max(np.abs(x))))
+    out[np.abs(out) <= 8.0 * eps * scale] = 0.0
+    order = np.argsort(out)
+    xs = out[order]
+    gaps = np.diff(xs)
+    close = gaps <= 32.0 * eps * np.maximum(np.abs(xs[:-1]), np.abs(xs[1:]))
+    start = 0
+    for i in range(len(gaps) + 1):
+        if i == len(gaps) or not close[i]:
+            if i > start:
+                out[order[start:i + 1]] = xs[start:i + 1].mean()
+            start = i + 1
+    return None if np.array_equal(out, x) else out
 
 
 def st_seminorm_bruteforce(vals, dom, dt, s_prime):

@@ -86,6 +86,17 @@ def test_sweep_extinction_steps_start_on_the_ray(sweep):
     assert total <= 12_000
 
 
+def test_sweep_steps_take_at_most_100_iterations(sweep):
+    # not only the extinction steps: no step of any run takes more than 100
+    # iterations
+    worst = {key: max(d.iterations for d in traj.diagnostics)
+             for key, traj in sweep["runs"].items()}
+    slow = {key: w for key, w in worst.items() if w > 100}
+    report_line(f"every sweep step within 100 iterations "
+                f"(worst {max(worst.values())})", not slow)
+    assert not slow, sorted(slow.items(), key=lambda kv: -kv[1])[:5]
+
+
 def test_criterion_2_max_principle(sweep):
     failures = []
     for key, traj in sweep["runs"].items():

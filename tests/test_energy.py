@@ -5,11 +5,12 @@ from fracflow import (FlowParams, GridFunction, apply_frac_p_laplacian,
                       assemble_kernel, build_grid, energy_functional,
                       eval_preset, gagliardo_seminorm_p, lq_power_integral,
                       rothe_gradient, scan_alg_constants)
-from fracflow.energy import (_pair_sum, _step_gradient, _step_objective,
-                             alg_ratios, scale_for, sgn_power)
+from fracflow.energy import (_pair_sum, _step_gradient, alg_ratios,
+                             scale_for, sgn_power)
 from fracflow.rothe import _StepWorkspace, _ray_start
 from fracflow.verify import alg_constants
-from oracles import scan_oracle, step_objective, zero_function
+from oracles import (interior_step_objective, scan_oracle, step_objective,
+                     zero_function)
 
 
 def make_problem(n_cells=16, s=0.5, p=2.0, q=1.0, h=0.01):
@@ -247,7 +248,8 @@ def test_p2_laplacian_path_matches_elementwise_sums(dim, q):
         x_prev = eval_preset(dom, "random", 1.0, seed=seed + 10).interior_values()
         vprev = sgn_power(x_prev, q)
         time_part = vol_h * np.sum(np.abs(x) ** (q + 1.0) / (q + 1.0) - vprev * x)
-        assert _step_objective(x, vprev, kernel, params, vol_h) == pytest.approx(
+        assert interior_step_objective(x, vprev, kernel, params,
+                                       vol_h) == pytest.approx(
             time_part + elementwise / 4.0, rel=rtol, abs=0.0)
         step_grad = vol_h * (sgn_power(x, q) - vprev) + grad[mask]
         np.testing.assert_allclose(
@@ -264,7 +266,7 @@ def test_p2_laplacian_path_matches_elementwise_sums(dim, q):
                 lo = mid
             else:
                 hi = mid
-        tau, _ = _ray_start(ws, x)
+        tau = _ray_start(ws, x)
         assert tau == pytest.approx(0.5 * (lo + hi), rel=rtol, abs=0.0)
 
 
