@@ -3,16 +3,21 @@
 Grid functions vanish off Omega, so a pair of exterior nodes contributes
 nothing: what is built is the pair table among the interior nodes plus one
 boundary weight per interior node (its summed weight to every exterior node
-and to the region beyond the collar box).  The table over all collar-node
-pairs is built only on request, as the test oracle.  The principal value is
-realized by dropping the diagonal (the within-cell difference of a nodal
-function is zero, which is the discrete counterpart of the symmetric
-cancellation).  The region beyond the collar box is handled analytically
-through per-node tail weights.
+and to the region beyond the collar box).  The kernel is translation
+invariant and the nodes form a uniform lattice, so a pair's weight depends
+only on the integer offset between its nodes: ``pow`` runs once per offset,
+(2m-1)^dim of them for m nodes per axis, and every table is gathered from
+that offset table by index, rows x nodes work.  The table over all
+collar-node pairs is built only on request, as the test oracle.  The
+principal value is realized by dropping the diagonal (the within-cell
+difference of a nodal function is zero, which is the discrete counterpart of
+the symmetric cancellation).  The region beyond the collar box is handled
+analytically through per-node tail weights.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -76,9 +81,10 @@ class KernelTable:
     what acts on |u_i| of a zero-exterior u; degree[i] = boundary[i] +
     sum_j interior[i, j] is node i's total weight, so that at p = 2 the pair
     operator is the graph Laplacian diag(degree) - interior.  The full
-    collar table ``weights`` is the test oracle: it is built on first read,
-    and no computation reads it.  Rebuilt whenever (s, p, grid) changes;
-    params_hash records what it was built for.
+    collar table ``weights`` is the test oracle: it is gathered from the
+    same offset table on first read, and no computation reads it.  Rebuilt
+    whenever (s, p, grid) changes; params_hash records what it was built
+    for.
     """
 
     domain: GridDomain
@@ -92,8 +98,9 @@ class KernelTable:
 
     @cached_property
     def weights(self) -> np.ndarray:
-        w = _pair_weights(self.domain.node_coords, self.domain.vol,
-                          self.domain.dim + self.s * self.p)
+        every = np.ones(self.domain.n_nodes, dtype=bool)
+        w = _node_set_weights(self.domain, every,
+                              self.domain.dim + self.s * self.p)[0]
         w.setflags(write=False)
         return w
 
@@ -128,60 +135,88 @@ def _tail_weights(domain: GridDomain, params: FlowParams) -> np.ndarray:
     return t
 
 
-_BLOCK_BYTES = 8 << 20     # scratch for one row block of _pair_weights
+# One row block of gathered weights (float64), and as much again for its
+# gather keys (intp); the offset table itself is (2m-1)^dim doubles.
+_BLOCK_BYTES = 8 << 20
 
 
-def _pair_weights(coords: np.ndarray, vol: float, expo: float,
-                  lag: float = 0.0, rows: np.ndarray | None = None) -> np.ndarray:
-    """vol^2 (|x_i-x_j|^2 + lag^2)^(-expo/2) for i in ``rows`` (default all)
-    and all j, no self pair at lag 0; built one axis at a time, in row blocks,
-    in place, so the only other array is one block of differences (8 MiB)."""
-    n = coords.shape[0]
-    rows = np.arange(n) if rows is None else rows
-    w = np.zeros((rows.size, n))
-    per_block = max(1, _BLOCK_BYTES // (8 * n))
-    diff = np.empty((min(per_block, rows.size), n))
-    for lo in range(0, rows.size, per_block):
-        block = w[lo:lo + per_block]
-        d = diff[:block.shape[0]]
-        for x in coords.T:
-            np.subtract.outer(x[rows[lo:lo + per_block]], x, out=d)
-            d **= 2
-            block += d
+def _offset_weights(domain: GridDomain, expo: float,
+                    lag: float = 0.0) -> np.ndarray:
+    """vol^2 (|o dx|^2 + lag^2)^(-expo/2) for every lattice offset o in
+    {1-m, ..., m-1}^dim (m nodes per axis), flattened with x fastest as the
+    nodes are, and 0 at o = 0 when lag is 0 (no self pair).  The squared
+    per-axis distances are summed first (two terms at most, so their order
+    does not matter), then lag^2 is added, so on a grid whose coordinates
+    are exact these are the weights of the coordinate differences bit for
+    bit."""
+    m = _nodes_per_axis(domain)
+    sq = (np.arange(1 - m, m) * domain.dx) ** 2
+    w = functools.reduce(np.add.outer, [sq] * domain.dim).ravel()
     w += lag ** 2
     np.sqrt(w, out=w)
     if lag == 0.0:
-        w[np.arange(rows.size), rows] = np.inf  # inf ** -expo == 0: no self pair
+        w[w.size // 2] = np.inf  # inf ** -expo == 0: no self pair
     w **= -expo
-    w *= vol ** 2
+    w *= domain.vol ** 2
     return w
+
+
+def _nodes_per_axis(domain: GridDomain) -> int:
+    return int(round(domain.n_nodes ** (1.0 / domain.dim)))
+
+
+def _lattice_keys(domain: GridDomain) -> tuple[np.ndarray, np.ndarray]:
+    """Row keys a and column keys b with a[i] + b[j] the position of the
+    offset from node j to node i in ``_offset_weights``.  They are intp,
+    the index type ``np.take`` works in: keys of any other type would be
+    copied to it, one more row block of 8-byte integers."""
+    m = _nodes_per_axis(domain)
+    node = np.arange(domain.n_nodes)
+    a = np.zeros(domain.n_nodes, dtype=np.intp)
+    b = np.zeros(domain.n_nodes, dtype=np.intp)
+    stride = 1
+    for d in range(domain.dim):
+        idx = node // m ** d % m
+        a += (idx + m - 1) * stride
+        b -= idx * stride
+        stride *= 2 * m - 1
+    return a, b
+
+
+def _gather(table: np.ndarray, a: np.ndarray, b: np.ndarray,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """table[a_i + b_j] for every (i, j): one row block of pair weights."""
+    # mode="clip" lets take write into ``out`` without a buffer; every key
+    # is in range, so nothing is clipped
+    return np.take(table, np.add.outer(a, b), out=out, mode="clip")
 
 
 def _node_set_weights(domain: GridDomain, nodes: np.ndarray, expo: float,
                       lag: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Pair weights among the nodes of the boolean set ``nodes``, and each
-    such node's summed weight to every node outside it: the block and the
-    boundary row sums of ``_pair_weights`` restricted to those rows.  Built
-    one row block at a time, so the (n_nodes, n_nodes) table is never
-    formed."""
+    such node's summed weight to every node outside it.  The weight of a
+    pair depends only on its lattice offset, so ``pow`` runs once per offset
+    and the rows are gathered from that table one row block at a time: no
+    row of a node outside the set is formed."""
+    table = _offset_weights(domain, expo, lag)
+    a, b = _lattice_keys(domain)
     rows = np.flatnonzero(nodes)
     rest = np.flatnonzero(~nodes)
     block = np.empty((rows.size, rows.size))
     outside = np.empty(rows.size)
     per_block = max(1, _BLOCK_BYTES // (8 * domain.n_nodes))
     for lo in range(0, rows.size, per_block):
-        part = rows[lo:lo + per_block]
-        w = _pair_weights(domain.node_coords, domain.vol, expo, lag, part)
-        every = np.arange(part.size)
-        block[lo:lo + part.size] = w[np.ix_(every, rows)]
-        outside[lo:lo + part.size] = w[np.ix_(every, rest)].sum(axis=1)
-        del w   # free this block before the next one is built
+        part = a[rows[lo:lo + per_block]]
+        _gather(table, part, b[rows], out=block[lo:lo + part.size])
+        outside[lo:lo + part.size] = _gather(table, part,
+                                             b[rest]).sum(axis=1)
     return block, outside
 
 
 def assemble_kernel(domain: GridDomain, params: FlowParams) -> KernelTable:
     """Build the interior pair block and the boundary weights for (s, p) on
-    the given grid: O(n_interior * n_nodes) work, O(n_interior^2) memory."""
+    the given grid: one pow per lattice offset, an O(n_interior * n_nodes)
+    gather, O(n_interior^2) memory."""
     if domain.n_interior > 6000:
         raise ValueError(f"{domain.n_interior} interior nodes: the dense "
                          "interior pair table is sized for a few thousand "

@@ -38,7 +38,7 @@ each form one pair matrix in the workspace array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -47,7 +47,7 @@ from .grid import GridDomain, GridFunction
 from .kernel import FlowParams, KernelTable
 from .energy import (sgn_power, scale_for, lq_power_integral,
                      gagliardo_seminorm_p, _expand, _self_pair_sum,
-                     _step_gradient)
+                     _step_gradient, _tolerance_scale)
 
 __all__ = [
     "NonConvergence", "StepDiagnostics", "RotheTrajectory", "minimize_step",
@@ -360,20 +360,26 @@ class RotheTrajectory:
     scale: float
     steps: tuple        # N+1 GridFunctions
     diagnostics: tuple  # N StepDiagnostics, for steps 1..N
+    # ([u_0]^p, ||u_0||_{q+1}^{q+1}) when the caller has evaluated them
+    _u0_energies: tuple | None = field(default=None, repr=False)
 
     @property
     def n_steps(self) -> int:
         return len(self.steps) - 1
 
+    def _series(self, at: int, energy) -> tuple:
+        head = () if self._u0_energies is None else (self._u0_energies[at],)
+        return head + tuple(energy(u) for u in self.steps[len(head):])
+
     @cached_property
     def lq_pow(self) -> tuple:      # ||u_m||_{q+1}^{q+1}, m = 0..N
-        return tuple(lq_power_integral(u, self.params.q + 1.0)
-                     for u in self.steps)
+        return self._series(
+            1, lambda u: lq_power_integral(u, self.params.q + 1.0))
 
     @cached_property
     def seminorm(self) -> tuple:    # [u_m]^p, m = 0..N
-        return tuple(gagliardo_seminorm_p(u, self.kernel, self.params.p)
-                     for u in self.steps)
+        return self._series(
+            0, lambda u: gagliardo_seminorm_p(u, self.kernel, self.params.p))
 
     @cached_property
     def linf(self) -> tuple:        # max |u_m|, m = 0..N
@@ -393,8 +399,12 @@ def run_flow(u0: GridFunction, kernel: KernelTable,
     """March N = ceil(t_end/h) implicit steps starting from u0.
 
     Raises NonFiniteData, before any step, if the tolerance scale of u0
-    overflows."""
-    scale = scale_for(u0, kernel, params)
+    overflows.  The energies of u0 that give the scale are the first
+    entries of the trajectory's series."""
+    kernel.require_match(u0.domain, params.s, params.p)
+    energies = (gagliardo_seminorm_p(u0, kernel, params.p),
+                lq_power_integral(u0, params.q + 1.0))
+    scale = _tolerance_scale(*energies)
     if not math.isfinite(scale):
         raise NonFiniteData(f"the energies of the initial data overflow "
                             f"(tolerance scale {scale!r})")
@@ -413,7 +423,8 @@ def run_flow(u0: GridFunction, kernel: KernelTable,
         diags.append(diag)
         current = gf.values
     return RotheTrajectory(domain=u0.domain, params=params, kernel=kernel,
-                           scale=scale, steps=tuple(steps), diagnostics=tuple(diags))
+                           scale=scale, steps=tuple(steps),
+                           diagnostics=tuple(diags), _u0_energies=energies)
 
 
 def reconstruct(traj: RotheTrajectory, t: float) -> GridFunction:

@@ -3,7 +3,7 @@
 None of this is reached by a ``fracflow`` command: it builds test data,
 evaluates a quantity the solver never needs (the step objective, whose
 gradient the solver drives to zero), or is the slow reference version of a
-solver routine.
+solver or kernel routine.
 """
 
 import functools
@@ -36,6 +36,24 @@ def step_objective(w, u_prev, kernel, params):
     return interior_step_objective(
         w.interior_values(), sgn_power(u_prev.interior_values(), params.q),
         kernel, params, w.domain.vol / params.h)
+
+
+def pair_weights(coords, vol, expo, lag=0.0, rows=None):
+    """vol^2 (|x_i-x_j|^2 + lag^2)^(-expo/2) for i in ``rows`` (default all)
+    and all j, no self pair at lag 0, from the coordinate differences: the
+    brute-force version of ``kernel._node_set_weights``."""
+    n = coords.shape[0]
+    rows = np.arange(n) if rows is None else rows
+    w = np.zeros((rows.size, n))
+    for x in coords.T:
+        w += np.subtract.outer(x[rows], x) ** 2
+    w += lag ** 2
+    np.sqrt(w, out=w)
+    if lag == 0.0:
+        w[np.arange(rows.size), rows] = np.inf  # inf ** -expo == 0
+    w **= -expo
+    w *= vol ** 2
+    return w
 
 
 def snap_clusters_loop(x):

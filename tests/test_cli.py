@@ -239,13 +239,13 @@ def test_run_evaluates_each_step_energy_once(tmp_path, monkeypatch):
     steps = [u.values.tobytes() for u in traj.steps[1:]]
     assert len(set(steps)) == traj.n_steps == 50
     assert all(sem[b] == 1 and lq[b, q1] == 1 for b in steps)
-    # u0: the run scale, the series and POINCARE; the level set is skipped
-    # at s*p = dim
+    # u0: the run scale, which is also the series' first entry, and
+    # POINCARE; the level set is skipped at s*p = dim
     u0 = traj.steps[0].values.tobytes()
-    assert sem[u0] == 3
+    assert sem[u0] == 2
     # POINCARE's left side ||u0||_p^p is a call at r = p = q + 1 = 2 as well
-    assert lq[u0, q1] == 3 + (traj.params.p == q1)
-    assert sum(sem.values()) == 1 + 51 + 1 + 4   # 4: INIT-TREND gaps
+    assert lq[u0, q1] == 2 + (traj.params.p == q1)
+    assert sum(sem.values()) == 51 + 1 + 4   # 4: INIT-TREND gaps
 
 
 def test_converge_evaluates_no_series(tmp_path, monkeypatch):

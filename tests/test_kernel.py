@@ -10,7 +10,8 @@ from fracflow import (FlowParams, assemble_kernel, build_grid, eval_preset,
 from fracflow.grid import GridFunction
 from fracflow import kernel as kernel_mod
 from fracflow import verify
-from fracflow.kernel import _BLOCK_BYTES, _pair_weights
+from fracflow.kernel import _BLOCK_BYTES, _node_set_weights
+from oracles import pair_weights
 
 
 def params_with(s=0.5, p=2.0, q=1.0, h=0.01, t_end=0.1, **kw):
@@ -50,30 +51,98 @@ def test_symmetry_exact():
     assert np.all(k.tail > 0.0)
 
 
+def lattice_error_bound(dom, expo):
+    """Relative gap, in units of eps, allowed between a weight of the lattice
+    table and the same weight from coordinate differences.
+
+    A node coordinate is fl(c + fl((k + 1/2) dx)), so it is off the lattice
+    point c + (k + 1/2) dx by at most u (L + X), u = eps/2, L the collar
+    side and X the largest collar coordinate.  A coordinate difference along
+    an axis whose offset is nonzero is at least dx, so its relative error is
+    at most ((L + X) / dx + 1/2) eps; the lattice's fl(o dx) is off by at
+    most u.  Squaring doubles a relative error, and the axis sum, lag^2 and sqrt
+    add a rounding each, so each distance is within its first error plus
+    3 u of the exact one.  The weight r^-expo multiplies the distance error
+    by expo; pow (within one ulp) and the factor vol^2 add at most 4 eps
+    over both sides."""
+    side = dom.collar_max[0] - dom.collar_min[0]
+    reach = max(abs(v) for v in dom.collar_min + dom.collar_max)
+    return expo * ((side + reach) / dom.dx + 4.0) + 4.0
+
+
+def assert_within(got, want, bound):
+    eps = np.finfo(float).eps
+    assert np.array_equal(got == 0.0, want == 0.0)
+    some = want != 0.0
+    rel = np.abs(got[some] - want[some]) / want[some]
+    assert rel.max(initial=0.0) <= bound * eps
+
+
 def test_weights_match_whole_table_formula_across_row_blocks():
-    # 1296 nodes: the table is built in two row blocks, the second one short
+    # 1296 nodes: the table is gathered in two row blocks, the second one
+    # short.  dx = 1.5/36 is not a dyadic number, so the formula's rounded
+    # coordinate differences are off the lattice offsets by a few ulps of
+    # the coordinates: the two agree within the bound derived above
     dom = build_grid(2, (0.0, 0.0), (1.0, 1.0), 24, 1.5)
     assert dom.n_nodes == 1296
     params = params_with(s=0.3, p=2.5)
+    expo = 2.0 + params.s * params.p
     k = assemble_kernel(dom, params)
     x, y = dom.node_coords.T
     dist = np.sqrt((x[:, None] - x[None, :]) ** 2
                    + (y[:, None] - y[None, :]) ** 2)
     np.fill_diagonal(dist, np.inf)
-    expect = dist ** -(2.0 + params.s * params.p) * dom.vol ** 2
-    assert np.array_equal(k.weights, expect)
-    # a row subset is the same rows of the whole table, at lag 0 (self pairs
-    # inside a row block) and at lag > 0; the random subset spans two blocks
+    expect = dist ** -expo * dom.vol ** 2
+    assert not np.array_equal(k.weights, expect)
+    assert_within(k.weights, expect, lattice_error_bound(dom, expo))
+    # a node subset is the same rows and columns of the whole table, at lag
+    # 0 (self pairs inside a row block) and at lag > 0; the random subset
+    # spans two blocks
     rng = np.random.default_rng(3)
-    expo = 2.0 + params.s * params.p
-    some = np.flatnonzero(rng.uniform(size=dom.n_nodes) < 0.7)
-    assert some.size > _BLOCK_BYTES // (8 * dom.n_nodes)
-    for idx in (np.flatnonzero(dom.interior_mask), some):
+    some = rng.uniform(size=dom.n_nodes) < 0.7
+    assert some.sum() > _BLOCK_BYTES // (8 * dom.n_nodes)
+    every = np.ones(dom.n_nodes, dtype=bool)
+    for nodes in (dom.interior_mask, some):
         for lag, whole in ((0.0, k.weights),
-                           (0.3, _pair_weights(dom.node_coords, dom.vol,
-                                               expo, 0.3))):
-            part = _pair_weights(dom.node_coords, dom.vol, expo, lag, rows=idx)
-            assert np.array_equal(part, whole[idx])
+                           (0.3, _node_set_weights(dom, every, expo, 0.3)[0])):
+            block, outside = _node_set_weights(dom, nodes, expo, lag)
+            assert np.array_equal(block, whole[np.ix_(nodes, nodes)])
+            assert np.array_equal(outside,
+                                  whole[np.ix_(nodes, ~nodes)].sum(axis=1))
+
+
+@pytest.mark.parametrize("dim,n_cells,collar,dyadic", [
+    (1, 64, 2.0, True), (2, 16, 2.0, True), (2, 32, 1.5, True),
+    (2, 24, 1.5, False), (1, 50, 1.7, False), (2, 10, 2.0, False)])
+def test_lattice_tables_match_the_coordinate_oracle(dim, n_cells, collar,
+                                                    dyadic):
+    # the offset-table gather against the weights of coordinate differences,
+    # on the interior (a run's support), a random subset, and every node
+    # (the synthetic support of ineq, with no node outside).  On a grid
+    # whose coordinates are exact the two agree bit for bit
+    dom = build_grid(dim, 0.0, 1.0, n_cells, collar)
+    rng = np.random.default_rng(5)
+    supports = (dom.interior_mask, rng.uniform(size=dom.n_nodes) < 0.5,
+                np.ones(dom.n_nodes, dtype=bool))
+    for expo in (dim + 0.75, dim + 1.9):
+        bound = lattice_error_bound(dom, expo)
+        for lag in (0.0, 0.3):
+            for nodes in supports:
+                block, outside = _node_set_weights(dom, nodes, expo, lag)
+                w = pair_weights(dom.node_coords, dom.vol, expo, lag,
+                                 np.flatnonzero(nodes))
+                every = np.arange(w.shape[0])
+                want_block = w[np.ix_(every, nodes)]
+                want_outside = w[np.ix_(every, ~nodes)].sum(axis=1)
+                if dyadic:
+                    assert np.array_equal(block, want_block)
+                    assert np.array_equal(outside, want_outside)
+                else:
+                    assert_within(block, want_block, bound)
+                    # sums of positive terms: each reordered partial sum
+                    # adds at most u per term
+                    assert_within(outside, want_outside,
+                                  bound + dom.n_nodes)
 
 
 @pytest.mark.parametrize("dim,n_cells,collar", [
@@ -81,24 +150,39 @@ def test_weights_match_whole_table_formula_across_row_blocks():
 def test_interior_rows_match_the_collar_table(monkeypatch, dim, n_cells,
                                               collar):
     # the interior block, boundary weights and tails are exactly the slices
-    # of the full table, with the interior built in three or more row blocks
+    # of the full table; each assembly builds one offset table and gathers
+    # the interior rows in three or more row blocks
     dom = build_grid(dim, 0.0, 1.0, n_cells, collar)
     monkeypatch.setattr(kernel_mod, "_BLOCK_BYTES",
                         8 * dom.n_nodes * (dom.n_interior // 3))
-    blocks = []
+    tables, gathers = [], []
+    offset_weights, gather = kernel_mod._offset_weights, kernel_mod._gather
 
-    def spy(*args, **kwargs):
-        w = _pair_weights(*args, **kwargs)
-        blocks.append(w.shape[0])
-        return w
+    def spy_table(*args, **kwargs):
+        tables.append(args[1:])
+        return offset_weights(*args, **kwargs)
 
-    monkeypatch.setattr(kernel_mod, "_pair_weights", spy)
+    def spy_gather(table, a, b, out=None):
+        # the interior block is gathered in place, the exterior row sums not
+        gathers.append((out is not None, a.size, b.size))
+        return gather(table, a, b, out)
+
+    monkeypatch.setattr(kernel_mod, "_offset_weights", spy_table)
+    monkeypatch.setattr(kernel_mod, "_gather", spy_gather)
     mask = dom.interior_mask
+    n_rest = dom.n_nodes - dom.n_interior
     for s, p in ((0.5, 2.0), (0.3, 2.5)):
         params = params_with(s=s, p=p)
-        blocks.clear()
+        tables.clear()
+        gathers.clear()
         k = assemble_kernel(dom, params)
-        assert len(blocks) >= 3 and sum(blocks) == dom.n_interior
+        assert tables == [(dim + s * p, 0.0)]
+        blocks = [(rows, cols) for inner, rows, cols in gathers if inner]
+        assert len(blocks) >= 3
+        assert sum(rows for rows, _ in blocks) == dom.n_interior
+        assert {cols for _, cols in blocks} == {dom.n_interior}
+        assert [(rows, n_rest) for rows, _ in blocks] == [
+            (rows, cols) for inner, rows, cols in gathers if not inner]
         w = k.weights
         assert w is k.weights and not w.flags.writeable
         assert w.shape == (dom.n_nodes, dom.n_nodes)
@@ -110,15 +194,22 @@ def test_interior_rows_match_the_collar_table(monkeypatch, dim, n_cells,
 
 
 def test_node_guard_counts_interior_nodes(monkeypatch):
+    calls = []
+    offset_weights = kernel_mod._offset_weights
+
+    def spy(*args, **kwargs):
+        calls.append(args[1:])
+        return offset_weights(*args, **kwargs)
+
+    monkeypatch.setattr(kernel_mod, "_offset_weights", spy)
     # 6400 collar nodes around 8 interior ones: the resident table is 8 x 8
     wide = build_grid(1, 0.0, 1.0, 8, 800.0)
     assert wide.n_nodes > 6000
     k = assemble_kernel(wide, params_with())
     assert k.interior.shape == (8, 8) and k.boundary.shape == (8,)
-    # more than 6000 interior nodes are refused before any weight is built
-    calls = []
-    monkeypatch.setattr(kernel_mod, "_pair_weights",
-                        lambda *a, **kw: calls.append(a))
+    assert len(calls) == 1
+    # more than 6000 interior nodes are refused before any table is built
+    calls.clear()
     big = build_grid(1, 0.0, 1.0, 6001, 1.0)
     assert big.n_interior > 6000
     with pytest.raises(ValueError, match="6001 interior nodes"):
@@ -127,9 +218,10 @@ def test_node_guard_counts_interior_nodes(monkeypatch):
 
 
 def test_assembly_never_holds_the_collar_table():
-    # converge-2d's grid: the full table would be 2304^2 doubles (40.5 MiB);
-    # the interior block is 8 MiB, plus one row block of weights and one of
-    # differences (8 MiB each)
+    # converge-2d's grid: the full table would be 2304^2 doubles (40.5 MiB).
+    # Assembly holds the interior block (8 MiB) and, for one row block of
+    # 455 rows, the gathered weights to the 1280 exterior nodes and their
+    # keys (4.4 MiB each): 17.0 MiB in all; the offset table is 9025 doubles
     dom = build_grid(2, 0.0, 1.0, 32, 1.5)
     assert (dom.n_nodes, dom.n_interior) == (2304, 1024)
     tracemalloc.start()
@@ -138,7 +230,7 @@ def test_assembly_never_holds_the_collar_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 28 * 2 ** 20 < 8 * dom.n_nodes ** 2
+    assert peak < 18 * 2 ** 20 < 8 * dom.n_nodes ** 2
 
 
 def tail_oracle_1d(x, cmin, cmax, sp):

@@ -312,27 +312,34 @@ def test_st_sobolev_on_trajectory():
 def test_st_sobolev_sums_over_the_support(monkeypatch):
     # every W^{s,1} sum of the check goes through the one pair sum, and its
     # tables have one row per node of the data's support (here the interior),
-    # not one per collar node; at this size each table is one row block
+    # not one per collar node; each comes from one offset table
     dom, params, kernel, traj = bump_run(dim=2, n_cells=4, h=0.02, t_end=0.1)
-    pair_weights, pair_sum = kernel_mod._pair_weights, verify._pair_sum
-    tables, powers = [], []
+    node_set_weights, pair_sum = verify._node_set_weights, verify._pair_sum
+    offset_weights = kernel_mod._offset_weights
+    tables, offsets, powers = [], [], []
 
     def spy_weights(*args, **kwargs):
-        w = pair_weights(*args, **kwargs)
-        tables.append(w.shape[0])
-        return w
+        block, outside = node_set_weights(*args, **kwargs)
+        tables.append(block.shape[0])
+        return block, outside
+
+    def spy_offsets(*args, **kwargs):
+        offsets.append(args[1:])
+        return offset_weights(*args, **kwargs)
 
     def spy_sum(*args, **kwargs):
         powers.append(args[4])
         return pair_sum(*args, **kwargs)
 
-    monkeypatch.setattr(kernel_mod, "_pair_weights", spy_weights)
+    monkeypatch.setattr(verify, "_node_set_weights", spy_weights)
+    monkeypatch.setattr(kernel_mod, "_offset_weights", spy_offsets)
     monkeypatch.setattr(verify, "_pair_sum", spy_sum)
     t_grid = 6
     e = verify.check_spacetime_sobolev(traj, 0.25, 0.4, t_grid)
     assert e.passed and e.lhs > 0.0
     assert dom.n_interior < dom.n_nodes
     assert tables == [dom.n_interior] * (t_grid + 1)
+    assert len(offsets) == t_grid + 1
     # t_grid spatial sums and one per slab pair (k <= k') in time
     assert powers == [1.0] * (t_grid + t_grid * (t_grid + 1) // 2)
 
