@@ -53,14 +53,6 @@ class RunConfig:
     amplitude: float = 1.0
     seed: int = 0
     csv_path: str = ""
-    check_energy: bool = True
-    check_time_derivative: bool = True
-    check_max_principle: bool = True
-    check_truncation: bool = True
-    check_poincare: bool = True
-    check_spacetime: bool = True
-    check_weak_residual: bool = True
-    check_levelset: bool = True
     ell: int = 2
     s_prime: float = 0.25
     s_bar: float = 0.4
@@ -68,47 +60,33 @@ class RunConfig:
     output_dir: str = "out"
 
 
-_COORD_KEYS = {"omega_min", "omega_max"}
-_BOOL_KEYS = {f.name for f in fields(RunConfig) if f.type == "bool"}
-_INT_KEYS = {"dim", "n_cells", "solver_max_iter", "seed", "ell", "t_grid"}
-_STR_KEYS = {"preset", "csv_path", "output_dir"}
-_ALL_KEYS = {f.name for f in fields(RunConfig)}
+# each key parses as the type of its default: tuple (comma-separated
+# coordinates), int, float or str
+_KEY_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
 def _parse_value(key: str, raw: str):
-    if key in _COORD_KEYS:
-        parts = [float(v) for v in raw.split(",")]
-        return tuple(parts)
-    if key in _BOOL_KEYS:
-        low = raw.lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
-        raise ValueError(f"{key} expects a boolean, got {raw!r}")
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _STR_KEYS:
-        return raw
-    return float(raw)
+    kind = _KEY_TYPES[key]
+    if kind is tuple:
+        return tuple(float(v) for v in raw.split(","))
+    return kind(raw)
 
 
-def _flow_params(cfg: RunConfig) -> FlowParams:
-    return FlowParams(**{f.name: getattr(cfg, f.name)
-                         for f in fields(FlowParams)})
+def _grid_and_params(cfg: RunConfig):
+    """The grid and flow parameters of a config; build_grid and FlowParams
+    raise ValueError on the values they refuse."""
+    domain = build_grid(cfg.dim, cfg.omega_min, cfg.omega_max, cfg.n_cells,
+                        cfg.collar_factor)
+    params = FlowParams(**{f.name: getattr(cfg, f.name)
+                           for f in fields(FlowParams)})
+    return domain, params
 
 
 def _validate(cfg: RunConfig) -> None:
-    if cfg.dim not in (1, 2):
-        raise ConfigError("dim must be 1 or 2")
     try:
-        _flow_params(cfg)
+        _grid_and_params(cfg)
     except ValueError as err:
         raise ConfigError(str(err)) from None
-    if cfg.n_cells < 2:
-        raise ConfigError("n_cells must be at least 2")
-    if cfg.collar_factor < 1.0:
-        raise ConfigError("collar_factor must be at least 1")
     if cfg.preset not in ("bump", "step", "random", "csv"):
         raise ConfigError("preset must be one of bump, step, random, csv")
     if not math.isfinite(cfg.amplitude):
@@ -119,8 +97,6 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("need 0 < s_prime < s_bar < 1")
     if cfg.t_grid < 2:
         raise ConfigError("t_grid must be at least 2")
-    if len(cfg.omega_min) not in (1, cfg.dim) or len(cfg.omega_max) not in (1, cfg.dim):
-        raise ConfigError("omega_min/omega_max must match dim")
 
 
 def parse_config(path: str) -> RunConfig:
@@ -136,7 +112,7 @@ def parse_config(path: str) -> RunConfig:
             if "=" not in text:
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
             key, raw = (part.strip() for part in text.split("=", 1))
-            if key not in _ALL_KEYS:
+            if key not in _KEY_TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             try:
                 value = _parse_value(key, raw)
@@ -151,9 +127,7 @@ def parse_config(path: str) -> RunConfig:
 
 
 def _build_problem(cfg: RunConfig):
-    domain = build_grid(cfg.dim, cfg.omega_min, cfg.omega_max, cfg.n_cells,
-                        cfg.collar_factor)
-    params = _flow_params(cfg)
+    domain, params = _grid_and_params(cfg)
     u0 = eval_preset(domain, cfg.preset, cfg.amplitude, seed=cfg.seed,
                      csv_path=cfg.csv_path or None)
     kernel = assemble_kernel(domain, params)
@@ -203,29 +177,21 @@ def cmd_run(cfg: RunConfig) -> int:
         "total_nodes": domain.n_nodes,
         "operator_convention": "gradient-exact: ordered pair sum, tail once",
     }))
-    if cfg.check_energy:
-        report.add(verify.check_energy_estimates(traj))
-    if cfg.check_time_derivative:
-        report.add(verify.check_time_derivative_bounds(traj))
-    if cfg.check_max_principle:
-        report.add(verify.check_max_principle(traj))
-    if cfg.check_truncation:
-        report.add(verify.check_truncation_energy(traj, cfg.ell))
-    if cfg.check_weak_residual:
-        report.add(verify.check_weak_residual(traj))
-    if cfg.check_poincare:
-        report.add(verify.check_poincare(u0, kernel, params))
-    if cfg.check_spacetime:
-        if verify.spacetime_sum_fits(domain.n_nodes, cfg.t_grid):
-            report.add(verify.check_spacetime_sobolev(
-                traj, cfg.s_prime, cfg.s_bar, cfg.t_grid))
-        else:
-            report.add(verify.CheckEntry(
-                name="ST-SOBOLEV", ref="spacetime-interpolation-bound",
-                lhs=0.0, rhs=0.0, skipped="space-time sum guard exceeded"))
-    if cfg.check_levelset:
-        report.add(verify.chebyshev_level_sets(
-            traj.steps[-1], cfg.ell, params, kernel, u0=u0))
+    report.add(verify.check_energy_estimates(traj))
+    report.add(verify.check_time_derivative_bounds(traj))
+    report.add(verify.check_max_principle(traj))
+    report.add(verify.check_truncation_energy(traj, cfg.ell))
+    report.add(verify.check_weak_residual(traj))
+    report.add(verify.check_poincare(u0, kernel, params))
+    if verify.spacetime_sum_fits(domain.n_nodes, cfg.t_grid):
+        report.add(verify.check_spacetime_sobolev(
+            traj, cfg.s_prime, cfg.s_bar, cfg.t_grid))
+    else:
+        report.add(verify.CheckEntry(
+            name="ST-SOBOLEV", ref="spacetime-interpolation-bound",
+            lhs=0.0, rhs=0.0, skipped="space-time sum guard exceeded"))
+    report.add(verify.chebyshev_level_sets(
+        traj.steps[-1], cfg.ell, params, kernel, u0))
     report.add(verify.check_initial_trend(traj))
     _write_report(report, cfg.output_dir)
     return EXIT_OK if report.all_passed() else EXIT_CHECK_FAILED

@@ -65,10 +65,6 @@ class FlowParams:
     def n_steps(self) -> int:
         return int(math.ceil(self.t_end / self.h - 1e-12))
 
-    def with_h(self, h: float) -> "FlowParams":
-        return FlowParams(self.s, self.p, self.q, h, self.t_end,
-                          self.solver_tol, self.solver_max_iter)
-
 
 @dataclass(frozen=True, eq=False)
 class KernelTable:

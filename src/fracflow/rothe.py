@@ -55,6 +55,7 @@ __all__ = [
 ]
 
 _ARMIJO_C = 1e-4
+_MAX_BACKTRACKS = 60    # halvings of one line search before the step fails
 
 
 class NonConvergence(RuntimeError):
@@ -304,21 +305,16 @@ def _solve_step(ws: _StepWorkspace,
             fallbacks += 1
             d = -g
         merit = float(np.linalg.norm(g))
-        accepted = False
-        for trial_d in (d, -g):
-            t = 1.0
-            for _ in range(60):
-                x_try = x + t * trial_d
-                g_try = ws.gradient(x_try, vprev)
-                m_try = float(np.linalg.norm(g_try))
-                if np.isfinite(m_try) and m_try <= (1.0 - _ARMIJO_C * t) * merit:
-                    accepted = True
-                    break
-                t *= 0.5
-                backtracks += 1
-            if accepted:
+        t = 1.0
+        for _ in range(_MAX_BACKTRACKS):
+            x_try = x + t * d
+            g_try = ws.gradient(x_try, vprev)
+            m_try = float(np.linalg.norm(g_try))
+            if np.isfinite(m_try) and m_try <= (1.0 - _ARMIJO_C * t) * merit:
                 break
-        if not accepted:
+            t *= 0.5
+            backtracks += 1
+        else:
             raise NonConvergence(it, gnorm, diagnostics=diagnostics(it))
         snapped = _snap_clusters(x_try)
         if snapped is not None:
@@ -360,16 +356,16 @@ class RotheTrajectory:
     scale: float
     steps: tuple        # N+1 GridFunctions
     diagnostics: tuple  # N StepDiagnostics, for steps 1..N
-    # ([u_0]^p, ||u_0||_{q+1}^{q+1}) when the caller has evaluated them
-    _u0_energies: tuple | None = field(default=None, repr=False)
+    # ([u_0]^p, ||u_0||_{q+1}^{q+1}), the first entries of the series
+    _u0_energies: tuple = field(repr=False)
 
     @property
     def n_steps(self) -> int:
         return len(self.steps) - 1
 
     def _series(self, at: int, energy) -> tuple:
-        head = () if self._u0_energies is None else (self._u0_energies[at],)
-        return head + tuple(energy(u) for u in self.steps[len(head):])
+        return ((self._u0_energies[at],)
+                + tuple(energy(u) for u in self.steps[1:]))
 
     @cached_property
     def lq_pow(self) -> tuple:      # ||u_m||_{q+1}^{q+1}, m = 0..N

@@ -13,7 +13,7 @@ quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,6 +36,10 @@ __all__ = [
 
 # volume of the unit ball, dimensions 1 and 2
 _UNIT_BALL_VOL = {1: 2.0, 2: math.pi}
+
+# the seeded probe set of measure_sobolev_constant
+_SOBOLEV_PROBES = 64
+_SOBOLEV_SEED = 1234
 
 
 def alg_constants(alpha: float) -> AlgConstants:
@@ -399,8 +403,7 @@ def spacetime_seminorm_w1(traj: RotheTrajectory, s_prime: float,
 def check_spacetime_sobolev_values(vals: np.ndarray, dvals: np.ndarray,
                                    domain: GridDomain, t_total: float,
                                    s_prime: float, s_bar: float,
-                                   tol: float = 0.0,
-                                   name: str = "ST-SOBOLEV") -> CheckEntry:
+                                   tol: float = 0.0) -> CheckEntry:
     """Two sides of the space-time interpolation bound for sampled values."""
     if not (0.0 < s_prime < s_bar < 1.0):
         raise ValueError("need 0 < s_prime < s_bar < 1")
@@ -418,7 +421,7 @@ def check_spacetime_sobolev_values(vals: np.ndarray, dvals: np.ndarray,
            * 2.0 * t_total ** (1.0 - s_bar) / (1.0 - s_bar))
     c_ii = 2.0 * t_total ** (s_bar - s_prime) / (s_bar - s_prime)
     rhs = c_i * l1_dt + c_ii * spatial
-    return CheckEntry(name=name, ref="spacetime-interpolation-bound",
+    return CheckEntry(name="ST-SOBOLEV", ref="spacetime-interpolation-bound",
                       lhs=lhs, rhs=rhs, constant_used=c_i, tol=tol,
                       note=f"c_time={c_i!r} c_space={c_ii!r}")
 
@@ -488,7 +491,7 @@ def cauchy_refinement_study(u0: GridFunction, kernel: KernelTable,
         raise ValueError(f"gamma must be below {bound!r} for these exponents")
 
     hs = [params.h / 2 ** k for k in range(levels)]
-    trajs = [run_flow(u0, kernel, params.with_h(hk)) for hk in hs]
+    trajs = [run_flow(u0, kernel, replace(params, h=hk)) for hk in hs]
     h_fine = hs[-1]
     n_samp = int(math.floor(params.t_end / h_fine + 1e-12))
     taus = (np.arange(n_samp) + 0.5) * h_fine
@@ -518,8 +521,7 @@ def cauchy_refinement_study(u0: GridFunction, kernel: KernelTable,
     return entries
 
 
-def measure_sobolev_constant(kernel: KernelTable, params: FlowParams,
-                             n_probes: int = 64, seed: int = 1234) -> float:
+def measure_sobolev_constant(kernel: KernelTable, params: FlowParams) -> float:
     """Largest ratio ||u||_{p*} / [u] over a seeded probe set.
 
     A measured surrogate for the embedding constant, recorded per grid (the
@@ -532,12 +534,12 @@ def measure_sobolev_constant(kernel: KernelTable, params: FlowParams,
     if not exps.p_star_defined:
         raise ValueError("embedding exponent undefined: need s*p < dim")
     p_star = exps.p_star
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SOBOLEV_SEED)
     coords = domain.node_coords
     lo = np.asarray(domain.omega_min)
     hi = np.asarray(domain.omega_max)
     best = 0.0
-    for k in range(n_probes):
+    for k in range(_SOBOLEV_PROBES):
         vals = np.zeros(domain.n_nodes)
         if k % 2 == 0:
             center = rng.uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo))
@@ -557,10 +559,10 @@ def measure_sobolev_constant(kernel: KernelTable, params: FlowParams,
 
 
 def chebyshev_level_sets(u: GridFunction, ell: float, params: FlowParams,
-                         kernel: KernelTable,
-                         u0: GridFunction | None = None) -> CheckEntry:
+                         kernel: KernelTable, u0: GridFunction) -> CheckEntry:
     """Measure of the super-level set {u_+ >= ell} against the embedding
-    bound (C_sob [u0])^{p*} / ell^{p*} with a measured C_sob."""
+    bound (C_sob [u0])^{p*} / ell^{p*} with a measured C_sob, u0 being the
+    data of the flow that u belongs to."""
     domain = u.domain
     kernel.require_match(domain, params.s, params.p)
     exps = sobolev_exponents(domain.dim, params.s, params.p)
@@ -569,13 +571,13 @@ def chebyshev_level_sets(u: GridFunction, ell: float, params: FlowParams,
                           lhs=0.0, rhs=0.0,
                           skipped="p_star undefined (s*p >= dim)")
     p_star = exps.p_star
-    ref_fn = u0 if u0 is not None else u
     c_sob = measure_sobolev_constant(kernel, params)
-    sem = gagliardo_seminorm_p(ref_fn, kernel, params.p)
+    sem = gagliardo_seminorm_p(u0, kernel, params.p)
     lhs = domain.vol * float(np.sum(np.maximum(u.values, 0.0) >= ell))
     rhs = (c_sob * sem ** (1.0 / params.p)) ** p_star / float(ell) ** p_star
-    scale = _tolerance_scale(sem, lq_power_integral(ref_fn, params.q + 1.0))
+    scale = _tolerance_scale(sem, lq_power_integral(u0, params.q + 1.0))
     tol = _tol_check(params, scale)
     return CheckEntry(name="LEVELSET", ref="level-set-bound",
                       lhs=lhs, rhs=rhs, constant_used=c_sob, tol=tol,
-                      note="C_sob measured over 64 seeded probes, not universal")
+                      note=f"C_sob measured over {_SOBOLEV_PROBES} seeded "
+                           "probes, not universal")

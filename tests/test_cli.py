@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -36,10 +37,24 @@ def test_comments_and_values(tmp_path):
 s = 0.25   # inline comment
 preset = random
 seed = 9
-check_poincare = false
+t_grid = 6
 """))
     assert cfg.s == 0.25 and cfg.preset == "random" and cfg.seed == 9
-    assert cfg.check_poincare is False
+    assert cfg.t_grid == 6
+    # a run reports every estimate: no key drops one from the report
+    with pytest.raises(ConfigError, match=":2: unknown key 'check_poincare'"):
+        parse_config(write_cfg(tmp_path, "s = 0.5\ncheck_poincare = false\n"))
+
+
+def test_readme_example_config_names_every_key(tmp_path):
+    # the README's example config parses to the defaults and names every
+    # RunConfig key (csv_path in a comment, as it needs a file)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = [b for b in readme.split("```")[1::2] if "output_dir = " in b]
+    assert parse_config(write_cfg(tmp_path, block)) == RunConfig()
+    keys = {line.lstrip("# ").split(" = ", 1)[0]
+            for line in block.splitlines() if " = " in line}
+    assert keys == {f.name for f in fields(RunConfig)}
 
 
 def test_out_of_range_values_name_the_constraint(tmp_path):
@@ -101,6 +116,30 @@ def test_cmd_run_bump_trace_monotone(tmp_path):
     for e in report["entries"]:
         assert set(e) >= {"name", "paper_ref", "lhs", "rhs", "constant_used",
                           "margin", "pass"}
+
+
+def test_default_run_reports_every_estimate(tmp_path):
+    cfg = parse_config(write_cfg(tmp_path, f"output_dir = {tmp_path / 'out'}\n"))
+    assert cmd_run(cfg) == 0
+    report = json.load(open(os.path.join(cfg.output_dir, "report.json")))
+    names = {e["name"] for e in report["entries"]}
+    assert names >= {"E1", "E2", "E3", "E4", "T1", "T2", "MAX", "RESID",
+                     "POINCARE", "ST-SOBOLEV", "LEVELSET", "INIT-TREND"}
+    assert sum(name.startswith("TRUNC") for name in names) == 2
+    assert not any(key.startswith("check_") for key in report["meta"])
+
+
+def test_grid_rules_are_config_errors(tmp_path, capsys):
+    # build_grid's rules are checked at parse time: an anisotropic box is a
+    # config error naming the file, and no output directory is made
+    cfg_path = write_cfg(tmp_path, "\n".join([
+        "dim = 2", "omega_min = 0,0", "omega_max = 1,2", "n_cells = 8",
+        f"output_dir = {tmp_path / 'out'}"]))
+    assert main(["run", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and cfg_path in err
+    assert "anisotropic" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cmd_run_nonconvergence_exit_code(tmp_path):

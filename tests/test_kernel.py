@@ -338,6 +338,6 @@ def test_params_hash_guards_mismatch():
                  lambda: scale_for(u, k, params),
                  lambda: rothe_gradient(u, u, k, params),
                  lambda: verify.check_poincare(u, k, params),
-                 lambda: verify.chebyshev_level_sets(u, 2, params, k)):
+                 lambda: verify.chebyshev_level_sets(u, 2, params, k, u0=u)):
         with pytest.raises(ValueError, match=r"\(s, p, grid\)"):
             call()

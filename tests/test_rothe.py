@@ -108,6 +108,27 @@ def test_flow_propagates_failure_step_index():
     assert diag.linear_iters == 0
 
 
+def test_failed_line_search_raises_after_one_search(monkeypatch):
+    # each iteration runs one backtracking search along its direction: when
+    # no trial lowers the gradient norm, the step fails after that search's
+    # 60 halvings (1 + 60 gradient calls), with no second search
+    calls = []
+    gradient = _StepWorkspace.gradient
+
+    def spy(self, x, vprev):
+        calls.append(x)
+        g = gradient(self, x, vprev)
+        return g if len(calls) == 1 else np.full_like(g, np.inf)
+
+    monkeypatch.setattr(_StepWorkspace, "gradient", spy)
+    dom, params, kernel = make_problem()
+    with pytest.raises(NonConvergence) as err:
+        minimize_step(eval_preset(dom, "bump", 1.0), kernel, params)
+    assert err.value.iterations == 1
+    assert err.value.diagnostics.backtracks == 60
+    assert len(calls) == 61
+
+
 @pytest.mark.parametrize("p,q", [(2.0, 1.0), (1.5, 0.5), (3.0, 2.0)])
 def test_gradient_fallback_converges(monkeypatch, p, q):
     # when the Newton solve fails the step falls back to -g under the same

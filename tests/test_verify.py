@@ -69,10 +69,7 @@ def test_rejects_unconverged_trajectory():
     dom, params, kernel, traj = bump_run()
     from dataclasses import replace
     bad_diag = tuple(replace(d, grad_norm=1.0) for d in traj.diagnostics)
-    from fracflow.rothe import RotheTrajectory
-    bad = RotheTrajectory(domain=traj.domain, params=traj.params,
-                          kernel=kernel, scale=traj.scale, steps=traj.steps,
-                          diagnostics=bad_diag)
+    bad = replace(traj, diagnostics=bad_diag)
     with pytest.raises(ValueError):
         verify.check_energy_estimates(bad)
 
@@ -390,18 +387,18 @@ def test_chebyshev_level_sets():
     # sp >= n: gated off
     dom, params, kernel = make_problem(s=0.5, p=2.0)
     u = eval_preset(dom, "bump", 1.0)
-    e = verify.chebyshev_level_sets(u, 2, params, kernel)
+    e = verify.chebyshev_level_sets(u, 2, params, kernel, u0=u)
     assert e.skipped is not None
 
     # sp < n, bounded data below the level: empty level set
     dom, params, kernel = make_problem(s=0.25, p=2.0)
     u = eval_preset(dom, "bump", 1.0)
-    e = verify.chebyshev_level_sets(u, 2, params, kernel)
+    e = verify.chebyshev_level_sets(u, 2, params, kernel, u0=u)
     assert e.lhs == 0.0 and e.passed and e.constant_used > 0.0
 
     # non-vacuous level set still inside the bound
     u5 = eval_preset(dom, "bump", 5.0)
-    e = verify.chebyshev_level_sets(u5, 2, params, kernel)
+    e = verify.chebyshev_level_sets(u5, 2, params, kernel, u0=u5)
     assert e.lhs > 0.0 and e.passed
 
 
