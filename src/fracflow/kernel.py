@@ -79,8 +79,8 @@ class KernelTable:
     operator is the graph Laplacian diag(degree) - interior.  The full
     collar table ``weights`` is the test oracle: it is gathered from the
     same offset table on first read, and no computation reads it.  Rebuilt
-    whenever (s, p, grid) changes; params_hash records what it was built
-    for.
+    whenever (s, p, grid) changes; its own domain, s and p record what it
+    was built for.
     """
 
     domain: GridDomain
@@ -90,7 +90,6 @@ class KernelTable:
     interior: np.ndarray = field(repr=False)
     boundary: np.ndarray = field(repr=False)
     degree: np.ndarray = field(repr=False)
-    params_hash: tuple = ()
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -102,8 +101,8 @@ class KernelTable:
 
     def require_match(self, domain: GridDomain, s: float, p: float) -> None:
         """Refuse an (s, p, grid) other than the one the table was built for."""
-        expected = (float(s), float(p)) + domain.signature()
-        if self.params_hash != expected:
+        if ((float(s), float(p), domain.signature())
+                != (float(self.s), float(self.p), self.domain.signature())):
             raise ValueError("kernel table was built for different (s, p, grid)")
 
 
@@ -225,7 +224,6 @@ def assemble_kernel(domain: GridDomain, params: FlowParams) -> KernelTable:
     degree = interior.sum(axis=1) + boundary
     for arr in (tail, interior, boundary, degree):
         arr.setflags(write=False)
-    phash = (float(params.s), float(params.p)) + domain.signature()
     return KernelTable(domain=domain, s=params.s, p=params.p,
                        tail=tail, interior=interior,
-                       boundary=boundary, degree=degree, params_hash=phash)
+                       boundary=boundary, degree=degree)

@@ -348,7 +348,11 @@ def minimize_step(u_prev: GridFunction, kernel: KernelTable, params: FlowParams,
 
 @dataclass(frozen=True, eq=False)
 class RotheTrajectory:
-    """Steps u_0 ... u_N of one run, their diagnostics and energy series."""
+    """Steps u_0 ... u_N of one run, their diagnostics and energy series.
+
+    Every step met the run's stopping rule, grad_norm <= solver_tol * scale:
+    construction refuses anything else (a NaN grad_norm included), so each
+    check reads a converged trajectory."""
 
     domain: GridDomain
     params: FlowParams
@@ -358,6 +362,11 @@ class RotheTrajectory:
     diagnostics: tuple  # N StepDiagnostics, for steps 1..N
     # ([u_0]^p, ||u_0||_{q+1}^{q+1}), the first entries of the series
     _u0_energies: tuple = field(repr=False)
+
+    def __post_init__(self):
+        tol = self.params.solver_tol * self.scale
+        if not all(d.grad_norm <= tol for d in self.diagnostics):
+            raise ValueError("trajectory has unconverged steps")
 
     @property
     def n_steps(self) -> int:
@@ -384,10 +393,6 @@ class RotheTrajectory:
     @property
     def t_final(self) -> float:
         return self.n_steps * self.params.h
-
-    def converged(self) -> bool:
-        tol = self.params.solver_tol * self.scale
-        return all(d.grad_norm <= tol for d in self.diagnostics)
 
 
 def run_flow(u0: GridFunction, kernel: KernelTable,

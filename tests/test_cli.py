@@ -189,6 +189,48 @@ def test_cmd_converge_writes_table(tmp_path):
     assert d_plus[0] > d_plus[1] > 0.0
 
 
+def test_converge_exit_code_is_the_reports_verdict(tmp_path, monkeypatch):
+    # equal nonzero distances give ratio 1.0, which passes the entry and so
+    # the command; a growing distance fails both
+    def study_with(d):
+        def study(u0, kernel, params, **kw):
+            return [cli.verify.CheckEntry(
+                name=f"CAUCHY-{tag}", ref="refinement-contraction",
+                lhs=d[1] / d[0], rhs=1.0,
+                detail={"h": [0.04, 0.02, 0.01], "d": d, "gamma": 1.0})
+                for tag in ("plus", "minus")]
+        return study
+
+    for d, code in (([0.5, 0.5], 0), ([0.25, 0.5], 4)):
+        monkeypatch.setattr(cli.verify, "cauchy_refinement_study",
+                            study_with(d))
+        assert cmd_converge(small_run_cfg(tmp_path), levels=3,
+                            gamma=1.0) == code
+
+
+def test_unbuildable_problem_leaves_no_output(tmp_path, capsys):
+    # the problem is built before the output directory is made; ineq reads
+    # no initial data, so a csv file of the wrong size does not refuse it
+    short = tmp_path / "short.csv"
+    short.write_text("0\n0\n")
+    configs = {
+        "short-csv": ["preset = csv", f"csv_path = {short}"],
+        "missing-csv": ["preset = csv", f"csv_path = {tmp_path / 'nope.csv'}"],
+        "dense-2d": ["dim = 2", "omega_min = 0,0", "omega_max = 1,1",
+                     "n_cells = 80", "collar_factor = 1"],
+    }
+    for name, lines in configs.items():
+        out = tmp_path / f"out-{name}"
+        cfg_path = write_cfg(tmp_path, "\n".join(
+            lines + [f"output_dir = {out}"]), name=f"{name}.cfg")
+        commands = ["run", "converge"] + (["ineq"] if name != "short-csv"
+                                          else [])
+        for command in commands:
+            assert main([command, "--config", cfg_path]) == 2, (name, command)
+            assert "error:" in capsys.readouterr().err
+            assert not out.exists(), (name, command)
+
+
 def test_cmd_ineq_passes_and_reports(tmp_path):
     cfg = small_run_cfg(tmp_path, n_cells=8)
     assert cmd_ineq(cfg, trials=2000, seed=5) == 0

@@ -321,7 +321,7 @@ def test_pairing_refinement_stability():
     assert abs(p32 - p64) / abs(p64) < 0.05
 
 
-def test_params_hash_guards_mismatch():
+def test_require_match_guards_mismatch():
     dom = build_grid(1, 0.0, 1.0, 8, 2.0)
     other = build_grid(1, 0.0, 1.0, 16, 2.0)
     k = assemble_kernel(dom, params_with(s=0.5, p=2.0))

@@ -93,7 +93,7 @@ def test_flow_counts_and_zero_data():
     assert all(np.all(u.values == 0.0) for u in traj.steps)
 
     traj = run_flow(eval_preset(dom, "bump", 1.0), kernel, params)
-    assert traj.n_steps == 4 and traj.converged()
+    assert traj.n_steps == 4
 
 
 def test_flow_propagates_failure_step_index():
@@ -137,7 +137,6 @@ def test_gradient_fallback_converges(monkeypatch, p, q):
                         lambda self, x, g: None)
     dom, params, kernel = make_problem(p=p, q=q)
     traj = run_flow(eval_preset(dom, "bump", 1.0), kernel, params)
-    assert traj.converged()
     for diag in traj.diagnostics:
         assert diag.iterations > 0
         assert diag.fallbacks == diag.iterations
@@ -168,7 +167,7 @@ def test_newton_past_800_interior_nodes(monkeypatch):
         params = FlowParams(s=0.5, p=p, q=q, h=0.01, t_end=0.01 * n_steps,
                             solver_max_iter=100)
         traj = run_flow(u0, assemble_kernel(dom, params), params)
-        assert traj.n_steps == n_steps and traj.converged()
+        assert traj.n_steps == n_steps
         for diag in traj.diagnostics:
             assert 1 <= diag.iterations <= max_iters
             assert diag.fallbacks == 0
@@ -367,7 +366,7 @@ def test_extinguishing_flow_keeps_decaying_below_underflow():
     # start must still find tau < 1, so the sup never stalls while positive
     dom, params, kernel = make_problem(n_cells=32, p=1.5, q=2.0, t_end=0.5)
     traj = run_flow(eval_preset(dom, "random", 1.0, seed=7), kernel, params)
-    assert traj.converged() and traj.linf[-1] == 0.0
+    assert traj.linf[-1] == 0.0
     for prev, cur in zip(traj.linf, traj.linf[1:]):
         if prev > 0.0:
             assert cur < prev
@@ -544,8 +543,8 @@ def test_near_unit_p_converges_on_symmetric_data():
     # and 200 backtracks instead of 18 and 8
     dom, params, kernel = make_problem(s=0.9, p=1.2, q=0.3, h=0.01,
                                        t_end=0.03)
-    traj = run_flow(eval_preset(dom, "bump", 1.0), kernel, params)
-    assert traj.converged()
+    # run_flow raises NonConvergence unless every step meets the tolerance
+    run_flow(eval_preset(dom, "bump", 1.0), kernel, params)
 
 
 def test_truncate_values():

@@ -66,12 +66,22 @@ def test_degenerate_weight_resolves_zero():
 
 
 def test_rejects_unconverged_trajectory():
+    # a trajectory is converged by construction, so no check meets another:
+    # the constructor and dataclasses.replace both refuse a step above the
+    # tolerance, and a NaN grad_norm as well
     dom, params, kernel, traj = bump_run()
     from dataclasses import replace
-    bad_diag = tuple(replace(d, grad_norm=1.0) for d in traj.diagnostics)
-    bad = replace(traj, diagnostics=bad_diag)
-    with pytest.raises(ValueError):
-        verify.check_energy_estimates(bad)
+    from fracflow.rothe import RotheTrajectory
+    for bad in (1.0, float("nan")):
+        diags = traj.diagnostics[:-1] + (
+            replace(traj.diagnostics[-1], grad_norm=bad),)
+        with pytest.raises(ValueError, match="unconverged"):
+            replace(traj, diagnostics=diags)
+        with pytest.raises(ValueError, match="unconverged"):
+            RotheTrajectory(domain=dom, params=params, kernel=kernel,
+                            scale=traj.scale, steps=traj.steps,
+                            diagnostics=diags,
+                            _u0_energies=traj._u0_energies)
 
 
 # --- discrete-exact estimates ------------------------------------------------
@@ -304,6 +314,17 @@ def test_st_sobolev_on_trajectory():
     assert "c_time" in e.note
     with pytest.raises(ValueError):
         verify.check_spacetime_sobolev(traj, 0.4, 0.25, 8)
+
+
+def test_st_sobolev_records_its_own_skip():
+    # node_count^2 * t_grid^2 above 1e8: the check returns its skipped entry
+    # before sampling anything
+    dom, params, kernel, traj = bump_run()
+    assert not verify.spacetime_sum_fits(dom.n_nodes, 400)
+    e = verify.check_spacetime_sobolev(traj, 0.25, 0.4, 400)
+    assert (e.name, e.ref, e.lhs, e.rhs) == (
+        "ST-SOBOLEV", "spacetime-interpolation-bound", 0.0, 0.0)
+    assert e.skipped == "space-time sum guard exceeded" and e.passed
 
 
 def test_st_sobolev_sums_over_the_support(monkeypatch):
