@@ -10,9 +10,10 @@ on the interior nodes.
 At p = 2 the pair operator is linear: it is the graph Laplacian
 L = diag(degree) - interior of the kernel (``KernelTable.degree``), the
 gradient is L x and the pair sum of x with itself is 2 x.(L x), so both are
-one matrix-vector product and no (n, n) pair matrix is formed.  Every other
-p, and every sum of two different vectors, forms |a_i - b_j|^r over the
-pairs.
+one product with the interior block, which the kernel applies by FFT
+(``KernelTable.apply_interior``): no (n, n) array is read or formed.  Every
+other p, and every sum of two different vectors, forms |a_i - b_j|^r over
+the pairs.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def _pair_sum(a: np.ndarray, b: np.ndarray, block: np.ndarray,
 def _laplacian(x: np.ndarray, kernel: KernelTable) -> np.ndarray:
     """L x for the graph Laplacian L = diag(degree) - interior: the pair
     operator at p = 2."""
-    return kernel.degree * x - kernel.interior @ x
+    return kernel.degree * x - kernel.apply_interior(x)
 
 
 def _self_pair_sum(x: np.ndarray, kernel: KernelTable, p: float,

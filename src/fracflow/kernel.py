@@ -1,14 +1,19 @@
 """Singular interaction weights |x - y|^(-(n+sp)) on the collar grid.
 
 Grid functions vanish off Omega, so a pair of exterior nodes contributes
-nothing: what is built is the pair table among the interior nodes plus one
-boundary weight per interior node (its summed weight to every exterior node
-and to the region beyond the collar box).  The kernel is translation
+nothing: what a run needs is the pair table among the interior nodes plus
+one boundary weight per interior node (its summed weight to every exterior
+node and to the region beyond the collar box).  The kernel is translation
 invariant and the nodes form a uniform lattice, so a pair's weight depends
 only on the integer offset between its nodes: ``pow`` runs once per offset,
-(2m-1)^dim of them for m nodes per axis, and every table is gathered from
-that offset table by index, rows x nodes work.  The table over all
-collar-node pairs is built only on request, as the test oracle.  The
+(2m-1)^dim of them for m nodes per axis.  Each node's total weight is a
+window sum of that offset table.  The interior nodes form a box, so the
+interior block is Toeplitz in 1D and block-Toeplitz in 2D: at p = 2 its
+product with a vector is a circulant product of twice the size per axis,
+one real FFT pair against a spectrum computed once, and the block itself is
+never formed.  For other p the interior block and the boundary weights are
+gathered from the offset table by index, rows x nodes work.  The table over
+all collar-node pairs is built only on request, as the test oracle.  The
 principal value is realized by dropping the diagonal (the within-cell
 difference of a nodal function is zero, which is the discrete counterpart of
 the symmetric cancellation).  The region beyond the collar box is handled
@@ -76,20 +81,22 @@ class KernelTable:
     radial form); boundary[i] = tail[i] + sum_{j exterior} weights[i, j] is
     what acts on |u_i| of a zero-exterior u; degree[i] = boundary[i] +
     sum_j interior[i, j] is node i's total weight, so that at p = 2 the pair
-    operator is the graph Laplacian diag(degree) - interior.  The full
-    collar table ``weights`` is the test oracle: it is gathered from the
-    same offset table on first read, and no computation reads it.  Rebuilt
-    whenever (s, p, grid) changes; its own domain, s and p record what it
-    was built for.
+    operator is the graph Laplacian diag(degree) - interior, applied through
+    ``apply_interior``.  At p = 2 the table holds the circulant spectrum of
+    the interior block (``spectrum``, None for other p) and nothing of size
+    n_interior^2.  ``interior`` and ``boundary`` are gathered on first read,
+    which no p = 2 computation makes; the full collar table ``weights`` is
+    the test oracle, gathered from the same offset table on first read and
+    read by no computation.  Rebuilt whenever (s, p, grid) changes; its own
+    domain, s and p record what it was built for.
     """
 
     domain: GridDomain
     s: float
     p: float
     tail: np.ndarray = field(repr=False)
-    interior: np.ndarray = field(repr=False)
-    boundary: np.ndarray = field(repr=False)
     degree: np.ndarray = field(repr=False)
+    spectrum: np.ndarray | None = field(repr=False)
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -98,6 +105,41 @@ class KernelTable:
                               self.domain.dim + self.s * self.p)[0]
         w.setflags(write=False)
         return w
+
+    @cached_property
+    def _gathered(self) -> tuple[np.ndarray, np.ndarray]:
+        _refuse_dense(self.domain)
+        mask = self.domain.interior_mask
+        interior, outside = _node_set_weights(
+            self.domain, mask, self.domain.dim + self.s * self.p)
+        boundary = outside + self.tail[mask]
+        for arr in (interior, boundary):
+            arr.setflags(write=False)
+        return interior, boundary
+
+    @property
+    def interior(self) -> np.ndarray:
+        return self._gathered[0]
+
+    @property
+    def boundary(self) -> np.ndarray:
+        return self._gathered[1]
+
+    @cached_property
+    def _box(self) -> tuple[int, ...]:
+        return _interior_box(self.domain)
+
+    def apply_interior(self, x: np.ndarray) -> np.ndarray:
+        """interior @ x at p = 2: the interior values, shaped as their box,
+        are zero-padded to the circulant's size, and one rfftn / irfftn pair
+        against ``spectrum`` gives the product on the box."""
+        box = self._box
+        size = tuple(2 * k for k in box)
+        axes = tuple(range(len(box)))
+        y = np.fft.irfftn(
+            self.spectrum * np.fft.rfftn(x.reshape(box), s=size, axes=axes),
+            s=size, axes=axes)
+        return y[tuple(slice(k) for k in box)].ravel()
 
     def require_match(self, domain: GridDomain, s: float, p: float) -> None:
         """Refuse an (s, p, grid) other than the one the table was built for."""
@@ -208,22 +250,70 @@ def _node_set_weights(domain: GridDomain, nodes: np.ndarray, expo: float,
     return block, outside
 
 
-def assemble_kernel(domain: GridDomain, params: FlowParams) -> KernelTable:
-    """Build the interior pair block and the boundary weights for (s, p) on
-    the given grid: one pow per lattice offset, an O(n_interior * n_nodes)
-    gather, O(n_interior^2) memory."""
+def _refuse_dense(domain: GridDomain) -> None:
     if domain.n_interior > 6000:
         raise ValueError(f"{domain.n_interior} interior nodes: the dense "
                          "interior pair table is sized for a few thousand "
                          "interior nodes; coarsen the grid")
+
+
+def _interior_box(domain: GridDomain) -> tuple[int, ...]:
+    """Interior nodes per axis of the node lattice, shaped (m,)*dim with x
+    last (x runs fastest in node order).  The interior is the box of nodes
+    strictly inside Omega, so its nodes in node order are that box's
+    row-major order."""
+    m = _nodes_per_axis(domain)
+    mask = domain.interior_mask.reshape((m,) * domain.dim)
+    box = tuple(slice(i.min(), i.max() + 1) for i in np.nonzero(mask))
+    assert mask[box].size == domain.n_interior, "interior is not a box"
+    return mask[box].shape
+
+
+def _window_sums(domain: GridDomain, table: np.ndarray) -> np.ndarray:
+    """sum_j table[offset from j to i] over every node j, for every node i,
+    in node order: along each axis a window of m consecutive offsets, taken
+    as the difference of two cumulative sums."""
+    m = _nodes_per_axis(domain)
+    w = table.reshape((2 * m - 1,) * domain.dim)
+    for axis in range(domain.dim):
+        c = np.cumsum(np.moveaxis(w, axis, 0), axis=0)
+        win = c[m - 1:].copy()  # node i sums offsets i-(m-1) .. i
+        win[1:] -= c[:m - 1]
+        w = np.moveaxis(win, 0, axis)
+    return w.ravel()
+
+
+def _circulant_spectrum(domain: GridDomain, table: np.ndarray) -> np.ndarray:
+    """Real FFT of the circulant, (2k)^dim for k interior nodes per axis,
+    whose leading k^dim block holds the interior block: the offsets
+    1-k .. k-1 of each axis, wrapped so that offset 0 is at index 0."""
+    m = _nodes_per_axis(domain)
+    box = _interior_box(domain)
+    w = table.reshape((2 * m - 1,) * domain.dim)
+    crop = w[tuple(slice(m - k, m + k - 1) for k in box)]
+    axes = tuple(range(domain.dim))
+    c = np.roll(np.pad(crop, [(0, 1)] * domain.dim),
+                [1 - k for k in box], axis=axes)
+    spectrum = np.fft.rfftn(c, axes=axes)
+    spectrum.setflags(write=False)
+    return spectrum
+
+
+def assemble_kernel(domain: GridDomain, params: FlowParams) -> KernelTable:
+    """Build the tails and node degrees for (s, p) on the given grid from
+    one pow per lattice offset, and at p = 2 the interior block's circulant
+    spectrum: O(m^dim) work and memory.  For other p the interior block,
+    O(n_interior^2) memory, is gathered on first read, and grids too large
+    for it are refused here."""
+    if params.p != 2.0:
+        _refuse_dense(domain)
     mask = domain.interior_mask
-    interior, outside = _node_set_weights(domain, mask,
-                                          domain.dim + params.s * params.p)
+    table = _offset_weights(domain, domain.dim + params.s * params.p)
     tail = _tail_weights(domain, params)
-    boundary = outside + tail[mask]
-    degree = interior.sum(axis=1) + boundary
-    for arr in (tail, interior, boundary, degree):
+    degree = _window_sums(domain, table)[mask] + tail[mask]
+    for arr in (tail, degree):
         arr.setflags(write=False)
-    return KernelTable(domain=domain, s=params.s, p=params.p,
-                       tail=tail, interior=interior,
-                       boundary=boundary, degree=degree)
+    spectrum = (_circulant_spectrum(domain, table) if params.p == 2.0
+                else None)
+    return KernelTable(domain=domain, s=params.s, p=params.p, tail=tail,
+                       degree=degree, spectrum=spectrum)

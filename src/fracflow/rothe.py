@@ -24,15 +24,16 @@ ray predictor, ``_ray_start``): the objective along that ray has a closed
 form in two sums, and on the step where a p - 1 < q flow dies out, u drops
 by orders of magnitude, which damped Newton from u_prev itself would close
 in thousands of small steps.  For p >= 2 the Newton system is solved
-inexactly by Jacobi-preconditioned conjugate gradients, one dense
-O(n_interior^2) product per CG iteration, to a residual below a quarter of
-the step's stopping tolerance; for p < 2, where the clamped pair weights
-make the model too ill-conditioned for CG, by a dense O(n_interior^3) LU
-solve.  At p = 2 the pair operator is the kernel's graph Laplacian L (see
-``energy``): the gradient and every CG product are each one product with
-the interior block, the model L + diag(time term) is never assembled, and
-the workspace holds no (n, n) array.  For p != 2 the gradient and the model
-each form one pair matrix in the workspace array.
+inexactly by Jacobi-preconditioned conjugate gradients, one model product
+per CG iteration, to a residual below a quarter of the step's stopping
+tolerance; for p < 2, where the clamped pair weights make the model too
+ill-conditioned for CG, by a dense O(n_interior^3) LU solve.  At p = 2 the
+pair operator is the kernel's graph Laplacian L (see ``energy``): the
+gradient and every CG product are each one product with the interior
+block, taken by FFT in O(n_interior log n_interior) work, the model
+L + diag(time term) is never assembled, and nothing of size n_interior^2
+is formed or read.  For p != 2 the gradient and the model each form one
+pair matrix, O(n_interior^2), in the workspace array.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ class _StepWorkspace:
         self.tol_abs = tol_abs
         self.mask = domain.interior_mask
         self.vol_h = domain.vol / params.h
-        n = kernel.interior.shape[0]
+        n = domain.n_interior
         self.buf = None if params.p == 2.0 else np.empty((n, n))
         self.linear_iters = 0
 
@@ -128,10 +129,11 @@ class _StepWorkspace:
 
         At p = 2 the model is L + diag(vol_h q |x|^(q-1)), with L the
         kernel's graph Laplacian, and ``_cg`` applies it as
-        di * v - interior @ v: nothing is assembled.  Otherwise the model is
-        assembled in the workspace array.  For p > 2 its pair weights are
-        bounded and ``_cg`` multiplies by it, with no further (n, n) memory;
-        for p < 2 LAPACK's solve takes a copy of it.
+        di * v - interior @ v, the product taken by FFT: nothing is
+        assembled.  Otherwise the model is assembled in the workspace array.
+        For p > 2 its pair weights are bounded and ``_cg`` multiplies by it,
+        with no further (n, n) memory; for p < 2 LAPACK's solve takes a copy
+        of it.
         """
         p, q, kern = self.params.p, self.params.q, self.kernel
         absx = np.abs(x)
@@ -140,7 +142,7 @@ class _StepWorkspace:
         time_di = self.vol_h * q * absx ** (q - 1.0)
         if p == 2.0:
             di = kern.degree + time_di
-            d = self._cg(lambda v: di * v - kern.interior @ v, di, g)
+            d = self._cg(lambda v: di * v - kern.apply_interior(v), di, g)
         else:
             wd = np.subtract.outer(x, x, out=self.buf)
             np.abs(wd, out=wd)

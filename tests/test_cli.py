@@ -216,8 +216,9 @@ def test_unbuildable_problem_leaves_no_output(tmp_path, capsys):
     configs = {
         "short-csv": ["preset = csv", f"csv_path = {short}"],
         "missing-csv": ["preset = csv", f"csv_path = {tmp_path / 'nope.csv'}"],
+        # p = 2 forms no interior block and refuses no size
         "dense-2d": ["dim = 2", "omega_min = 0,0", "omega_max = 1,1",
-                     "n_cells = 80", "collar_factor = 1"],
+                     "n_cells = 80", "collar_factor = 1", "p = 1.5"],
     }
     for name, lines in configs.items():
         out = tmp_path / f"out-{name}"
@@ -365,6 +366,27 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.strip() == "[]"
+
+
+def test_numpy_fft_loads_only_for_p2():
+    # numpy loads numpy.fft on first use, and only the p = 2 interior
+    # product uses it: importing the cli, or assembling and taking a step
+    # at p = 1.5, leaves it unloaded, so those pay none of its import time
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "\n".join([
+        "import sys, fracflow.cli",
+        "from fracflow import FlowParams, assemble_kernel, build_grid,"
+        " eval_preset, run_flow",
+        "print('numpy.fft' in sys.modules)",
+        "dom = build_grid(1, 0.0, 1.0, 16, 2.0)",
+        "params = FlowParams(s=0.5, p=1.5, q=1.0, h=0.01, t_end=0.01)",
+        "run_flow(eval_preset(dom, 'bump', 1.0),"
+        " assemble_kernel(dom, params), params)",
+        "print('numpy.fft' in sys.modules)"])
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.split() == ["False", "False"]
 
 
 def test_byte_determinism(tmp_path):

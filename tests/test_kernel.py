@@ -145,13 +145,16 @@ def test_lattice_tables_match_the_coordinate_oracle(dim, n_cells, collar,
                                   bound + dom.n_nodes)
 
 
-@pytest.mark.parametrize("dim,n_cells,collar", [
-    (1, 64, 2.0), (2, 16, 2.0), (2, 7, 1.37), (2, 32, 1.5)])
+GRIDS = [(1, 64, 2.0), (2, 16, 2.0), (2, 7, 1.37), (2, 32, 1.5)]
+
+
+@pytest.mark.parametrize("dim,n_cells,collar", GRIDS)
 def test_interior_rows_match_the_collar_table(monkeypatch, dim, n_cells,
                                               collar):
     # the interior block, boundary weights and tails are exactly the slices
-    # of the full table; each assembly builds one offset table and gathers
-    # the interior rows in three or more row blocks
+    # of the full table.  Assembly builds one offset table and gathers
+    # nothing, at every p; the first read of the interior block builds one
+    # more and gathers the interior rows in three or more row blocks, once
     dom = build_grid(dim, 0.0, 1.0, n_cells, collar)
     monkeypatch.setattr(kernel_mod, "_BLOCK_BYTES",
                         8 * dom.n_nodes * (dom.n_interior // 3))
@@ -176,7 +179,13 @@ def test_interior_rows_match_the_collar_table(monkeypatch, dim, n_cells,
         tables.clear()
         gathers.clear()
         k = assemble_kernel(dom, params)
-        assert tables == [(dim + s * p, 0.0)]
+        expo = dim + s * p
+        assert tables == [(expo,)] and gathers == []
+        assert (k.spectrum is None) == (p != 2.0)
+        interior = k.interior
+        assert interior is k.interior and not interior.flags.writeable
+        assert not k.boundary.flags.writeable
+        assert tables == [(expo,), (expo, 0.0)]
         blocks = [(rows, cols) for inner, rows, cols in gathers if inner]
         assert len(blocks) >= 3
         assert sum(rows for rows, _ in blocks) == dom.n_interior
@@ -186,14 +195,41 @@ def test_interior_rows_match_the_collar_table(monkeypatch, dim, n_cells,
         w = k.weights
         assert w is k.weights and not w.flags.writeable
         assert w.shape == (dom.n_nodes, dom.n_nodes)
-        assert np.array_equal(k.interior, w[np.ix_(mask, mask)])
+        assert np.array_equal(interior, w[np.ix_(mask, mask)])
         tails = kernel_mod._tail_weights(dom, params)
         assert np.array_equal(k.tail, tails)
         assert np.array_equal(
             k.boundary, w[np.ix_(mask, ~mask)].sum(axis=1) + tails[mask])
 
 
+@pytest.mark.parametrize("dim,n_cells,collar", GRIDS + [(1, 50, 1.7),
+                                                        (2, 24, 1.5)])
+def test_fft_product_and_window_degree_match_the_gathered_block(
+        dim, n_cells, collar):
+    # at p = 2 the interior block is applied by FFT, and at every p each
+    # node's degree is a window sum of the offset table; both against the
+    # gathered block, to roundoff relative to the sums of absolute terms
+    dom = build_grid(dim, 0.0, 1.0, n_cells, collar)
+    rng = np.random.default_rng(11)
+    rtol = 1e-13
+    for s, p in ((0.5, 2.0), (0.3, 2.0), (0.3, 2.5)):
+        k = assemble_kernel(dom, params_with(s=s, p=p))
+        want = k.interior.sum(axis=1) + k.boundary
+        assert not k.degree.flags.writeable
+        np.testing.assert_allclose(k.degree, want, rtol=rtol, atol=0.0)
+        if p != 2.0:
+            continue
+        assert not k.spectrum.flags.writeable
+        for x in (np.ones(dom.n_interior),
+                  rng.uniform(-1.0, 1.0, dom.n_interior)):
+            got = k.apply_interior(x)
+            assert got.shape == x.shape
+            scale = k.interior @ np.abs(x)
+            assert np.all(np.abs(got - k.interior @ x) <= rtol * scale)
+
+
 def test_node_guard_counts_interior_nodes(monkeypatch):
+    # the guard refuses the dense interior block, which p = 2 never forms
     calls = []
     offset_weights = kernel_mod._offset_weights
 
@@ -202,35 +238,64 @@ def test_node_guard_counts_interior_nodes(monkeypatch):
         return offset_weights(*args, **kwargs)
 
     monkeypatch.setattr(kernel_mod, "_offset_weights", spy)
+    params = params_with(p=1.5)
     # 6400 collar nodes around 8 interior ones: the resident table is 8 x 8
     wide = build_grid(1, 0.0, 1.0, 8, 800.0)
     assert wide.n_nodes > 6000
-    k = assemble_kernel(wide, params_with())
+    k = assemble_kernel(wide, params)
     assert k.interior.shape == (8, 8) and k.boundary.shape == (8,)
-    assert len(calls) == 1
+    assert len(calls) == 2      # the degrees' table, then the gather's
     # more than 6000 interior nodes are refused before any table is built
     calls.clear()
     big = build_grid(1, 0.0, 1.0, 6001, 1.0)
     assert big.n_interior > 6000
     with pytest.raises(ValueError, match="6001 interior nodes"):
-        assemble_kernel(big, params_with())
+        assemble_kernel(big, params)
     assert calls == []
+
+
+def test_p2_runs_past_6000_interior_nodes_without_the_block(monkeypatch):
+    # at p = 2 nothing dense is built, so no size is refused: 6400 interior
+    # nodes (a 312 MiB block) take two steps with the block never gathered
+    def refuse(*args, **kwargs):
+        raise AssertionError("the interior block was gathered")
+
+    monkeypatch.setattr(kernel_mod, "_node_set_weights", refuse)
+    dom = build_grid(1, 0.0, 1.0, 6400, 1.25)
+    assert dom.n_interior == 6400
+    params = params_with(t_end=0.02)
+    traj = run_flow(eval_preset(dom, "bump", 1.0),
+                    assemble_kernel(dom, params), params)
+    assert traj.n_steps == 2
+    assert all(d.iterations >= 1 for d in traj.diagnostics)
+    # the oracle block itself is still refused at this size
+    with pytest.raises(ValueError, match="6400 interior nodes"):
+        traj.kernel.interior
 
 
 def test_assembly_never_holds_the_collar_table():
     # converge-2d's grid: the full table would be 2304^2 doubles (40.5 MiB).
-    # Assembly holds the interior block (8 MiB) and, for one row block of
-    # 455 rows, the gathered weights to the 1280 exterior nodes and their
-    # keys (4.4 MiB each): 17.0 MiB in all; the offset table is 9025 doubles
+    # At p = 2 assembly and a whole run hold no (n, n) array: the interior
+    # block alone would be 8 MiB.  For other p, assembly and the first read
+    # of the interior block hold that block and, for one row block of 455
+    # rows, the gathered weights to the 1280 exterior nodes and their keys
+    # (4.4 MiB each): 17.0 MiB in all; the offset table is 9025 doubles
     dom = build_grid(2, 0.0, 1.0, 32, 1.5)
     assert (dom.n_nodes, dom.n_interior) == (2304, 1024)
+    u0 = eval_preset(dom, "bump", 1.0)
+    params = params_with(t_end=0.02)
+    run_flow(u0, assemble_kernel(dom, params), params)  # loads numpy.fft
     tracemalloc.start()
     try:
-        assemble_kernel(dom, params_with())
+        run_flow(u0, assemble_kernel(dom, params), params)
         peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assemble_kernel(dom, params_with(p=2.5)).interior
+        peak_gather = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 18 * 2 ** 20 < 8 * dom.n_nodes ** 2
+    assert peak < 2 ** 20 < 8 * dom.n_interior ** 2
+    assert peak_gather < 18 * 2 ** 20 < 8 * dom.n_nodes ** 2
 
 
 def tail_oracle_1d(x, cmin, cmax, sp):
