@@ -191,8 +191,7 @@ def cmd_run(cfg: RunConfig) -> int:
         verify.check_poincare(u0, kernel, params),
         verify.check_spacetime_sobolev(traj, cfg.s_prime, cfg.s_bar,
                                        cfg.t_grid),
-        verify.chebyshev_level_sets(traj.steps[-1], cfg.ell, params, kernel,
-                                    u0),
+        verify.chebyshev_level_sets(traj, cfg.ell),
         verify.check_initial_trend(traj),
     ])
     _write_report(report, cfg.output_dir)

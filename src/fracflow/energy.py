@@ -1,6 +1,7 @@
 """Nonlocal energies and gradients on the collar grid.
 
-Everything here is a plain function of nodal values.  The seminorm follows
+Everything here is a plain function of nodal values, at the s and p of the
+kernel table it is given.  The seminorm follows
 the double-integral convention: the pair sum runs over ordered pairs (both
 (i,j) and (j,i)), and the tail term carries a factor 2 because the region
 beyond the collar pairs with each node in both orders.  The energy is the
@@ -18,6 +19,7 @@ the pairs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,20 +75,21 @@ def _laplacian(x: np.ndarray, kernel: KernelTable) -> np.ndarray:
     return kernel.degree * x - kernel.apply_interior(x)
 
 
-def _self_pair_sum(x: np.ndarray, kernel: KernelTable, p: float,
+def _self_pair_sum(x: np.ndarray, kernel: KernelTable,
                    buf: np.ndarray | None = None) -> float:
     """``_pair_sum(x, x, ...)`` on the interior block: at p = 2 it is
     2 x.(L x), otherwise the pair matrix is formed in ``buf`` when given."""
-    if p == 2.0:
+    if kernel.p == 2.0:
         return 2.0 * float(x @ _laplacian(x, kernel))
-    return _pair_sum(x, x, kernel.interior, kernel.boundary, p, buf)
+    return _pair_sum(x, x, kernel.interior, kernel.boundary, kernel.p, buf)
 
 
 def _add_pair_gradient(g: np.ndarray, x: np.ndarray, kernel: KernelTable,
-                       p: float, buf: np.ndarray | None = None) -> np.ndarray:
+                       buf: np.ndarray | None = None) -> np.ndarray:
     """g += gradient of ``_self_pair_sum(x, ...) / (2p)``, in place so that
     the caller's own terms stay first in the floating-point sum.  At p = 2
     it is L x; otherwise the pair matrix is formed in ``buf`` when given."""
+    p = kernel.p
     if p == 2.0:
         g += _laplacian(x, kernel)
         return g
@@ -101,19 +104,19 @@ def _add_pair_gradient(g: np.ndarray, x: np.ndarray, kernel: KernelTable,
     return g
 
 
-def gagliardo_seminorm_p(u: GridFunction, kernel: KernelTable, p: float) -> float:
+def gagliardo_seminorm_p(u: GridFunction, kernel: KernelTable) -> float:
     """p-th power of the nonlocal seminorm (pair sum plus doubled tail term),
-    for the kernel's own s."""
-    kernel.require_match(u.domain, kernel.s, p)
-    return _self_pair_sum(u.interior_values(), kernel, p)
+    for the kernel's own s and p."""
+    kernel.require_match(u.domain)
+    return _self_pair_sum(u.interior_values(), kernel)
 
 
-def energy_functional(u: GridFunction, kernel: KernelTable, p: float) -> float:
-    return gagliardo_seminorm_p(u, kernel, p) / (2.0 * p)
+def energy_functional(u: GridFunction, kernel: KernelTable) -> float:
+    return gagliardo_seminorm_p(u, kernel) / (2.0 * kernel.p)
 
 
-def apply_frac_p_laplacian(u: GridFunction, kernel: KernelTable,
-                           p: float) -> GridFunction:
+def apply_frac_p_laplacian(u: GridFunction,
+                           kernel: KernelTable) -> GridFunction:
     """Exact gradient of ``energy_functional`` at u.
 
     Interior component i:  sum_j w_ij |u_i-u_j|^(p-2)(u_i-u_j)
@@ -122,9 +125,9 @@ def apply_frac_p_laplacian(u: GridFunction, kernel: KernelTable,
     For every zero-exterior direction phi, <result, phi> equals the
     directional derivative of the energy at u along phi.
     """
-    kernel.require_match(u.domain, kernel.s, p)
+    kernel.require_match(u.domain)
     x = u.interior_values()
-    return _expand(u.domain, _add_pair_gradient(np.zeros_like(x), x, kernel, p))
+    return _expand(u.domain, _add_pair_gradient(np.zeros_like(x), x, kernel))
 
 
 def _step_gradient(x: np.ndarray, vprev: np.ndarray, kernel: KernelTable,
@@ -137,9 +140,8 @@ def _step_gradient(x: np.ndarray, vprev: np.ndarray, kernel: KernelTable,
 
     given vprev = sgn_power(u_prev, q) on the interior and vol_h = vol / h.
     Its zero is the step's equation, which the solver drives to tolerance."""
-    p, q = params.p, params.q
-    g = vol_h * (sgn_power(x, q) - vprev)
-    return _add_pair_gradient(g, x, kernel, p, buf)
+    g = vol_h * (sgn_power(x, params.q) - vprev)
+    return _add_pair_gradient(g, x, kernel, buf)
 
 
 def rothe_gradient(w: GridFunction, u_prev: GridFunction,
@@ -147,21 +149,39 @@ def rothe_gradient(w: GridFunction, u_prev: GridFunction,
     """Gradient in w of the objective of the implicit step from u_prev
     (``_step_gradient``), the residual of the step's equation; zero on
     exterior nodes."""
-    kernel.require_match(w.domain, params.s, params.p)
+    kernel.require_match(w.domain, params)
     return _expand(w.domain, _step_gradient(
         w.interior_values(), sgn_power(u_prev.interior_values(), params.q),
         kernel, params, w.domain.vol / params.h))
+
+
+class NonFiniteData(ValueError):
+    """Raised when the tolerance scale of some data is not finite, as their
+    energies overflow; a run raises it before its first step."""
 
 
 def _tolerance_scale(seminorm: float, lq_pow: float) -> float:
     return max(1.0, seminorm, lq_pow)
 
 
+def _data_energies(u0: GridFunction, kernel: KernelTable,
+                   params: FlowParams) -> tuple[tuple, float]:
+    """The energies ([u0]^p, ||u0||_{q+1}^{q+1}) of a run's data and the
+    tolerance scale they give; raises NonFiniteData if the scale overflows."""
+    kernel.require_match(u0.domain, params)
+    energies = (gagliardo_seminorm_p(u0, kernel),
+                lq_power_integral(u0, params.q + 1.0))
+    scale = _tolerance_scale(*energies)
+    if not math.isfinite(scale):
+        raise NonFiniteData(f"the energies of the initial data overflow "
+                            f"(tolerance scale {scale!r})")
+    return energies, scale
+
+
 def scale_for(u0: GridFunction, kernel: KernelTable, params: FlowParams) -> float:
-    """Tolerance scale for one run: max(1, seminorm^p, L^{q+1} power) of u0."""
-    kernel.require_match(u0.domain, params.s, params.p)
-    return _tolerance_scale(gagliardo_seminorm_p(u0, kernel, params.p),
-                            lq_power_integral(u0, params.q + 1.0))
+    """Tolerance scale for one run: max(1, seminorm^p, L^{q+1} power) of u0;
+    raises NonFiniteData if it overflows."""
+    return _data_energies(u0, kernel, params)[1]
 
 
 @dataclass(frozen=True)

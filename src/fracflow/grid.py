@@ -9,6 +9,7 @@ nonlocal homogeneous Dirichlet condition is realized on a finite grid.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,10 @@ class GridDomain:
     vol: float
     collar_min: tuple
     collar_max: tuple
+    # nodes per axis and interior nodes per axis, in array order (x last):
+    # interior_mask.reshape(shape) is True on one box of interior_shape
+    shape: tuple
+    interior_shape: tuple
 
     @property
     def n_nodes(self) -> int:
@@ -108,9 +113,9 @@ def build_grid(dim: int, omega_min, omega_max, n_cells: int,
         X, Y = np.meshgrid(axis[0], axis[1], indexing="xy")
         coords = np.column_stack([X.ravel(), Y.ravel()])
 
-    inside = np.ones(coords.shape[0], dtype=bool)
-    for d in range(dim):
-        inside &= (coords[:, d] > lo[d]) & (coords[:, d] < hi[d])
+    # the interior is the outer product of each axis's interior: a box
+    inside_axis = [(axis[d] > lo[d]) & (axis[d] < hi[d]) for d in range(dim)]
+    inside = functools.reduce(np.logical_and.outer, inside_axis[::-1]).ravel()
     if not inside.any():
         raise ValueError("grid has no interior node; refine n_cells")
 
@@ -119,7 +124,9 @@ def build_grid(dim: int, omega_min, omega_max, n_cells: int,
     return GridDomain(dim=dim, omega_min=lo, omega_max=hi, n_cells=n_cells,
                       collar_factor=float(collar_factor), node_coords=coords,
                       interior_mask=inside, dx=dx, vol=dx ** dim,
-                      collar_min=cmin, collar_max=cmax)
+                      collar_min=cmin, collar_max=cmax, shape=(m,) * dim,
+                      interior_shape=tuple(int(a.sum())
+                                           for a in inside_axis[::-1]))
 
 
 @dataclass(frozen=True, eq=False)

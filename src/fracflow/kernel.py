@@ -88,7 +88,8 @@ class KernelTable:
     which no p = 2 computation makes; the full collar table ``weights`` is
     the test oracle, gathered from the same offset table on first read and
     read by no computation.  Rebuilt whenever (s, p, grid) changes; its own
-    domain, s and p record what it was built for.
+    domain, s and p record what it was built for, the energies read s and
+    p from it, and it reads the node lattice from the domain.
     """
 
     domain: GridDomain
@@ -125,15 +126,11 @@ class KernelTable:
     def boundary(self) -> np.ndarray:
         return self._gathered[1]
 
-    @cached_property
-    def _box(self) -> tuple[int, ...]:
-        return _interior_box(self.domain)
-
     def apply_interior(self, x: np.ndarray) -> np.ndarray:
         """interior @ x at p = 2: the interior values, shaped as their box,
         are zero-padded to the circulant's size, and one rfftn / irfftn pair
         against ``spectrum`` gives the product on the box."""
-        box = self._box
+        box = self.domain.interior_shape
         size = tuple(2 * k for k in box)
         axes = tuple(range(len(box)))
         y = np.fft.irfftn(
@@ -141,10 +138,13 @@ class KernelTable:
             s=size, axes=axes)
         return y[tuple(slice(k) for k in box)].ravel()
 
-    def require_match(self, domain: GridDomain, s: float, p: float) -> None:
-        """Refuse an (s, p, grid) other than the one the table was built for."""
-        if ((float(s), float(p), domain.signature())
-                != (float(self.s), float(self.p), self.domain.signature())):
+    def require_match(self, domain: GridDomain,
+                      params: FlowParams | None = None) -> None:
+        """Refuse a grid other than the one the table was built for, and
+        flow parameters, when given, of another s or p."""
+        if (domain.signature() != self.domain.signature()
+                or params is not None
+                and (params.s, params.p) != (self.s, self.p)):
             raise ValueError("kernel table was built for different (s, p, grid)")
 
 
@@ -186,7 +186,7 @@ def _offset_weights(domain: GridDomain, expo: float,
     does not matter), then lag^2 is added, so on a grid whose coordinates
     are exact these are the weights of the coordinate differences bit for
     bit."""
-    m = _nodes_per_axis(domain)
+    m = domain.shape[0]
     sq = (np.arange(1 - m, m) * domain.dx) ** 2
     w = functools.reduce(np.add.outer, [sq] * domain.dim).ravel()
     w += lag ** 2
@@ -198,16 +198,12 @@ def _offset_weights(domain: GridDomain, expo: float,
     return w
 
 
-def _nodes_per_axis(domain: GridDomain) -> int:
-    return int(round(domain.n_nodes ** (1.0 / domain.dim)))
-
-
 def _lattice_keys(domain: GridDomain) -> tuple[np.ndarray, np.ndarray]:
     """Row keys a and column keys b with a[i] + b[j] the position of the
     offset from node j to node i in ``_offset_weights``.  They are intp,
     the index type ``np.take`` works in: keys of any other type would be
     copied to it, one more row block of 8-byte integers."""
-    m = _nodes_per_axis(domain)
+    m = domain.shape[0]
     node = np.arange(domain.n_nodes)
     a = np.zeros(domain.n_nodes, dtype=np.intp)
     b = np.zeros(domain.n_nodes, dtype=np.intp)
@@ -257,23 +253,11 @@ def _refuse_dense(domain: GridDomain) -> None:
                          "interior nodes; coarsen the grid")
 
 
-def _interior_box(domain: GridDomain) -> tuple[int, ...]:
-    """Interior nodes per axis of the node lattice, shaped (m,)*dim with x
-    last (x runs fastest in node order).  The interior is the box of nodes
-    strictly inside Omega, so its nodes in node order are that box's
-    row-major order."""
-    m = _nodes_per_axis(domain)
-    mask = domain.interior_mask.reshape((m,) * domain.dim)
-    box = tuple(slice(i.min(), i.max() + 1) for i in np.nonzero(mask))
-    assert mask[box].size == domain.n_interior, "interior is not a box"
-    return mask[box].shape
-
-
 def _window_sums(domain: GridDomain, table: np.ndarray) -> np.ndarray:
     """sum_j table[offset from j to i] over every node j, for every node i,
     in node order: along each axis a window of m consecutive offsets, taken
     as the difference of two cumulative sums."""
-    m = _nodes_per_axis(domain)
+    m = domain.shape[0]
     w = table.reshape((2 * m - 1,) * domain.dim)
     for axis in range(domain.dim):
         c = np.cumsum(np.moveaxis(w, axis, 0), axis=0)
@@ -286,9 +270,10 @@ def _window_sums(domain: GridDomain, table: np.ndarray) -> np.ndarray:
 def _circulant_spectrum(domain: GridDomain, table: np.ndarray) -> np.ndarray:
     """Real FFT of the circulant, (2k)^dim for k interior nodes per axis,
     whose leading k^dim block holds the interior block: the offsets
-    1-k .. k-1 of each axis, wrapped so that offset 0 is at index 0."""
-    m = _nodes_per_axis(domain)
-    box = _interior_box(domain)
+    1-k .. k-1 of each axis, wrapped so that offset 0 is at index 0.  The
+    interior nodes in node order are the row-major order of their box."""
+    m = domain.shape[0]
+    box = domain.interior_shape
     w = table.reshape((2 * m - 1,) * domain.dim)
     crop = w[tuple(slice(m - k, m + k - 1) for k in box)]
     axes = tuple(range(domain.dim))

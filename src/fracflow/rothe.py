@@ -46,9 +46,9 @@ import numpy as np
 
 from .grid import GridDomain, GridFunction
 from .kernel import FlowParams, KernelTable
-from .energy import (sgn_power, scale_for, lq_power_integral,
-                     gagliardo_seminorm_p, _expand, _self_pair_sum,
-                     _step_gradient, _tolerance_scale)
+from .energy import (NonFiniteData, sgn_power, scale_for, lq_power_integral,
+                     gagliardo_seminorm_p, _data_energies, _expand,
+                     _self_pair_sum, _step_gradient)
 
 __all__ = [
     "NonConvergence", "StepDiagnostics", "RotheTrajectory", "minimize_step",
@@ -78,11 +78,6 @@ class NonConvergence(RuntimeError):
             f"{iterations} iterations, grad inf-norm {grad_norm:.3e}")
 
 
-class NonFiniteData(ValueError):
-    """Raised before the first step when the tolerance scale of the initial
-    data is not finite: the data are large enough to overflow its energies."""
-
-
 @dataclass(frozen=True)
 class StepDiagnostics:
     iterations: int
@@ -100,17 +95,17 @@ class _StepWorkspace:
     is formed in (``buf``; None at p = 2, where no pair matrix is formed).
 
     ``tol_abs`` is the run's gradient stopping tolerance; ``linear_iters``
-    counts the CG iterations of the Newton solves since the step began."""
+    counts the CG iterations of the Newton solves since the step began.
+    The caller has matched params and its data's grid to the kernel."""
 
-    def __init__(self, domain: GridDomain, kernel: KernelTable,
-                 params: FlowParams, tol_abs: float):
-        kernel.require_match(domain, params.s, params.p)
+    def __init__(self, kernel: KernelTable, params: FlowParams,
+                 tol_abs: float):
         self.kernel = kernel
         self.params = params
         self.tol_abs = tol_abs
-        self.mask = domain.interior_mask
-        self.vol_h = domain.vol / params.h
-        n = domain.n_interior
+        self.mask = kernel.domain.interior_mask
+        self.vol_h = kernel.domain.vol / params.h
+        n = kernel.domain.n_interior
         self.buf = None if params.p == 2.0 else np.empty((n, n))
         self.linear_iters = 0
 
@@ -261,7 +256,7 @@ def _ray_start(ws: _StepWorkspace, x0: np.ndarray) -> float:
     m = float(np.max(np.abs(x0)))
     y = x0 / m
     s1 = float(np.sum(np.abs(y) ** (q + 1.0)))
-    pair = _self_pair_sum(y, ws.kernel, p, ws.buf)
+    pair = _self_pair_sum(y, ws.kernel, ws.buf)
     a, b = ws.vol_h * s1, 0.5 * pair
     s = 0.0
     if a > 0.0 and b > 0.0 and math.isfinite(a + b):
@@ -338,25 +333,26 @@ def minimize_step(u_prev: GridFunction, kernel: KernelTable, params: FlowParams,
 
     Returns the minimizer together with its diagnostics.  The stopping rule
     is inf-norm of the interior gradient <= solver_tol * scale; with scale
-    taken from u_prev when not supplied by the caller.
+    taken from u_prev when not supplied by the caller, which raises
+    NonFiniteData, as ``run_flow`` does, if it overflows.
     """
+    kernel.require_match(u_prev.domain, params)
     if scale is None:
         scale = scale_for(u_prev, kernel, params)
-    ws = _StepWorkspace(u_prev.domain, kernel, params,
-                        params.solver_tol * scale)
+    ws = _StepWorkspace(kernel, params, params.solver_tol * scale)
     x, diag = _solve_step(ws, u_prev.values)
     return _expand(u_prev.domain, x), diag
 
 
 @dataclass(frozen=True, eq=False)
 class RotheTrajectory:
-    """Steps u_0 ... u_N of one run, their diagnostics and energy series.
+    """Steps u_0 ... u_N of one run, their diagnostics and energy series,
+    on the grid of the kernel they were solved with.
 
     Every step met the run's stopping rule, grad_norm <= solver_tol * scale:
     construction refuses anything else (a NaN grad_norm included), so each
     check reads a converged trajectory."""
 
-    domain: GridDomain
     params: FlowParams
     kernel: KernelTable  # the kernel the steps were solved with
     scale: float
@@ -369,6 +365,10 @@ class RotheTrajectory:
         tol = self.params.solver_tol * self.scale
         if not all(d.grad_norm <= tol for d in self.diagnostics):
             raise ValueError("trajectory has unconverged steps")
+
+    @property
+    def domain(self) -> GridDomain:
+        return self.kernel.domain
 
     @property
     def n_steps(self) -> int:
@@ -386,7 +386,7 @@ class RotheTrajectory:
     @cached_property
     def seminorm(self) -> tuple:    # [u_m]^p, m = 0..N
         return self._series(
-            0, lambda u: gagliardo_seminorm_p(u, self.kernel, self.params.p))
+            0, lambda u: gagliardo_seminorm_p(u, self.kernel))
 
     @cached_property
     def linf(self) -> tuple:        # max |u_m|, m = 0..N
@@ -404,14 +404,8 @@ def run_flow(u0: GridFunction, kernel: KernelTable,
     Raises NonFiniteData, before any step, if the tolerance scale of u0
     overflows.  The energies of u0 that give the scale are the first
     entries of the trajectory's series."""
-    kernel.require_match(u0.domain, params.s, params.p)
-    energies = (gagliardo_seminorm_p(u0, kernel, params.p),
-                lq_power_integral(u0, params.q + 1.0))
-    scale = _tolerance_scale(*energies)
-    if not math.isfinite(scale):
-        raise NonFiniteData(f"the energies of the initial data overflow "
-                            f"(tolerance scale {scale!r})")
-    ws = _StepWorkspace(u0.domain, kernel, params, params.solver_tol * scale)
+    energies, scale = _data_energies(u0, kernel, params)
+    ws = _StepWorkspace(kernel, params, params.solver_tol * scale)
     steps = [u0]
     diags = []
     current = u0.values
@@ -425,9 +419,9 @@ def run_flow(u0: GridFunction, kernel: KernelTable,
         steps.append(gf)
         diags.append(diag)
         current = gf.values
-    return RotheTrajectory(domain=u0.domain, params=params, kernel=kernel,
-                           scale=scale, steps=tuple(steps),
-                           diagnostics=tuple(diags), _u0_energies=energies)
+    return RotheTrajectory(params=params, kernel=kernel, scale=scale,
+                           steps=tuple(steps), diagnostics=tuple(diags),
+                           _u0_energies=energies)
 
 
 def reconstruct(traj: RotheTrajectory, t: float) -> GridFunction:

@@ -20,8 +20,8 @@ import numpy as np
 from .grid import GridDomain, GridFunction
 from .kernel import FlowParams, KernelTable, _node_set_weights
 from .energy import (AlgConstants, sgn_power, lq_power_integral,
-                     gagliardo_seminorm_p, rothe_gradient, _pair_sum,
-                     _tolerance_scale)
+                     gagliardo_seminorm_p, rothe_gradient, _data_energies,
+                     _pair_sum)
 from .rothe import RotheTrajectory, run_flow, reconstruct, truncate
 
 __all__ = [
@@ -318,7 +318,7 @@ def check_poincare(u: GridFunction, kernel: KernelTable,
     """Nonlocal Poincare bound with the explicit far-field constant
     (sp / (n alpha_n)) (2 diam Omega)^sp, on the domain of u."""
     domain = u.domain
-    kernel.require_match(domain, params.s, params.p)
+    kernel.require_match(domain, params)
     n = domain.dim
     sp = params.s * params.p
     const = sp / (n * _UNIT_BALL_VOL[n]) * (2.0 * domain.omega_diameter) ** sp
@@ -326,8 +326,7 @@ def check_poincare(u: GridFunction, kernel: KernelTable,
         return CheckEntry(name="POINCARE", ref="poincare-bound",
                           lhs=0.0, rhs=0.0, constant_used=const,
                           skipped="zero function (vacuous)")
-    sem = gagliardo_seminorm_p(u, kernel, params.p)
-    scale = _tolerance_scale(sem, lq_power_integral(u, params.q + 1.0))
+    (sem, _), scale = _data_energies(u, kernel, params)
     return CheckEntry(name="POINCARE", ref="poincare-bound",
                       lhs=lq_power_integral(u, params.p), rhs=const * sem,
                       constant_used=const, tol=_tol_check(params, scale))
@@ -439,13 +438,11 @@ def check_spacetime_sobolev(traj: RotheTrajectory, s_prime: float,
 def check_initial_trend(traj: RotheTrajectory) -> CheckEntry:
     """Informational: seminorm gap between the reconstruction and the initial
     data at shrinking times.  Recorded without pass/fail semantics."""
-    p = traj.params.p
     u0 = traj.steps[0]
     gaps = []
     t = traj.params.t_end
     for _ in range(4):
-        gap = gagliardo_seminorm_p(reconstruct(traj, t) - u0,
-                                   traj.kernel, p)
+        gap = gagliardo_seminorm_p(reconstruct(traj, t) - u0, traj.kernel)
         gaps.append((t, gap))
         t /= 4.0
     note = " ".join(f"t={tv!r}:{gv!r}" for tv, gv in gaps)
@@ -514,16 +511,15 @@ def cauchy_refinement_study(u0: GridFunction, kernel: KernelTable,
     return entries
 
 
-def measure_sobolev_constant(kernel: KernelTable, params: FlowParams) -> float:
+def measure_sobolev_constant(kernel: KernelTable) -> float:
     """Largest ratio ||u||_{p*} / [u] over a seeded probe set.
 
-    A measured surrogate for the embedding constant, recorded per grid (the
-    kernel's); half the probes are nodal noise, half are randomly placed
-    smooth bumps (which sit closer to the extremal ratio).
+    A measured surrogate for the embedding constant, recorded per grid and
+    (s, p) (the kernel's); half the probes are nodal noise, half are
+    randomly placed smooth bumps (which sit closer to the extremal ratio).
     """
     domain = kernel.domain
-    kernel.require_match(domain, params.s, params.p)
-    exps = sobolev_exponents(domain.dim, params.s, params.p)
+    exps = sobolev_exponents(domain.dim, kernel.s, kernel.p)
     if not exps.p_star_defined:
         raise ValueError("embedding exponent undefined: need s*p < dim")
     p_star = exps.p_star
@@ -543,34 +539,32 @@ def measure_sobolev_constant(kernel: KernelTable, params: FlowParams) -> float:
             vals = rng.uniform(-1.0, 1.0, size=domain.n_nodes)
         vals[~domain.interior_mask] = 0.0
         u = GridFunction(domain, vals)
-        sem = gagliardo_seminorm_p(u, kernel, params.p)
+        sem = gagliardo_seminorm_p(u, kernel)
         if sem <= 0.0:
             continue
         norm = lq_power_integral(u, p_star) ** (1.0 / p_star)
-        best = max(best, norm / sem ** (1.0 / params.p))
+        best = max(best, norm / sem ** (1.0 / kernel.p))
     return best
 
 
-def chebyshev_level_sets(u: GridFunction, ell: float, params: FlowParams,
-                         kernel: KernelTable, u0: GridFunction) -> CheckEntry:
-    """Measure of the super-level set {u_+ >= ell} against the embedding
-    bound (C_sob [u0])^{p*} / ell^{p*} with a measured C_sob, u0 being the
-    data of the flow that u belongs to."""
-    domain = u.domain
-    kernel.require_match(domain, params.s, params.p)
+def chebyshev_level_sets(traj: RotheTrajectory, ell: float) -> CheckEntry:
+    """Measure of the super-level set {u_+ >= ell} of the last step u_N
+    against the embedding bound (C_sob [u_0])^{p*} / ell^{p*} with a
+    measured C_sob."""
+    params, domain = traj.params, traj.domain
     exps = sobolev_exponents(domain.dim, params.s, params.p)
     if not exps.p_star_defined:
         return CheckEntry(name="LEVELSET", ref="level-set-bound",
                           lhs=0.0, rhs=0.0,
                           skipped="p_star undefined (s*p >= dim)")
     p_star = exps.p_star
-    c_sob = measure_sobolev_constant(kernel, params)
-    sem = gagliardo_seminorm_p(u0, kernel, params.p)
+    c_sob = measure_sobolev_constant(traj.kernel)
+    u = traj.steps[-1]
     lhs = domain.vol * float(np.sum(np.maximum(u.values, 0.0) >= ell))
-    rhs = (c_sob * sem ** (1.0 / params.p)) ** p_star / float(ell) ** p_star
-    scale = _tolerance_scale(sem, lq_power_integral(u0, params.q + 1.0))
-    tol = _tol_check(params, scale)
+    rhs = ((c_sob * traj.seminorm[0] ** (1.0 / params.p)) ** p_star
+           / float(ell) ** p_star)
     return CheckEntry(name="LEVELSET", ref="level-set-bound",
-                      lhs=lhs, rhs=rhs, constant_used=c_sob, tol=tol,
+                      lhs=lhs, rhs=rhs, constant_used=c_sob,
+                      tol=_tol_check(params, traj.scale),
                       note=f"C_sob measured over {_SOBOLEV_PROBES} seeded "
                            "probes, not universal")

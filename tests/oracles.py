@@ -27,7 +27,7 @@ def interior_step_objective(x, vprev, kernel, params, vol_h):
     p, q = params.p, params.q
     time_part = vol_h * float(
         np.sum(np.abs(x) ** (q + 1.0) / (q + 1.0) - vprev * x))
-    pair = _self_pair_sum(x, kernel, p)
+    pair = _self_pair_sum(x, kernel)
     return time_part + pair / (2.0 * p)
 
 

@@ -198,15 +198,15 @@ def test_criterion_7_gradient_oracles():
                 -1.0, 1.0, dom.n_nodes) * dom.interior_mask))
             uprev = GridFunction(dom, bump * (1.0 + 0.3 * rng.uniform(
                 -1.0, 1.0, dom.n_nodes) * dom.interior_mask))
-            g_en = apply_frac_p_laplacian(w, kernel, p)
+            g_en = apply_frac_p_laplacian(w, kernel)
             g_ro = rothe_gradient(w, uprev, kernel, params)
             for _ in range(50):
                 phi = GridFunction(dom, bump * rng.uniform(
                     -1.0, 1.0, dom.n_nodes) * dom.interior_mask)
                 w_plus = GridFunction(dom, w.values + eps * phi.values)
                 w_minus = GridFunction(dom, w.values - eps * phi.values)
-                fd = (energy_functional(w_plus, kernel, p)
-                      - energy_functional(w_minus, kernel, p)) / (2 * eps)
+                fd = (energy_functional(w_plus, kernel)
+                      - energy_functional(w_minus, kernel)) / (2 * eps)
                 inner = float(g_en.values @ phi.values)
                 worst = max(worst, abs(fd - inner) / max(abs(inner), 1e-12))
                 fd = (step_objective(w_plus, uprev, kernel, params)

@@ -68,7 +68,7 @@ def test_out_of_range_values_name_the_constraint(tmp_path):
         parse_config(write_cfg(tmp_path, "h = 0\n"))
     with pytest.raises(ConfigError, match="solver_tol must be positive"):
         parse_config(write_cfg(tmp_path, "solver_tol = 0\n"))
-    # fast-diffusion value is fine
+    # q < 1 is fine (slow diffusion at the default p = 2, as p - 1 > q)
     assert parse_config(write_cfg(tmp_path, "q = 0.5\n")).q == 0.5
 
 
@@ -314,20 +314,29 @@ def test_run_evaluates_each_step_energy_once(tmp_path, monkeypatch):
         return trajs[-1]
 
     monkeypatch.setattr(cli, "run_flow", keep)
-    cfg = parse_config(write_cfg(tmp_path, f"output_dir = {tmp_path / 'out'}\n"))
-    assert cmd_run(cfg) == 0
-    (traj,) = trajs
-    q1 = traj.params.q + 1.0
-    steps = [u.values.tobytes() for u in traj.steps[1:]]
-    assert len(set(steps)) == traj.n_steps == 50
-    assert all(sem[b] == 1 and lq[b, q1] == 1 for b in steps)
-    # u0: the run scale, which is also the series' first entry, and
-    # POINCARE; the level set is skipped at s*p = dim
-    u0 = traj.steps[0].values.tobytes()
-    assert sem[u0] == 2
-    # POINCARE's left side ||u0||_p^p is a call at r = p = q + 1 = 2 as well
-    assert lq[u0, q1] == 2 + (traj.params.p == q1)
-    assert sum(sem.values()) == 51 + 1 + 4   # 4: INIT-TREND gaps
+    # the level set is skipped at s*p = dim; at s = 0.25 it runs, reads
+    # [u0]^p and the scale from the trajectory, and measures its constant
+    # on 64 probes
+    for s, probes in ((0.5, 0), (0.25, 64)):
+        sem.clear()
+        lq.clear()
+        trajs.clear()
+        cfg = parse_config(write_cfg(
+            tmp_path, f"s = {s}\noutput_dir = {tmp_path / 'out'}\n"))
+        assert cmd_run(cfg) == 0
+        (traj,) = trajs
+        q1 = traj.params.q + 1.0
+        steps = [u.values.tobytes() for u in traj.steps[1:]]
+        assert len(set(steps)) == traj.n_steps == 50
+        assert all(sem[b] == 1 and lq[b, q1] == 1 for b in steps)
+        # u0: the run scale, which is also the series' first entry, and
+        # POINCARE
+        u0 = traj.steps[0].values.tobytes()
+        assert sem[u0] == 2
+        # POINCARE's left side ||u0||_p^p is a call at r = p = q + 1 = 2 too
+        assert lq[u0, q1] == 2 + (traj.params.p == q1)
+        # 4: INIT-TREND gaps
+        assert sum(sem.values()) == 51 + 1 + probes + 4
 
 
 def test_converge_evaluates_no_series(tmp_path, monkeypatch):

@@ -75,14 +75,14 @@ def test_seminorm_indicator_against_pairwise_oracle():
     vals = np.zeros(dom.n_nodes)
     vals[i] = 1.0
     u = GridFunction(dom, vals)
-    got = gagliardo_seminorm_p(u, kernel, 2.0)
+    got = gagliardo_seminorm_p(u, kernel)
     oracle = indicator_seminorm_oracle(dom, kernel, i, 2.0)
     assert np.isclose(got, oracle, rtol=1e-13)
     # closed form of the same sum
     expect = 2.0 * kernel.weights[i].sum() + 2.0 * kernel.tail[i]
     assert np.isclose(got, expect, rtol=1e-13)
     # p = 2 energy of the indicator
-    e = energy_functional(u, kernel, 2.0)
+    e = energy_functional(u, kernel)
     assert np.isclose(e, (kernel.weights[i].sum() + kernel.tail[i]) / 2.0,
                       rtol=1e-13)
 
@@ -101,9 +101,9 @@ def test_seminorm_indicator_against_pairwise_oracle():
             grad = (np.sum(kernel.weights * sgn_power(diff, p - 1.0), axis=1)
                     + kernel.tail * sgn_power(vals, p - 1.0)) * dom.interior_mask
             u = GridFunction(dom, vals)
-            assert np.isclose(gagliardo_seminorm_p(u, kernel, p), sem,
+            assert np.isclose(gagliardo_seminorm_p(u, kernel), sem,
                               rtol=1e-13, atol=0.0)
-            assert np.allclose(apply_frac_p_laplacian(u, kernel, p).values,
+            assert np.allclose(apply_frac_p_laplacian(u, kernel).values,
                                grad, rtol=1e-13, atol=1e-13 * np.abs(grad).max())
             assert not kernel.interior.flags.writeable
             assert not kernel.boundary.flags.writeable
@@ -111,31 +111,34 @@ def test_seminorm_indicator_against_pairwise_oracle():
 
 def test_seminorm_zero_and_homogeneity():
     dom, params, kernel = make_problem(8, p=2.5)
-    assert gagliardo_seminorm_p(zero_function(dom), kernel, 2.5) == 0.0
+    assert gagliardo_seminorm_p(zero_function(dom), kernel) == 0.0
     w, _ = smooth_pair(dom)
-    base = gagliardo_seminorm_p(w, kernel, 2.5)
+    base = gagliardo_seminorm_p(w, kernel)
     for lam in (0.5, -1.7):
         lam_w = GridFunction(dom, lam * w.values)
-        assert np.isclose(gagliardo_seminorm_p(lam_w, kernel, 2.5),
+        assert np.isclose(gagliardo_seminorm_p(lam_w, kernel),
                           abs(lam) ** 2.5 * base, rtol=1e-12)
-    assert np.isclose(energy_functional(w, kernel, 2.5), base / 5.0, rtol=1e-14)
+    assert np.isclose(energy_functional(w, kernel), base / 5.0, rtol=1e-14)
 
 
 def test_kernel_mismatch_rejected():
-    dom, params, kernel = make_problem(8, p=2.0)
-    with pytest.raises(ValueError):
-        gagliardo_seminorm_p(zero_function(dom), kernel, 3.0)
+    # a function on another grid than the kernel's
+    _, _, kernel = make_problem(8, p=2.0)
+    other = zero_function(build_grid(1, 0.0, 1.0, 16, 2.0))
+    for energy in (gagliardo_seminorm_p, apply_frac_p_laplacian):
+        with pytest.raises(ValueError, match=r"\(s, p, grid\)"):
+            energy(other, kernel)
 
 
 def test_operator_zero_linearity_and_exterior():
     dom, params, kernel = make_problem(8, p=2.0)
-    g0 = apply_frac_p_laplacian(zero_function(dom), kernel, 2.0)
+    g0 = apply_frac_p_laplacian(zero_function(dom), kernel)
     assert np.all(g0.values == 0.0)
     u, v = smooth_pair(dom, 3)
-    gu = apply_frac_p_laplacian(u, kernel, 2.0).values
-    gv = apply_frac_p_laplacian(v, kernel, 2.0).values
+    gu = apply_frac_p_laplacian(u, kernel).values
+    gv = apply_frac_p_laplacian(v, kernel).values
     guv = apply_frac_p_laplacian(GridFunction(dom, u.values + v.values),
-                                 kernel, 2.0).values
+                                 kernel).values
     assert np.allclose(guv, gu + gv, rtol=1e-12, atol=1e-14)
     assert np.all(gu[~dom.interior_mask] == 0.0)
 
@@ -150,9 +153,9 @@ def test_gradients_match_finite_differences(p, q):
     w_plus = GridFunction(dom, w.values + eps * phi.values)
     w_minus = GridFunction(dom, w.values - eps * phi.values)
 
-    g = apply_frac_p_laplacian(w, kernel, p)
-    fd = (energy_functional(w_plus, kernel, p)
-          - energy_functional(w_minus, kernel, p)) / (2.0 * eps)
+    g = apply_frac_p_laplacian(w, kernel)
+    fd = (energy_functional(w_plus, kernel)
+          - energy_functional(w_minus, kernel)) / (2.0 * eps)
     inner = float(g.values @ phi.values)
     assert abs(fd - inner) <= 1e-6 * max(abs(inner), 1e-12)
 
@@ -168,8 +171,8 @@ def test_euler_identity_half_seminorm():
     dom, params, kernel = make_problem(12, p=2.6)
     for seed in range(5):
         w, _ = smooth_pair(dom, seed)
-        lhs = float(apply_frac_p_laplacian(w, kernel, 2.6).values @ w.values)
-        sem = gagliardo_seminorm_p(w, kernel, 2.6)
+        lhs = float(apply_frac_p_laplacian(w, kernel).values @ w.values)
+        sem = gagliardo_seminorm_p(w, kernel)
         scale = max(1.0, sem)
         assert abs(lhs - sem / 2.0) <= 1e-12 * scale
 
@@ -184,7 +187,7 @@ def test_step_functional_values():
     q, h = params.q, params.h
     val = step_objective(w, w, kernel, params)
     expect = (-(q / (q + 1.0)) / h * lq_power_integral(w, q + 1.0)
-              + energy_functional(w, kernel, params.p))
+              + energy_functional(w, kernel))
     assert np.isclose(val, expect, rtol=1e-12)
 
 
@@ -207,8 +210,8 @@ def test_p2_operator_monotone():
     for seed in range(5):
         u, _ = smooth_pair(dom, seed)
         v, _ = smooth_pair(dom, seed + 50)
-        gu = apply_frac_p_laplacian(u, kernel, 2.0).values
-        gv = apply_frac_p_laplacian(v, kernel, 2.0).values
+        gu = apply_frac_p_laplacian(u, kernel).values
+        gv = apply_frac_p_laplacian(v, kernel).values
         assert float((gu - gv) @ (u.values - v.values)) >= -1e-14
 
 
@@ -226,7 +229,7 @@ def test_p2_laplacian_path_matches_elementwise_sums(dim, q):
     kernel = assemble_kernel(dom, params)
     vol_h = dom.vol / params.h
     mask = dom.interior_mask
-    ws = _StepWorkspace(dom, kernel, params, params.solver_tol)
+    ws = _StepWorkspace(kernel, params, params.solver_tol)
     assert ws.buf is None
     rtol = 1e-13
     for seed in range(3):
@@ -237,12 +240,12 @@ def test_p2_laplacian_path_matches_elementwise_sums(dim, q):
                 + 2.0 * np.sum(kernel.tail * vals ** 2))
         elementwise = _pair_sum(x, x, kernel.interior, kernel.boundary, 2.0)
         assert elementwise == pytest.approx(pair, rel=rtol, abs=0.0)
-        assert gagliardo_seminorm_p(u, kernel, 2.0) == pytest.approx(
+        assert gagliardo_seminorm_p(u, kernel) == pytest.approx(
             elementwise, rel=rtol, abs=0.0)
         grad = (np.sum(kernel.weights * diff, axis=1)
                 + kernel.tail * vals) * mask
         atol = rtol * np.abs(grad).max()
-        np.testing.assert_allclose(apply_frac_p_laplacian(u, kernel, 2.0).values,
+        np.testing.assert_allclose(apply_frac_p_laplacian(u, kernel).values,
                                    grad, rtol=0.0, atol=atol)
 
         x_prev = eval_preset(dom, "random", 1.0, seed=seed + 10).interior_values()

@@ -33,6 +33,28 @@ def test_2d_tensor_construction():
     assert dom.node_coords[1, 1] == dom.node_coords[0, 1]
 
 
+@pytest.mark.parametrize("dim,lo,hi,n_cells,collar", [
+    (1, 0.0, 1.0, 64, 2.0), (1, 0.1, 1.1, 50, 1.7), (2, 0.0, 1.0, 16, 2.0),
+    (2, 0.0, 1.0, 7, 1.37), (2, (0.1, 0.3), (1.1, 1.3), 16, 2.0),
+    (2, (0.1, 0.3), (1.1, 1.3), 7, 1.37)],
+    ids=["1d", "1d-offset-non-dyadic", "2d", "2d-non-dyadic", "2d-offset",
+         "2d-offset-non-dyadic"])
+def test_interior_is_one_box_of_interior_shape(dim, lo, hi, n_cells, collar):
+    # the interior is the set of nodes strictly inside Omega, and on the
+    # node lattice (array order, x last) it is one box: the kernel reads
+    # shape and interior_shape as the extents of that lattice and that box
+    dom = build_grid(dim, lo, hi, n_cells, collar)
+    x = dom.node_coords
+    assert np.array_equal(dom.interior_mask,
+                          np.all((x > dom.omega_min) & (x < dom.omega_max),
+                                 axis=1))
+    assert dom.shape == (round(n_cells * collar),) * dim
+    mask = dom.interior_mask.reshape(dom.shape)
+    box = mask[tuple(slice(i.min(), i.max() + 1) for i in np.nonzero(mask))]
+    assert box.all() and box.size == dom.n_interior
+    assert box.shape == dom.interior_shape
+
+
 def test_build_rejections():
     with pytest.raises(ValueError):
         build_grid(3, 0.0, 1.0, 4)

@@ -1,10 +1,14 @@
+import importlib
+import inspect
 import math
+import pkgutil
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import fracflow
 from fracflow import (FlowParams, assemble_kernel, build_grid, eval_preset,
                       minimize_step, rothe_gradient, run_flow, scale_for)
 from fracflow.grid import GridFunction
@@ -386,12 +390,32 @@ def test_pairing_refinement_stability():
     assert abs(p32 - p64) / abs(p64) < 0.05
 
 
+def test_no_function_takes_s_or_p_beside_a_kernel():
+    # a kernel table owns the s and p it was built for: a function given
+    # one reads them there, and takes no second copy that could disagree
+    takers = []
+    for info in pkgutil.iter_modules(fracflow.__path__):
+        mod = importlib.import_module(f"fracflow.{info.name}")
+        for obj in vars(mod).values():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            members = vars(obj).values() if inspect.isclass(obj) else [obj]
+            for fn in filter(inspect.isfunction, members):
+                names = inspect.signature(fn).parameters.keys()
+                if "kernel" in names and names & {"s", "p"}:
+                    takers.append(fn.__qualname__)
+    assert takers == []
+
+
 def test_require_match_guards_mismatch():
     dom = build_grid(1, 0.0, 1.0, 8, 2.0)
     other = build_grid(1, 0.0, 1.0, 16, 2.0)
     k = assemble_kernel(dom, params_with(s=0.5, p=2.0))
-    k.require_match(dom, 0.5, 2.0)
-    for bad in ((dom, 0.5, 3.0), (other, 0.5, 2.0), (dom, 0.2, 2.0)):
+    k.require_match(dom)
+    k.require_match(dom, params_with(s=0.5, p=2.0))
+    for bad in ((other,), (dom, params_with(s=0.5, p=3.0)),
+                (other, params_with(s=0.5, p=2.0)),
+                (dom, params_with(s=0.2, p=2.0))):
         with pytest.raises(ValueError, match=r"\(s, p, grid\)"):
             k.require_match(*bad)
     # flow parameters with another s than the kernel's are refused wherever
@@ -403,6 +427,8 @@ def test_require_match_guards_mismatch():
                  lambda: scale_for(u, k, params),
                  lambda: rothe_gradient(u, u, k, params),
                  lambda: verify.check_poincare(u, k, params),
-                 lambda: verify.chebyshev_level_sets(u, 2, params, k, u0=u)):
+                 # data on another grid, with the scale given
+                 lambda: minimize_step(eval_preset(other, "bump", 1.0), k,
+                                       params_with(s=0.5, p=2.0), scale=1.0)):
         with pytest.raises(ValueError, match=r"\(s, p, grid\)"):
             call()

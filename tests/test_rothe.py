@@ -194,7 +194,7 @@ def test_cg_direction_meets_its_residual_target(dim, p, q):
     for seed in range(3):
         u0 = eval_preset(dom, "random", 1.0, seed=seed)
         tol_abs = params.solver_tol * scale_for(u0, kernel, params)
-        ws = _StepWorkspace(dom, kernel, params, tol_abs)
+        ws = _StepWorkspace(kernel, params, tol_abs)
         x0 = u0.interior_values()
         x = 0.5 * x0
         g = ws.gradient(x, sgn_power(x0, q))
@@ -224,7 +224,7 @@ def test_p2_step_forms_no_pair_matrix():
         tol_abs = params.solver_tol * scale_for(u_prev, kernel, params)
         tracemalloc.start()
         try:
-            ws = _StepWorkspace(dom, kernel, params, tol_abs)
+            ws = _StepWorkspace(kernel, params, tol_abs)
             _, diag = _solve_step(ws, u_prev.values)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -276,7 +276,7 @@ def test_step_counters_match_the_call_sequence(monkeypatch, s, p, q, preset,
     assert traj.n_steps == step
 
     events = []
-    ws = _StepWorkspace(dom, kernel, params, params.solver_tol * traj.scale)
+    ws = _StepWorkspace(kernel, params, params.solver_tol * traj.scale)
     newton, gradient, snap = (ws.newton_direction, ws.gradient,
                               rothe._snap_clusters)
 
@@ -316,7 +316,7 @@ def test_ground_state_step_is_the_ray_start():
         e = np.zeros(dom.n_nodes)
         e[node] = 1.0
         a_mat[:, col] = apply_frac_p_laplacian(
-            GridFunction(dom, e), kernel, 2.0).values[interior]
+            GridFunction(dom, e), kernel).values[interior]
     mu, vecs = np.linalg.eigh(a_mat)
     lam = mu[0] / dom.vol
     v = np.zeros(dom.n_nodes)
@@ -342,7 +342,7 @@ def test_ray_start_closed_form_objective(dim, p, q):
     for h in (0.01, 1e6):
         params = FlowParams(s=0.5, p=p, q=q, h=h, t_end=h)
         kernel = assemble_kernel(dom, params)
-        ws = _StepWorkspace(dom, kernel, params, params.solver_tol)
+        ws = _StepWorkspace(kernel, params, params.solver_tol)
         for seed in range(3):
             u_prev = eval_preset(dom, "random", 1.0, seed=seed)
             tau = _ray_start(ws, u_prev.interior_values())
@@ -379,6 +379,17 @@ def test_overflowing_data_fails_before_the_first_step(monkeypatch):
     monkeypatch.setattr("fracflow.rothe._solve_step", None)
     with pytest.raises(NonFiniteData, match="overflow"):
         run_flow(eval_preset(dom, "bump", 1e120), kernel, params)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_minimize_step_refuses_overflowing_data():
+    # with no scale given, a step takes the scale of its data as run_flow
+    # does, and data whose energies overflow are refused the same way: an
+    # inf scale would pass any gradient, and the step return u_prev unsolved
+    dom, params, kernel = make_problem()
+    with pytest.raises(NonFiniteData, match="overflow"):
+        minimize_step(eval_preset(dom, "bump", 1e160), kernel, params)
 
 
 def test_solver_objective_history_monotone(monkeypatch):
@@ -472,7 +483,7 @@ def test_trajectory_series_match_direct_evaluation():
     traj = run_flow(eval_preset(dom, "random", 1.0, seed=3), kernel, params)
     assert traj.kernel is kernel
     direct = {
-        "seminorm": [gagliardo_seminorm_p(u, kernel, params.p)
+        "seminorm": [gagliardo_seminorm_p(u, kernel)
                      for u in traj.steps],
         "lq_pow": [lq_power_integral(u, params.q + 1.0) for u in traj.steps],
         "linf": [u.linf() for u in traj.steps]}

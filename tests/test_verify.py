@@ -78,9 +78,8 @@ def test_rejects_unconverged_trajectory():
         with pytest.raises(ValueError, match="unconverged"):
             replace(traj, diagnostics=diags)
         with pytest.raises(ValueError, match="unconverged"):
-            RotheTrajectory(domain=dom, params=params, kernel=kernel,
-                            scale=traj.scale, steps=traj.steps,
-                            diagnostics=diags,
+            RotheTrajectory(params=params, kernel=kernel, scale=traj.scale,
+                            steps=traj.steps, diagnostics=diags,
                             _u0_energies=traj._u0_energies)
 
 
@@ -114,7 +113,7 @@ def test_energy_estimates_bump():
 def test_time_derivative_bounds_q1_constants_are_one():
     dom, params, kernel, traj = bump_run(q=1.0)
     t1 = verify.check_time_derivative_bounds(traj)[0]
-    s0 = gagliardo_seminorm_p(traj.steps[0], kernel, params.p)
+    s0 = gagliardo_seminorm_p(traj.steps[0], kernel)
     assert t1.constant_used == pytest.approx(1.0)
     assert t1.rhs == pytest.approx(s0 / (2.0 * params.p))
     assert t1.passed
@@ -208,7 +207,7 @@ def test_poincare_single_node_hand_case():
     u = GridFunction(dom, vals)
     e = verify.check_poincare(u, kernel, params)
     assert e.constant_used == pytest.approx(1.0)
-    assert e.rhs == pytest.approx(gagliardo_seminorm_p(u, kernel, 2.0))
+    assert e.rhs == pytest.approx(gagliardo_seminorm_p(u, kernel))
     assert e.lhs == pytest.approx(dom.vol)
     assert e.passed
 
@@ -405,21 +404,21 @@ def test_cauchy_validates_arguments():
 
 
 def test_chebyshev_level_sets():
+    # the level set of a one-step flow's last step, from bump data
+    def level_set(s, amplitude):
+        dom, params, kernel = make_problem(s=s, p=2.0, h=0.01, t_end=0.01)
+        traj = run_flow(eval_preset(dom, "bump", amplitude), kernel, params)
+        return verify.chebyshev_level_sets(traj, 2)
+
     # sp >= n: gated off
-    dom, params, kernel = make_problem(s=0.5, p=2.0)
-    u = eval_preset(dom, "bump", 1.0)
-    e = verify.chebyshev_level_sets(u, 2, params, kernel, u0=u)
-    assert e.skipped is not None
+    assert level_set(0.5, 1.0).skipped is not None
 
     # sp < n, bounded data below the level: empty level set
-    dom, params, kernel = make_problem(s=0.25, p=2.0)
-    u = eval_preset(dom, "bump", 1.0)
-    e = verify.chebyshev_level_sets(u, 2, params, kernel, u0=u)
+    e = level_set(0.25, 1.0)
     assert e.lhs == 0.0 and e.passed and e.constant_used > 0.0
 
     # non-vacuous level set still inside the bound
-    u5 = eval_preset(dom, "bump", 5.0)
-    e = verify.chebyshev_level_sets(u5, 2, params, kernel, u0=u5)
+    e = level_set(0.25, 5.0)
     assert e.lhs > 0.0 and e.passed
 
 
@@ -428,5 +427,5 @@ def test_chebyshev_2d_run():
                                        h=0.02, t_end=0.04)
     u0 = eval_preset(dom, "bump", 1.0)
     traj = run_flow(u0, kernel, params)
-    e = verify.chebyshev_level_sets(traj.steps[-1], 2, params, kernel, u0=u0)
+    e = verify.chebyshev_level_sets(traj, 2)
     assert e.passed and e.constant_used > 0.0
