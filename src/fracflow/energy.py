@@ -56,17 +56,28 @@ def _expand(domain: GridDomain, interior: np.ndarray) -> GridFunction:
 
 def _pair_sum(a: np.ndarray, b: np.ndarray, block: np.ndarray,
               boundary: np.ndarray, r: float,
-              buf: np.ndarray | None = None) -> float:
-    """sum_ij k_ij |a_i - b_j|^r for a, b that vanish off one node set:
-    block holds k inside the set, boundary[i] node i's weight to everything
-    outside it.  The pair matrix is formed in ``buf`` when given."""
-    m = np.subtract.outer(a, b, out=buf)
+              buf: np.ndarray | None = None,
+              rows: slice = slice(None)) -> float:
+    """sum_ij k_ij |a_i - b_j|^r over the rows i in ``rows`` (all of them by
+    default), for a, b that vanish off one node set: block holds k for
+    those rows against the whole set, boundary[i] row i's weight to
+    everything outside it.  The sum splits by rows exactly, its boundary
+    term sum_i boundary_i (|a_i|^r + |b_i|^r) too, so the row blocks of a
+    set add up to its whole sum.  a and b may also be stacks of such
+    vectors, one per row, paired row by row; the sum then runs over every
+    pair.  The pair terms are formed in ``buf`` when given."""
+    a_rows, b_rows = a[..., rows], b[..., rows]
+    m = np.subtract(a_rows[..., :, None], b[..., None, :], out=buf)
     np.abs(m, out=m)
-    m **= r
+    a_end, b_end = np.abs(a_rows), np.abs(b_rows)
+    if r != 1.0:  # |x| ** 1.0 == |x|: no pass is needed at r = 1
+        m **= r
+        a_end **= r
+        b_end **= r
     m *= block
-    pair = float(np.sum(m))
-    return pair + (float(np.sum(boundary * np.abs(a) ** r))
-                   + float(np.sum(boundary * np.abs(b) ** r)))
+    pair = float(m.sum())
+    return pair + (float((boundary * a_end).sum())
+                   + float((boundary * b_end).sum()))
 
 
 def _laplacian(x: np.ndarray, kernel: KernelTable) -> np.ndarray:
@@ -156,8 +167,9 @@ def rothe_gradient(w: GridFunction, u_prev: GridFunction,
 
 
 class NonFiniteData(ValueError):
-    """Raised when the tolerance scale of some data is not finite, as their
-    energies overflow; a run raises it before its first step."""
+    """Raised when an energy of some data is not finite, as it overflows
+    (to inf, or to nan where inf - inf meets); a run raises it before its
+    first step."""
 
 
 def _tolerance_scale(seminorm: float, lq_pow: float) -> float:
@@ -167,20 +179,22 @@ def _tolerance_scale(seminorm: float, lq_pow: float) -> float:
 def _data_energies(u0: GridFunction, kernel: KernelTable,
                    params: FlowParams) -> tuple[tuple, float]:
     """The energies ([u0]^p, ||u0||_{q+1}^{q+1}) of a run's data and the
-    tolerance scale they give; raises NonFiniteData if the scale overflows."""
+    tolerance scale they give; raises NonFiniteData if either energy is not
+    finite.  Both are checked, not the scale: ``max`` drops a nan that is
+    not its first argument."""
     kernel.require_match(u0.domain, params)
     energies = (gagliardo_seminorm_p(u0, kernel),
                 lq_power_integral(u0, params.q + 1.0))
-    scale = _tolerance_scale(*energies)
-    if not math.isfinite(scale):
+    if not all(map(math.isfinite, energies)):
         raise NonFiniteData(f"the energies of the initial data overflow "
-                            f"(tolerance scale {scale!r})")
-    return energies, scale
+                            f"([u0]^p = {energies[0]!r}, "
+                            f"||u0||^(q+1) = {energies[1]!r})")
+    return energies, _tolerance_scale(*energies)
 
 
 def scale_for(u0: GridFunction, kernel: KernelTable, params: FlowParams) -> float:
     """Tolerance scale for one run: max(1, seminorm^p, L^{q+1} power) of u0;
-    raises NonFiniteData if it overflows."""
+    raises NonFiniteData if either energy overflows."""
     return _data_energies(u0, kernel, params)[1]
 
 

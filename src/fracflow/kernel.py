@@ -12,7 +12,9 @@ interior block is Toeplitz in 1D and block-Toeplitz in 2D: at p = 2 its
 product with a vector is a circulant product of twice the size per axis,
 one real FFT pair against a spectrum computed once, and the block itself is
 never formed.  For other p the interior block and the boundary weights are
-gathered from the offset table by index, rows x nodes work.  The table over
+gathered from the offset table by index, rows x nodes work, one row block
+at a time (``_row_blocks``); the space-time sums of ``verify`` consume the
+same row blocks as they come and keep none.  The table over
 all collar-node pairs is built only on request, as the test oracle.  The
 principal value is realized by dropping the diagonal (the within-cell
 difference of a nodal function is zero, which is the discrete counterpart of
@@ -172,9 +174,11 @@ def _tail_weights(domain: GridDomain, params: FlowParams) -> np.ndarray:
     return t
 
 
-# One row block of gathered weights (float64), and as much again for its
-# gather keys (intp); the offset table itself is (2m-1)^dim doubles.
-_BLOCK_BYTES = 8 << 20
+# One row block of gathered weights to every node (float64), and as much
+# again for its gather keys (intp); the offset table itself is (2m-1)^dim
+# doubles.  The space-time sums hold one block at a time (32 rows on
+# a 1024-node grid), and no table of the whole support.
+_BLOCK_BYTES = 256 << 10
 
 
 def _offset_weights(domain: GridDomain, expo: float,
@@ -224,25 +228,41 @@ def _gather(table: np.ndarray, a: np.ndarray, b: np.ndarray,
     return np.take(table, np.add.outer(a, b), out=out, mode="clip")
 
 
-def _node_set_weights(domain: GridDomain, nodes: np.ndarray, expo: float,
-                      lag: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Pair weights among the nodes of the boolean set ``nodes``, and each
-    such node's summed weight to every node outside it.  The weight of a
-    pair depends only on its lattice offset, so ``pow`` runs once per offset
-    and the rows are gathered from that table one row block at a time: no
-    row of a node outside the set is formed."""
+def _row_blocks(domain: GridDomain, nodes: np.ndarray, expo: float,
+                lag: float = 0.0, out: np.ndarray | None = None):
+    """Pair weights among the nodes of the boolean set ``nodes``, one row
+    block at a time: yields (lo, block, outside) for the set's rows lo,
+    lo + 1, ..., with block their weights against the set and outside each
+    one's summed weight to every node outside it.  The weight of a pair
+    depends only on its lattice offset, so ``pow`` runs once per offset and
+    each block is gathered from that table; a block holds about
+    ``_BLOCK_BYTES`` of weights to every node, and no row of a node outside
+    the set is formed.  Given ``out`` (set size squared), each block is
+    gathered in place into its rows; otherwise into one reused buffer, so a
+    block is valid only until the next one is yielded."""
     table = _offset_weights(domain, expo, lag)
     a, b = _lattice_keys(domain)
     rows = np.flatnonzero(nodes)
-    rest = np.flatnonzero(~nodes)
-    block = np.empty((rows.size, rows.size))
-    outside = np.empty(rows.size)
+    cols, rest = b[rows], b[~nodes]
     per_block = max(1, _BLOCK_BYTES // (8 * domain.n_nodes))
+    buf = (np.empty((min(per_block, rows.size), rows.size)) if out is None
+           else None)
     for lo in range(0, rows.size, per_block):
         part = a[rows[lo:lo + per_block]]
-        _gather(table, part, b[rows], out=block[lo:lo + part.size])
-        outside[lo:lo + part.size] = _gather(table, part,
-                                             b[rest]).sum(axis=1)
+        block = buf[:part.size] if out is None else out[lo:lo + part.size]
+        _gather(table, part, cols, out=block)
+        yield lo, block, _gather(table, part, rest).sum(axis=1)
+
+
+def _node_set_weights(domain: GridDomain, nodes: np.ndarray, expo: float,
+                      lag: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """The whole table of ``_row_blocks``: pair weights among the nodes of
+    the boolean set ``nodes`` and each such node's summed weight to every
+    node outside it, gathered in place block by block."""
+    size = np.count_nonzero(nodes)
+    block, outside = np.empty((size, size)), np.empty(size)
+    for lo, _, part in _row_blocks(domain, nodes, expo, lag, out=block):
+        outside[lo:lo + part.size] = part
     return block, outside
 
 

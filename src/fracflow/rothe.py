@@ -334,7 +334,7 @@ def minimize_step(u_prev: GridFunction, kernel: KernelTable, params: FlowParams,
     Returns the minimizer together with its diagnostics.  The stopping rule
     is inf-norm of the interior gradient <= solver_tol * scale; with scale
     taken from u_prev when not supplied by the caller, which raises
-    NonFiniteData, as ``run_flow`` does, if it overflows.
+    NonFiniteData, as ``run_flow`` does, if an energy of u_prev overflows.
     """
     kernel.require_match(u_prev.domain, params)
     if scale is None:
@@ -401,9 +401,9 @@ def run_flow(u0: GridFunction, kernel: KernelTable,
              params: FlowParams) -> RotheTrajectory:
     """March N = ceil(t_end/h) implicit steps starting from u0.
 
-    Raises NonFiniteData, before any step, if the tolerance scale of u0
-    overflows.  The energies of u0 that give the scale are the first
-    entries of the trajectory's series."""
+    Raises NonFiniteData, before any step, if an energy of u0 overflows.
+    The energies of u0 that give the scale are the first entries of the
+    trajectory's series."""
     energies, scale = _data_energies(u0, kernel, params)
     ws = _StepWorkspace(kernel, params, params.solver_tol * scale)
     steps = [u0]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .grid import GridDomain, GridFunction
-from .kernel import FlowParams, KernelTable, _node_set_weights
+from .kernel import FlowParams, KernelTable, _row_blocks
 from .energy import (AlgConstants, sgn_power, lq_power_integral,
                      gagliardo_seminorm_p, rothe_gradient, _data_energies,
                      _pair_sum)
@@ -333,7 +333,10 @@ def check_poincare(u: GridFunction, kernel: KernelTable,
 
 
 def spacetime_sum_fits(n_nodes: int, t_grid: int) -> bool:
-    """Whether the dense space-time sum (node_count^2 * t_grid^2) is <= 1e8."""
+    """Whether the space-time sum's work, node_count^2 * t_grid^2 pair
+    terms, is at most 1e8.  The guard bounds work, not memory: the sums
+    stream their weights one row block at a time, so what they hold does
+    not grow with the square of the data's support."""
     return n_nodes ** 2 * t_grid ** 2 <= 10 ** 8
 
 
@@ -341,6 +344,30 @@ def _require_spacetime_fits(n_nodes: int, t_grid: int) -> None:
     if not spacetime_sum_fits(n_nodes, t_grid):
         raise ValueError("space-time sum too large: node_count^2 * t_grid^2 "
                          "must not exceed 1e8")
+
+
+def _slab_pair_sums(vals: np.ndarray, domain: GridDomain, expo: float,
+                    lag: int, dist: float) -> float:
+    """sum over the slab pairs (k, k + lag) of the W^{.,1} pair sum of
+    vals[k] against vals[k + lag], with weights vol^2 (|x - y|^2 +
+    dist^2)^(-expo/2).  The sums run over the support of vals, the nodes
+    where some slab is nonzero; its weights come one row block at a time,
+    and each block adds its rows' share of every slab pair's sum before the
+    next is gathered.  A block takes as many slab pairs per pair sum as
+    keep their pair terms within its weights to every node, so a small
+    support pays few calls per block."""
+    support = vals.any(axis=0)
+    on_support = vals[:, support]
+    a, b = on_support[:vals.shape[0] - lag], on_support[lag:]
+    per_sum = domain.n_nodes // max(1, on_support.shape[1])
+    total = 0.0
+    for lo, block, outside in _row_blocks(domain, support, expo, dist):
+        rows = slice(lo, lo + outside.size)
+        buf = np.empty((min(per_sum, len(a)),) + block.shape)
+        for k in range(0, len(a), per_sum):
+            x, y = a[k:k + per_sum], b[k:k + per_sum]
+            total += _pair_sum(x, y, block, outside, 1.0, buf[:len(x)], rows)
+    return total
 
 
 def spacetime_seminorm_values(vals: np.ndarray, domain: GridDomain,
@@ -356,13 +383,10 @@ def spacetime_seminorm_values(vals: np.ndarray, domain: GridDomain,
         raise ValueError("s_prime must lie in (0,1)")
     n_t, n_nodes = vals.shape
     _require_spacetime_fits(n_nodes, n_t)
-    support = vals.any(axis=0)
     total = 0.0
     for lag in range(n_t):
-        block, boundary = _node_set_weights(
-            domain, support, domain.dim + 1 + s_prime, lag * dt)
-        part = sum(_pair_sum(vals[k, support], vals[k + lag, support],
-                             block, boundary, 1.0) for k in range(n_t - lag))
+        part = _slab_pair_sums(vals, domain, domain.dim + 1 + s_prime, lag,
+                               lag * dt)
         total += part if lag == 0 else 2.0 * part
     return dt ** 2 * total
 
@@ -399,10 +423,7 @@ def check_spacetime_sobolev_values(vals: np.ndarray, dvals: np.ndarray,
     dt = t_total / vals.shape[0]
     lhs = spacetime_seminorm_values(vals, domain, dt, s_prime)
     l1_dt = dt * domain.vol * float(np.sum(np.abs(dvals)))
-    support = vals.any(axis=0)
-    block, boundary = _node_set_weights(domain, support, domain.dim + s_bar)
-    spatial = dt * sum(_pair_sum(v, v, block, boundary, 1.0)
-                       for v in vals[:, support])
+    spatial = dt * _slab_pair_sums(vals, domain, domain.dim + s_bar, 0, 0.0)
     n = domain.dim
     angular = n * _UNIT_BALL_VOL[n]
     diam = domain.collar_diameter
@@ -418,7 +439,8 @@ def check_spacetime_sobolev_values(vals: np.ndarray, dvals: np.ndarray,
 def check_spacetime_sobolev(traj: RotheTrajectory, s_prime: float,
                             s_bar: float, t_grid: int) -> CheckEntry:
     """Space-time interpolation bound for the linear-in-time reconstruction;
-    skipped when the dense space-time sum would exceed its size guard."""
+    skipped when the work of the space-time sum would exceed its guard
+    (``spacetime_sum_fits``)."""
     if not spacetime_sum_fits(traj.domain.n_nodes, t_grid):
         return CheckEntry(name="ST-SOBOLEV",
                           ref="spacetime-interpolation-bound", lhs=0.0,

@@ -179,6 +179,31 @@ def test_cmd_run_overflow_writes_no_output(tmp_path, capsys, monkeypatch):
     assert solved == []
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_cmd_run_nan_energy_writes_no_output(tmp_path, capsys, monkeypatch):
+    # at p = 2 the seminorm of this data is nan (inf - inf in x.(L x)) while
+    # its L^{q+1} power is a finite 1.9e232: max(1, nan, 1.9e232) would give
+    # a finite scale, so the run must refuse the nan energy itself, before
+    # any step is solved, not fail only when it writes the report
+    solved = []
+    solve_step = rothe._solve_step
+
+    def spy(*args):
+        solved.append(args)
+        return solve_step(*args)
+
+    monkeypatch.setattr(rothe, "_solve_step", spy)
+    cfg_path = write_cfg(tmp_path, "\n".join([
+        "q = 0.5", "amplitude = 1e155", "n_cells = 16", "t_end = 0.05",
+        f"output_dir = {tmp_path / 'out'}"]))
+    assert main(["run", "--config", cfg_path]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "nan" in err and "non-finite" not in err
+    assert os.listdir(tmp_path / "out") == []
+    assert solved == []
+
+
 def test_cmd_converge_writes_table(tmp_path):
     cfg = small_run_cfg(tmp_path, n_cells=16, h=0.04, t_end=0.2)
     assert cmd_converge(cfg, levels=3, gamma=1.0) == 0

@@ -83,8 +83,8 @@ def assert_within(got, want, bound):
 
 
 def test_weights_match_whole_table_formula_across_row_blocks():
-    # 1296 nodes: the table is gathered in two row blocks, the second one
-    # short.  dx = 1.5/36 is not a dyadic number, so the formula's rounded
+    # 1296 nodes: the table is gathered in row blocks of 25 rows, the last
+    # one short.  dx = 1.5/36 is not a dyadic number, so the formula's rounded
     # coordinate differences are off the lattice offsets by a few ulps of
     # the coordinates: the two agree within the bound derived above
     dom = build_grid(2, (0.0, 0.0), (1.0, 1.0), 24, 1.5)
@@ -101,7 +101,7 @@ def test_weights_match_whole_table_formula_across_row_blocks():
     assert_within(k.weights, expect, lattice_error_bound(dom, expo))
     # a node subset is the same rows and columns of the whole table, at lag
     # 0 (self pairs inside a row block) and at lag > 0; the random subset
-    # spans two blocks
+    # spans many blocks
     rng = np.random.default_rng(3)
     some = rng.uniform(size=dom.n_nodes) < 0.7
     assert some.sum() > _BLOCK_BYTES // (8 * dom.n_nodes)
@@ -281,9 +281,9 @@ def test_assembly_never_holds_the_collar_table():
     # converge-2d's grid: the full table would be 2304^2 doubles (40.5 MiB).
     # At p = 2 assembly and a whole run hold no (n, n) array: the interior
     # block alone would be 8 MiB.  For other p, assembly and the first read
-    # of the interior block hold that block and, for one row block of 455
+    # of the interior block hold that block and, for one row block of 14
     # rows, the gathered weights to the 1280 exterior nodes and their keys
-    # (4.4 MiB each): 17.0 MiB in all; the offset table is 9025 doubles
+    # (140 KiB each): 8.4 MiB in all; the offset table is 9025 doubles
     dom = build_grid(2, 0.0, 1.0, 32, 1.5)
     assert (dom.n_nodes, dom.n_interior) == (2304, 1024)
     u0 = eval_preset(dom, "bump", 1.0)
@@ -299,7 +299,7 @@ def test_assembly_never_holds_the_collar_table():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20 < 8 * dom.n_interior ** 2
-    assert peak_gather < 18 * 2 ** 20 < 8 * dom.n_nodes ** 2
+    assert peak_gather < 9 * 2 ** 20 < 8 * dom.n_nodes ** 2
 
 
 def tail_oracle_1d(x, cmin, cmax, sp):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -261,13 +263,14 @@ def test_st_seminorm_matches_bruteforce_oracle():
     assert abs(val - oracle) <= 1e-12 * oracle
 
 
-def test_st_seminorm_2d_matches_bruteforce():
+def st_support_cases():
+    """(grid, sampled values) pairs whose sums run over the data's support:
+    noise on every node, and in 1D and 2D zero-exterior data, the step
+    preset (support strictly inside Omega), data with zero columns, and
+    zero-exterior data plus one nonzero exterior node."""
     dom = build_grid(2, 0.0, 1.0, 2, 2.0)  # 16 nodes
     rng = np.random.default_rng(6)
     cases = [(dom, rng.uniform(-1.0, 1.0, (3, dom.n_nodes)))]
-    # the sums run over the data's support: zero-exterior data, the step
-    # preset (support strictly inside Omega), data with zero columns, and
-    # zero-exterior data plus one nonzero exterior node, in 1D and 2D
     for dom in (build_grid(1, 0.0, 1.0, 8, 2.0),      # 16 nodes
                 build_grid(2, 0.0, 1.0, 4, 1.5)):     # 36 nodes
         inside = dom.interior_mask
@@ -282,10 +285,48 @@ def test_st_seminorm_2d_matches_bruteforce():
         cases += [(dom, noise * inside),
                   (dom, np.outer([1.0, -0.5, 2.0], step)),
                   (dom, cols), (dom, one_out)]
-    for dom, vals in cases:
+    return cases
+
+
+def test_st_seminorm_2d_matches_bruteforce():
+    for dom, vals in st_support_cases():
         got = verify.spacetime_seminorm_values(vals, dom, 0.05, 0.3)
         oracle = st_seminorm_bruteforce(vals, dom, 0.05, 0.3)
         assert abs(got - oracle) <= 1e-12 * oracle
+
+
+def test_streamed_st_sums_match_bruteforce_across_row_blocks(monkeypatch):
+    # with row blocks of a third of the support or less every support spans
+    # three or more blocks, each adding its rows' share of every slab pair's sum; the space-time
+    # sum (every lag) and the spatial sum still match the literal loops.
+    # A single slab's space-time sum at dt = 1 is its spatial sum with the
+    # exponent one higher, so the spatial oracle is the space-time one,
+    # slab by slab, at s' = s_bar - 1
+    row_blocks, counts = verify._row_blocks, []
+
+    def spy(*args, **kwargs):
+        n = 0
+        for item in row_blocks(*args, **kwargs):
+            n += 1
+            yield item
+        counts.append(n)
+
+    monkeypatch.setattr(verify, "_row_blocks", spy)
+    s_bar = 0.4
+    for dom, vals in st_support_cases():
+        support = vals.any(axis=0)
+        monkeypatch.setattr(kernel_mod, "_BLOCK_BYTES",
+                            8 * dom.n_nodes * max(1, support.sum() // 3))
+        counts.clear()
+        got = verify.spacetime_seminorm_values(vals, dom, 0.05, 0.3)
+        oracle = st_seminorm_bruteforce(vals, dom, 0.05, 0.3)
+        assert abs(got - oracle) <= 1e-12 * oracle
+        spatial = verify._slab_pair_sums(vals, dom, dom.dim + s_bar, 0, 0.0)
+        oracle = sum(st_seminorm_bruteforce(v[None], dom, 1.0, s_bar - 1.0)
+                     for v in vals)
+        assert abs(spatial - oracle) <= 1e-12 * oracle
+        # one table per lag, then the spatial one
+        assert len(counts) == vals.shape[0] + 1 and min(counts) >= 3
 
 
 def test_st_seminorm_guard():
@@ -327,38 +368,85 @@ def test_st_sobolev_records_its_own_skip():
 
 
 def test_st_sobolev_sums_over_the_support(monkeypatch):
-    # every W^{s,1} sum of the check goes through the one pair sum, and its
-    # tables have one row per node of the data's support (here the interior),
-    # not one per collar node; each comes from one offset table
+    # every W^{s,1} sum of the check goes through the one pair sum, at r = 1,
+    # one row block of the data's support (here the interior) at a time:
+    # each lag and the spatial term build one offset table, every support
+    # node is a row key once per table, no node outside the support is one,
+    # no block has more rows than the block budget gives, and the pair terms
+    # of one pair sum, a stack of slab pairs, are no more than a block's
+    # weights to every node
     dom, params, kernel, traj = bump_run(dim=2, n_cells=4, h=0.02, t_end=0.1)
-    node_set_weights, pair_sum = verify._node_set_weights, verify._pair_sum
-    offset_weights = kernel_mod._offset_weights
-    tables, offsets, powers = [], [], []
-
-    def spy_weights(*args, **kwargs):
-        block, outside = node_set_weights(*args, **kwargs)
-        tables.append(block.shape[0])
-        return block, outside
+    per_block = 5
+    monkeypatch.setattr(kernel_mod, "_BLOCK_BYTES", 8 * dom.n_nodes * per_block)
+    offset_weights, gather = kernel_mod._offset_weights, kernel_mod._gather
+    pair_sum = verify._pair_sum
+    offsets, gathers, sums = [], [], []
 
     def spy_offsets(*args, **kwargs):
         offsets.append(args[1:])
         return offset_weights(*args, **kwargs)
 
-    def spy_sum(*args, **kwargs):
-        powers.append(args[4])
-        return pair_sum(*args, **kwargs)
+    def spy_gather(table, a, b, out=None):
+        gathers.append((a.copy(), b.size))
+        return gather(table, a, b, out)
 
-    monkeypatch.setattr(verify, "_node_set_weights", spy_weights)
+    def spy_sum(a, b, block, boundary, r, buf=None, rows=slice(None)):
+        sums.append((r, len(a), block.shape, buf.shape))
+        return pair_sum(a, b, block, boundary, r, buf, rows)
+
     monkeypatch.setattr(kernel_mod, "_offset_weights", spy_offsets)
+    monkeypatch.setattr(kernel_mod, "_gather", spy_gather)
     monkeypatch.setattr(verify, "_pair_sum", spy_sum)
     t_grid = 6
     e = verify.check_spacetime_sobolev(traj, 0.25, 0.4, t_grid)
     assert e.passed and e.lhs > 0.0
-    assert dom.n_interior < dom.n_nodes
-    assert tables == [dom.n_interior] * (t_grid + 1)
+    support = dom.interior_mask
+    n_support, n_rest = dom.n_interior, dom.n_nodes - dom.n_interior
+    assert n_rest > 0 and n_support > 2 * per_block
     assert len(offsets) == t_grid + 1
-    # t_grid spatial sums and one per slab pair (k <= k') in time
-    assert powers == [1.0] * (t_grid + t_grid * (t_grid + 1) // 2)
+    n_blocks = -(-n_support // per_block)
+    assert len(gathers) == 2 * n_blocks * (t_grid + 1)
+    # each block gathers its rows against the support, then the same rows
+    # against the nodes outside it
+    inner, outer = gathers[::2], gathers[1::2]
+    assert [cols for _, cols in inner] == [n_support] * len(inner)
+    assert [cols for _, cols in outer] == [n_rest] * len(outer)
+    assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(inner, outer))
+    row_keys = kernel_mod._lattice_keys(dom)[0]
+    for table in range(t_grid + 1):
+        keys = [a for a, _ in inner[table * n_blocks:(table + 1) * n_blocks]]
+        assert max(k.size for k in keys) == per_block
+        assert np.array_equal(np.sort(np.concatenate(keys)),
+                              np.sort(row_keys[support]))
+    # t_grid spatial slab pairs and one per slab pair (k <= k') in time, per
+    # block, in fewer pair sums than slab pairs
+    n_pairs = n_blocks * (t_grid + t_grid * (t_grid + 1) // 2)
+    assert sum(stack for _, stack, _, _ in sums) == n_pairs > len(sums)
+    for r, stack, block, buf in sums:
+        assert r == 1.0 and buf == (stack, *block)
+        assert block[0] <= per_block and block[1] == n_support
+        assert stack * block[0] * block[1] <= per_block * dom.n_nodes
+
+
+def test_st_sobolev_working_set_is_bounded():
+    # run-2d's grid with data nonzero on all 1024 nodes, as in ineq's
+    # synthetic case: the whole weight table or one whole pair matrix would
+    # be 8 MiB each.  Row blocks of 32 nodes keep the traced peak of the
+    # check near 1 MiB
+    dom = build_grid(2, (0.0, 0.0), (1.0, 1.0), 16, 2.0)
+    assert dom.n_nodes == 1024
+    rng = np.random.default_rng(9)
+    vals = rng.uniform(0.2, 1.0, (8, dom.n_nodes))
+    dvals = rng.uniform(-1.0, 1.0, (8, dom.n_nodes))
+    tracemalloc.start()
+    try:
+        e = verify.check_spacetime_sobolev_values(vals, dvals, dom, 0.1,
+                                                  0.25, 0.4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert e.passed and e.lhs > 0.0
+    assert peak < 4 * 2 ** 20 < 8 * dom.n_nodes ** 2
 
 
 def test_initial_trend_is_informational():
