@@ -11,7 +11,7 @@ from .grid import GridDomain, GridFunction, build_grid, eval_preset
 from .kernel import FlowParams, KernelTable, assemble_kernel
 from .energy import (AlgConstants, lq_power_integral, gagliardo_seminorm_p,
                      energy_functional, apply_frac_p_laplacian,
-                     rothe_gradient, scan_alg_constants, scale_for, sgn_power)
+                     rothe_gradient, scan_alg_constants, sgn_power)
 from .rothe import (NonConvergence, RotheTrajectory, minimize_step, run_flow,
                     reconstruct, truncate)
 from . import verify

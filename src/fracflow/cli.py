@@ -2,7 +2,8 @@
 
 Config files are flat ``key = value`` lines with ``#`` comments.  Unknown
 keys are hard errors; missing keys take the documented defaults.  Exit
-codes: 0 success, 2 config error, 3 solver non-convergence, 4 check failure.
+codes: 0 success, 2 config error or unusable output directory, 3 solver
+non-convergence, 4 check failure.
 """
 
 from __future__ import annotations
@@ -139,8 +140,6 @@ def _build_problem(cfg: RunConfig):
 
 def _meta(cfg: RunConfig, extra: dict | None = None) -> dict:
     meta = dict(sorted(asdict(cfg).items()))
-    meta["omega_min"] = list(cfg.omega_min)
-    meta["omega_max"] = list(cfg.omega_max)
     if extra:
         meta.update(extra)
     return meta
@@ -201,7 +200,6 @@ def cmd_run(cfg: RunConfig) -> int:
 def cmd_converge(cfg: RunConfig, levels: int, gamma: float) -> int:
     """Refinement study at h, h/2, ...; writes d_table.csv and report.json."""
     _, params, u0, kernel = _build_problem(cfg)
-    os.makedirs(cfg.output_dir, exist_ok=True)
     try:
         entries = verify.cauchy_refinement_study(
             u0, kernel, params, levels=levels, gamma=gamma,
@@ -209,6 +207,9 @@ def cmd_converge(cfg: RunConfig, levels: int, gamma: float) -> int:
     except NonConvergence as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
+    # the study refuses the levels and gamma it cannot use before running
+    # anything, so the directory is made only once they are accepted
+    os.makedirs(cfg.output_dir, exist_ok=True)
     detail = {e.name: e.detail for e in entries}
     d_plus = detail["CAUCHY-plus"]["d"]
     d_minus = detail["CAUCHY-minus"]["d"]
@@ -226,6 +227,8 @@ def cmd_converge(cfg: RunConfig, levels: int, gamma: float) -> int:
 
 def cmd_ineq(cfg: RunConfig, trials: int, seed: int) -> int:
     """Standalone inequality suite, independent of any flow."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     domain, params = _grid_and_params(cfg)
     kernel = assemble_kernel(domain, params)
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -322,7 +325,8 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except ValueError as err:
+    except (ValueError, OSError) as err:
+        # OSError: an output_dir that cannot be made or written
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 

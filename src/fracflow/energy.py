@@ -30,7 +30,7 @@ from .kernel import FlowParams, KernelTable
 __all__ = [
     "AlgConstants", "sgn_power", "lq_power_integral", "gagliardo_seminorm_p",
     "energy_functional", "apply_frac_p_laplacian", "rothe_gradient",
-    "scan_alg_constants", "alg_ratios", "scale_for",
+    "scan_alg_constants", "alg_ratios",
 ]
 
 
@@ -190,12 +190,6 @@ def _data_energies(u0: GridFunction, kernel: KernelTable,
                             f"([u0]^p = {energies[0]!r}, "
                             f"||u0||^(q+1) = {energies[1]!r})")
     return energies, _tolerance_scale(*energies)
-
-
-def scale_for(u0: GridFunction, kernel: KernelTable, params: FlowParams) -> float:
-    """Tolerance scale for one run: max(1, seminorm^p, L^{q+1} power) of u0;
-    raises NonFiniteData if either energy overflows."""
-    return _data_energies(u0, kernel, params)[1]
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,8 @@ class GridDomain:
         return float(np.sqrt((ext ** 2).sum()))
 
     def signature(self) -> tuple:
-        """Hashable identity of the discretization, used to key kernel tables."""
+        """Hashable identity of the discretization, which
+        ``KernelTable.require_match`` compares."""
         return (self.dim, self.omega_min, self.omega_max, self.n_cells,
                 float(self.collar_factor))
 

@@ -6,20 +6,21 @@ one boundary weight per interior node (its summed weight to every exterior
 node and to the region beyond the collar box).  The kernel is translation
 invariant and the nodes form a uniform lattice, so a pair's weight depends
 only on the integer offset between its nodes: ``pow`` runs once per offset,
-(2m-1)^dim of them for m nodes per axis.  Each node's total weight is a
-window sum of that offset table.  The interior nodes form a box, so the
-interior block is Toeplitz in 1D and block-Toeplitz in 2D: at p = 2 its
-product with a vector is a circulant product of twice the size per axis,
-one real FFT pair against a spectrum computed once, and the block itself is
-never formed.  For other p the interior block and the boundary weights are
-gathered from the offset table by index, rows x nodes work, one row block
-at a time (``_row_blocks``); the space-time sums of ``verify`` consume the
-same row blocks as they come and keep none.  The table over
-all collar-node pairs is built only on request, as the test oracle.  The
-principal value is realized by dropping the diagonal (the within-cell
-difference of a nodal function is zero, which is the discrete counterpart of
-the symmetric cancellation).  The region beyond the collar box is handled
-analytically through per-node tail weights.
+(2m-1)^dim of them for m nodes per axis, and assembly builds that offset
+table once and takes from it all its p computes with.  At p = 2 the pair
+operator is linear: each node's total weight is a window sum of the offset
+table, and the interior nodes form a box, so the interior block is Toeplitz
+in 1D and block-Toeplitz in 2D and its product with a vector is a circulant
+product of twice the size per axis, one real FFT pair against a spectrum
+computed once; the block itself is never formed.  For other p the interior
+block and the boundary weights are gathered from the offset table by index,
+rows x nodes work, one row block at a time (``_row_blocks``); the space-time
+sums of ``verify`` consume the same row blocks as they come and keep none.
+The table over all collar-node pairs is built only on request, as the test
+oracle.  The principal value is realized by dropping the diagonal (the
+within-cell difference of a nodal function is zero, which is the discrete
+counterpart of the symmetric cancellation).  The region beyond the collar
+box is handled analytically through per-node tail weights.
 """
 
 from __future__ import annotations
@@ -84,49 +85,32 @@ class KernelTable:
     what acts on |u_i| of a zero-exterior u; degree[i] = boundary[i] +
     sum_j interior[i, j] is node i's total weight, so that at p = 2 the pair
     operator is the graph Laplacian diag(degree) - interior, applied through
-    ``apply_interior``.  At p = 2 the table holds the circulant spectrum of
-    the interior block (``spectrum``, None for other p) and nothing of size
-    n_interior^2.  ``interior`` and ``boundary`` are gathered on first read,
-    which no p = 2 computation makes; the full collar table ``weights`` is
-    the test oracle, gathered from the same offset table on first read and
-    read by no computation.  Rebuilt whenever (s, p, grid) changes; its own
-    domain, s and p record what it was built for, the energies read s and
-    p from it, and it reads the node lattice from the domain.
+    ``apply_interior``.  A table holds what its p computes with and None in
+    the other fields: at p = 2 ``degree`` and the circulant ``spectrum`` of
+    the interior block, nothing of size n_interior^2; for other p
+    ``interior`` and ``boundary``.  The full collar table ``weights`` is the
+    test oracle, built only when read and read by no computation.  Rebuilt
+    whenever (s, p, grid) changes; its own domain, s and p record what it
+    was built for, the energies read s and p from it, and it reads the node
+    lattice from the domain.
     """
 
     domain: GridDomain
     s: float
     p: float
     tail: np.ndarray = field(repr=False)
-    degree: np.ndarray = field(repr=False)
+    degree: np.ndarray | None = field(repr=False)
     spectrum: np.ndarray | None = field(repr=False)
+    interior: np.ndarray | None = field(repr=False)
+    boundary: np.ndarray | None = field(repr=False)
 
     @cached_property
     def weights(self) -> np.ndarray:
         every = np.ones(self.domain.n_nodes, dtype=bool)
-        w = _node_set_weights(self.domain, every,
-                              self.domain.dim + self.s * self.p)[0]
+        w = _node_set_weights(self.domain, every, _offset_weights(
+            self.domain, self.domain.dim + self.s * self.p))[0]
         w.setflags(write=False)
         return w
-
-    @cached_property
-    def _gathered(self) -> tuple[np.ndarray, np.ndarray]:
-        _refuse_dense(self.domain)
-        mask = self.domain.interior_mask
-        interior, outside = _node_set_weights(
-            self.domain, mask, self.domain.dim + self.s * self.p)
-        boundary = outside + self.tail[mask]
-        for arr in (interior, boundary):
-            arr.setflags(write=False)
-        return interior, boundary
-
-    @property
-    def interior(self) -> np.ndarray:
-        return self._gathered[0]
-
-    @property
-    def boundary(self) -> np.ndarray:
-        return self._gathered[1]
 
     def apply_interior(self, x: np.ndarray) -> np.ndarray:
         """interior @ x at p = 2: the interior values, shaped as their box,
@@ -228,19 +212,18 @@ def _gather(table: np.ndarray, a: np.ndarray, b: np.ndarray,
     return np.take(table, np.add.outer(a, b), out=out, mode="clip")
 
 
-def _row_blocks(domain: GridDomain, nodes: np.ndarray, expo: float,
-                lag: float = 0.0, out: np.ndarray | None = None):
+def _row_blocks(domain: GridDomain, nodes: np.ndarray, table: np.ndarray,
+                out: np.ndarray | None = None):
     """Pair weights among the nodes of the boolean set ``nodes``, one row
     block at a time: yields (lo, block, outside) for the set's rows lo,
     lo + 1, ..., with block their weights against the set and outside each
     one's summed weight to every node outside it.  The weight of a pair
-    depends only on its lattice offset, so ``pow`` runs once per offset and
-    each block is gathered from that table; a block holds about
+    depends only on its lattice offset, so each block is gathered from the
+    offset table ``table`` of ``_offset_weights``; a block holds about
     ``_BLOCK_BYTES`` of weights to every node, and no row of a node outside
     the set is formed.  Given ``out`` (set size squared), each block is
     gathered in place into its rows; otherwise into one reused buffer, so a
     block is valid only until the next one is yielded."""
-    table = _offset_weights(domain, expo, lag)
     a, b = _lattice_keys(domain)
     rows = np.flatnonzero(nodes)
     cols, rest = b[rows], b[~nodes]
@@ -254,23 +237,16 @@ def _row_blocks(domain: GridDomain, nodes: np.ndarray, expo: float,
         yield lo, block, _gather(table, part, rest).sum(axis=1)
 
 
-def _node_set_weights(domain: GridDomain, nodes: np.ndarray, expo: float,
-                      lag: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def _node_set_weights(domain: GridDomain, nodes: np.ndarray,
+                      table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The whole table of ``_row_blocks``: pair weights among the nodes of
     the boolean set ``nodes`` and each such node's summed weight to every
     node outside it, gathered in place block by block."""
     size = np.count_nonzero(nodes)
     block, outside = np.empty((size, size)), np.empty(size)
-    for lo, _, part in _row_blocks(domain, nodes, expo, lag, out=block):
+    for lo, _, part in _row_blocks(domain, nodes, table, out=block):
         outside[lo:lo + part.size] = part
     return block, outside
-
-
-def _refuse_dense(domain: GridDomain) -> None:
-    if domain.n_interior > 6000:
-        raise ValueError(f"{domain.n_interior} interior nodes: the dense "
-                         "interior pair table is sized for a few thousand "
-                         "interior nodes; coarsen the grid")
 
 
 def _window_sums(domain: GridDomain, table: np.ndarray) -> np.ndarray:
@@ -299,26 +275,33 @@ def _circulant_spectrum(domain: GridDomain, table: np.ndarray) -> np.ndarray:
     axes = tuple(range(domain.dim))
     c = np.roll(np.pad(crop, [(0, 1)] * domain.dim),
                 [1 - k for k in box], axis=axes)
-    spectrum = np.fft.rfftn(c, axes=axes)
-    spectrum.setflags(write=False)
-    return spectrum
+    return np.fft.rfftn(c, axes=axes)
 
 
 def assemble_kernel(domain: GridDomain, params: FlowParams) -> KernelTable:
-    """Build the tails and node degrees for (s, p) on the given grid from
-    one pow per lattice offset, and at p = 2 the interior block's circulant
-    spectrum: O(m^dim) work and memory.  For other p the interior block,
-    O(n_interior^2) memory, is gathered on first read, and grids too large
-    for it are refused here."""
-    if params.p != 2.0:
-        _refuse_dense(domain)
+    """Build the tails and, from one pow per lattice offset, what the
+    table's p computes with: at p = 2 the node degrees and the interior
+    block's circulant spectrum, O(m^dim) work and memory; for other p the
+    interior block, O(n_interior^2) memory, and the boundary weights.
+    Grids too large for that block are refused before anything is built."""
+    linear = params.p == 2.0
+    if not linear and domain.n_interior > 6000:
+        raise ValueError(f"{domain.n_interior} interior nodes: the dense "
+                         "interior pair table is sized for a few thousand "
+                         "interior nodes; coarsen the grid")
     mask = domain.interior_mask
     table = _offset_weights(domain, domain.dim + params.s * params.p)
     tail = _tail_weights(domain, params)
-    degree = _window_sums(domain, table)[mask] + tail[mask]
-    for arr in (tail, degree):
-        arr.setflags(write=False)
-    spectrum = (_circulant_spectrum(domain, table) if params.p == 2.0
-                else None)
+    degree = spectrum = interior = boundary = None
+    if linear:
+        degree = _window_sums(domain, table)[mask] + tail[mask]
+        spectrum = _circulant_spectrum(domain, table)
+    else:
+        interior, outside = _node_set_weights(domain, mask, table)
+        boundary = outside + tail[mask]
+    for arr in (tail, degree, spectrum, interior, boundary):
+        if arr is not None:
+            arr.setflags(write=False)
     return KernelTable(domain=domain, s=params.s, p=params.p, tail=tail,
-                       degree=degree, spectrum=spectrum)
+                       degree=degree, spectrum=spectrum, interior=interior,
+                       boundary=boundary)

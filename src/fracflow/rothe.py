@@ -46,7 +46,7 @@ import numpy as np
 
 from .grid import GridDomain, GridFunction
 from .kernel import FlowParams, KernelTable
-from .energy import (NonFiniteData, sgn_power, scale_for, lq_power_integral,
+from .energy import (NonFiniteData, sgn_power, lq_power_integral,
                      gagliardo_seminorm_p, _data_energies, _expand,
                      _self_pair_sum, _step_gradient)
 
@@ -338,7 +338,7 @@ def minimize_step(u_prev: GridFunction, kernel: KernelTable, params: FlowParams,
     """
     kernel.require_match(u_prev.domain, params)
     if scale is None:
-        scale = scale_for(u_prev, kernel, params)
+        scale = _data_energies(u_prev, kernel, params)[1]
     ws = _StepWorkspace(kernel, params, params.solver_tol * scale)
     x, diag = _solve_step(ws, u_prev.values)
     return _expand(u_prev.domain, x), diag

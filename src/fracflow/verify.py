@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .grid import GridDomain, GridFunction
-from .kernel import FlowParams, KernelTable, _row_blocks
+from .kernel import FlowParams, KernelTable, _offset_weights, _row_blocks
 from .energy import (AlgConstants, sgn_power, lq_power_integral,
                      gagliardo_seminorm_p, rothe_gradient, _data_energies,
                      _pair_sum)
@@ -361,7 +361,8 @@ def _slab_pair_sums(vals: np.ndarray, domain: GridDomain, expo: float,
     a, b = on_support[:vals.shape[0] - lag], on_support[lag:]
     per_sum = domain.n_nodes // max(1, on_support.shape[1])
     total = 0.0
-    for lo, block, outside in _row_blocks(domain, support, expo, dist):
+    table = _offset_weights(domain, expo, dist)
+    for lo, block, outside in _row_blocks(domain, support, table):
         rows = slice(lo, lo + outside.size)
         buf = np.empty((min(per_sum, len(a)),) + block.shape)
         for k in range(0, len(a), per_sum):

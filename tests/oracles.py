@@ -13,6 +13,7 @@ import numpy as np
 
 from fracflow import GridFunction, scan_alg_constants
 from fracflow.energy import _self_pair_sum, sgn_power
+from fracflow.kernel import _node_set_weights, _offset_weights
 
 
 def zero_function(domain):
@@ -54,6 +55,16 @@ def pair_weights(coords, vol, expo, lag=0.0, rows=None):
     w **= -expo
     w *= vol ** 2
     return w
+
+
+def dense_interior(kernel):
+    """The interior block and boundary weights of a kernel table, gathered
+    as assembly gathers them for p != 2: a p = 2 table holds neither."""
+    dom = kernel.domain
+    mask = dom.interior_mask
+    interior, outside = _node_set_weights(
+        dom, mask, _offset_weights(dom, dom.dim + kernel.s * kernel.p))
+    return interior, outside + kernel.tail[mask]
 
 
 def snap_clusters_loop(x):

@@ -255,6 +255,33 @@ def test_unbuildable_problem_leaves_no_output(tmp_path, capsys):
             assert main([command, "--config", cfg_path]) == 2, (name, command)
             assert "error:" in capsys.readouterr().err
             assert not out.exists(), (name, command)
+    # command-line arguments the command refuses are refused before the
+    # directory is made, with the rule they break
+    out = tmp_path / "out-args"
+    cfg_path = write_cfg(tmp_path, f"output_dir = {out}", name="args.cfg")
+    for args, message in (
+            (["converge", "--levels", "2"], "levels must be at least 3"),
+            (["converge", "--gamma", "50"], "gamma must be below"),
+            (["ineq", "--trials", "0"], "trials must be at least 1")):
+        assert main([args[0], "--config", cfg_path, *args[1:]]) == 2, args
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists(), args
+
+
+def test_unusable_output_dir_is_an_error(tmp_path, capsys):
+    # an output_dir that names a file, or lies below one, cannot be made:
+    # each command reports it and exits with the config-error code
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out in (taken, taken / "sub"):
+        cfg_path = write_cfg(tmp_path, "\n".join(
+            ["n_cells = 8", "h = 0.02", "t_end = 0.04",
+             f"output_dir = {out}"]))
+        for args in (["run"], ["converge"], ["ineq", "--trials", "100"]):
+            assert main([args[0], "--config", cfg_path, *args[1:]]) == 2, (
+                out, args)
+            assert "error:" in capsys.readouterr().err
+    assert taken.read_text() == ""
 
 
 def test_cmd_ineq_passes_and_reports(tmp_path):

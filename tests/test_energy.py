@@ -5,12 +5,12 @@ from fracflow import (FlowParams, GridFunction, apply_frac_p_laplacian,
                       assemble_kernel, build_grid, energy_functional,
                       eval_preset, gagliardo_seminorm_p, lq_power_integral,
                       rothe_gradient, scan_alg_constants)
-from fracflow.energy import (_pair_sum, _step_gradient, alg_ratios,
-                             scale_for, sgn_power)
+from fracflow.energy import (_data_energies, _pair_sum, _step_gradient,
+                             alg_ratios, sgn_power)
 from fracflow.rothe import _StepWorkspace, _ray_start
 from fracflow.verify import alg_constants
-from oracles import (interior_step_objective, scan_oracle, step_objective,
-                     zero_function)
+from oracles import (dense_interior, interior_step_objective, scan_oracle,
+                     step_objective, zero_function)
 
 
 def make_problem(n_cells=16, s=0.5, p=2.0, q=1.0, h=0.01):
@@ -105,8 +105,9 @@ def test_seminorm_indicator_against_pairwise_oracle():
                               rtol=1e-13, atol=0.0)
             assert np.allclose(apply_frac_p_laplacian(u, kernel).values,
                                grad, rtol=1e-13, atol=1e-13 * np.abs(grad).max())
-            assert not kernel.interior.flags.writeable
-            assert not kernel.boundary.flags.writeable
+            held = ((kernel.degree, kernel.spectrum) if p == 2.0
+                    else (kernel.interior, kernel.boundary))
+            assert not any(arr.flags.writeable for arr in held)
 
 
 def test_seminorm_zero_and_homogeneity():
@@ -196,7 +197,7 @@ def test_step_functional_convex_on_segments():
     uprev, _ = smooth_pair(dom, 8)
     w1, _ = smooth_pair(dom, 9)
     w2, _ = smooth_pair(dom, 10)
-    scale = scale_for(uprev, kernel, params)
+    scale = _data_energies(uprev, kernel, params)[1]
     f1 = step_objective(w1, uprev, kernel, params)
     f2 = step_objective(w2, uprev, kernel, params)
     for t in (0.25, 0.5, 0.75):
@@ -238,7 +239,7 @@ def test_p2_laplacian_path_matches_elementwise_sums(dim, q):
         diff = np.subtract.outer(vals, vals)
         pair = (np.sum(kernel.weights * diff ** 2)
                 + 2.0 * np.sum(kernel.tail * vals ** 2))
-        elementwise = _pair_sum(x, x, kernel.interior, kernel.boundary, 2.0)
+        elementwise = _pair_sum(x, x, *dense_interior(kernel), 2.0)
         assert elementwise == pytest.approx(pair, rel=rtol, abs=0.0)
         assert gagliardo_seminorm_p(u, kernel) == pytest.approx(
             elementwise, rel=rtol, abs=0.0)

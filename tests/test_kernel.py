@@ -10,16 +10,23 @@ from scipy.integrate import quad
 
 import fracflow
 from fracflow import (FlowParams, assemble_kernel, build_grid, eval_preset,
-                      minimize_step, rothe_gradient, run_flow, scale_for)
+                      gagliardo_seminorm_p, minimize_step, rothe_gradient,
+                      run_flow)
 from fracflow.grid import GridFunction
 from fracflow import kernel as kernel_mod
 from fracflow import verify
-from fracflow.kernel import _BLOCK_BYTES, _node_set_weights
-from oracles import pair_weights
+from fracflow.energy import _data_energies
+from fracflow.kernel import _BLOCK_BYTES, _node_set_weights, _offset_weights
+from oracles import dense_interior, pair_weights
 
 
 def params_with(s=0.5, p=2.0, q=1.0, h=0.01, t_end=0.1, **kw):
     return FlowParams(s=s, p=p, q=q, h=h, t_end=t_end, **kw)
+
+
+def node_set_weights(dom, nodes, expo, lag=0.0):
+    """``_node_set_weights`` of the offset table of these weights."""
+    return _node_set_weights(dom, nodes, _offset_weights(dom, expo, lag))
 
 
 def test_param_admissibility():
@@ -108,8 +115,8 @@ def test_weights_match_whole_table_formula_across_row_blocks():
     every = np.ones(dom.n_nodes, dtype=bool)
     for nodes in (dom.interior_mask, some):
         for lag, whole in ((0.0, k.weights),
-                           (0.3, _node_set_weights(dom, every, expo, 0.3)[0])):
-            block, outside = _node_set_weights(dom, nodes, expo, lag)
+                           (0.3, node_set_weights(dom, every, expo, 0.3)[0])):
+            block, outside = node_set_weights(dom, nodes, expo, lag)
             assert np.array_equal(block, whole[np.ix_(nodes, nodes)])
             assert np.array_equal(outside,
                                   whole[np.ix_(nodes, ~nodes)].sum(axis=1))
@@ -132,7 +139,7 @@ def test_lattice_tables_match_the_coordinate_oracle(dim, n_cells, collar,
         bound = lattice_error_bound(dom, expo)
         for lag in (0.0, 0.3):
             for nodes in supports:
-                block, outside = _node_set_weights(dom, nodes, expo, lag)
+                block, outside = node_set_weights(dom, nodes, expo, lag)
                 w = pair_weights(dom.node_coords, dom.vol, expo, lag,
                                  np.flatnonzero(nodes))
                 every = np.arange(w.shape[0])
@@ -156,9 +163,9 @@ GRIDS = [(1, 64, 2.0), (2, 16, 2.0), (2, 7, 1.37), (2, 32, 1.5)]
 def test_interior_rows_match_the_collar_table(monkeypatch, dim, n_cells,
                                               collar):
     # the interior block, boundary weights and tails are exactly the slices
-    # of the full table.  Assembly builds one offset table and gathers
-    # nothing, at every p; the first read of the interior block builds one
-    # more and gathers the interior rows in three or more row blocks, once
+    # of the full table.  Assembly builds one offset table; at p = 2 it
+    # gathers nothing and holds no interior block, otherwise it gathers the
+    # interior rows in three or more row blocks, once
     dom = build_grid(dim, 0.0, 1.0, n_cells, collar)
     monkeypatch.setattr(kernel_mod, "_BLOCK_BYTES",
                         8 * dom.n_nodes * (dom.n_interior // 3))
@@ -183,19 +190,22 @@ def test_interior_rows_match_the_collar_table(monkeypatch, dim, n_cells,
         tables.clear()
         gathers.clear()
         k = assemble_kernel(dom, params)
-        expo = dim + s * p
-        assert tables == [(expo,)] and gathers == []
-        assert (k.spectrum is None) == (p != 2.0)
-        interior = k.interior
-        assert interior is k.interior and not interior.flags.writeable
-        assert not k.boundary.flags.writeable
-        assert tables == [(expo,), (expo, 0.0)]
-        blocks = [(rows, cols) for inner, rows, cols in gathers if inner]
-        assert len(blocks) >= 3
-        assert sum(rows for rows, _ in blocks) == dom.n_interior
-        assert {cols for _, cols in blocks} == {dom.n_interior}
-        assert [(rows, n_rest) for rows, _ in blocks] == [
-            (rows, cols) for inner, rows, cols in gathers if not inner]
+        assert tables == [(dim + s * p,)]
+        if p == 2.0:
+            assert gathers == []
+            assert k.interior is None and k.boundary is None
+            interior, boundary = dense_interior(k)
+        else:
+            assert k.degree is None and k.spectrum is None
+            interior, boundary = k.interior, k.boundary
+            assert not interior.flags.writeable
+            assert not boundary.flags.writeable
+            blocks = [(rows, cols) for inner, rows, cols in gathers if inner]
+            assert len(blocks) >= 3
+            assert sum(rows for rows, _ in blocks) == dom.n_interior
+            assert {cols for _, cols in blocks} == {dom.n_interior}
+            assert [(rows, n_rest) for rows, _ in blocks] == [
+                (rows, cols) for inner, rows, cols in gathers if not inner]
         w = k.weights
         assert w is k.weights and not w.flags.writeable
         assert w.shape == (dom.n_nodes, dom.n_nodes)
@@ -203,33 +213,59 @@ def test_interior_rows_match_the_collar_table(monkeypatch, dim, n_cells,
         tails = kernel_mod._tail_weights(dom, params)
         assert np.array_equal(k.tail, tails)
         assert np.array_equal(
-            k.boundary, w[np.ix_(mask, ~mask)].sum(axis=1) + tails[mask])
+            boundary, w[np.ix_(mask, ~mask)].sum(axis=1) + tails[mask])
+
+
+@pytest.mark.parametrize("dim,n_cells,p", [(1, 16, 2.0), (1, 16, 1.5),
+                                           (2, 8, 2.0), (2, 8, 3.0)])
+def test_assembly_evaluates_the_offset_table_once(monkeypatch, dim, n_cells,
+                                                  p):
+    # one pow per lattice offset, once: assembly builds the offset table a
+    # single time, and the energies and gradients read what it built
+    calls = []
+    offset_weights = kernel_mod._offset_weights
+
+    def spy(*args, **kwargs):
+        calls.append(args[1:])
+        return offset_weights(*args, **kwargs)
+
+    monkeypatch.setattr(kernel_mod, "_offset_weights", spy)
+    dom = build_grid(dim, 0.0, 1.0, n_cells, 2.0)
+    params = params_with(p=p, t_end=0.02)
+    k = assemble_kernel(dom, params)
+    u = eval_preset(dom, "bump", 1.0)
+    gagliardo_seminorm_p(u, k)
+    rothe_gradient(u, u, k, params)
+    minimize_step(u, k, params)
+    assert calls == [(dim + 0.5 * p,)]
 
 
 @pytest.mark.parametrize("dim,n_cells,collar", GRIDS + [(1, 50, 1.7),
                                                         (2, 24, 1.5)])
 def test_fft_product_and_window_degree_match_the_gathered_block(
         dim, n_cells, collar):
-    # at p = 2 the interior block is applied by FFT, and at every p each
-    # node's degree is a window sum of the offset table; both against the
-    # gathered block, to roundoff relative to the sums of absolute terms
+    # at p = 2 the interior block is applied by FFT and each node's degree
+    # is a window sum of the offset table; both against the gathered block,
+    # to roundoff relative to the sums of absolute terms.  For other p the
+    # table holds the block and neither of them
     dom = build_grid(dim, 0.0, 1.0, n_cells, collar)
     rng = np.random.default_rng(11)
     rtol = 1e-13
-    for s, p in ((0.5, 2.0), (0.3, 2.0), (0.3, 2.5)):
-        k = assemble_kernel(dom, params_with(s=s, p=p))
-        want = k.interior.sum(axis=1) + k.boundary
+    for s in (0.5, 0.3):
+        k = assemble_kernel(dom, params_with(s=s, p=2.0))
+        interior, boundary = dense_interior(k)
+        want = interior.sum(axis=1) + boundary
         assert not k.degree.flags.writeable
         np.testing.assert_allclose(k.degree, want, rtol=rtol, atol=0.0)
-        if p != 2.0:
-            continue
         assert not k.spectrum.flags.writeable
         for x in (np.ones(dom.n_interior),
                   rng.uniform(-1.0, 1.0, dom.n_interior)):
             got = k.apply_interior(x)
             assert got.shape == x.shape
-            scale = k.interior @ np.abs(x)
-            assert np.all(np.abs(got - k.interior @ x) <= rtol * scale)
+            scale = interior @ np.abs(x)
+            assert np.all(np.abs(got - interior @ x) <= rtol * scale)
+    k = assemble_kernel(dom, params_with(s=0.3, p=2.5))
+    assert k.degree is None and k.spectrum is None
 
 
 def test_node_guard_counts_interior_nodes(monkeypatch):
@@ -248,7 +284,7 @@ def test_node_guard_counts_interior_nodes(monkeypatch):
     assert wide.n_nodes > 6000
     k = assemble_kernel(wide, params)
     assert k.interior.shape == (8, 8) and k.boundary.shape == (8,)
-    assert len(calls) == 2      # the degrees' table, then the gather's
+    assert len(calls) == 1      # the block's table, the only one
     # more than 6000 interior nodes are refused before any table is built
     calls.clear()
     big = build_grid(1, 0.0, 1.0, 6001, 1.0)
@@ -260,7 +296,8 @@ def test_node_guard_counts_interior_nodes(monkeypatch):
 
 def test_p2_runs_past_6000_interior_nodes_without_the_block(monkeypatch):
     # at p = 2 nothing dense is built, so no size is refused: 6400 interior
-    # nodes (a 312 MiB block) take two steps with the block never gathered
+    # nodes (a 312 MiB block) take two steps with the block never gathered.
+    # For other p the block is built, and refused, at assembly
     def refuse(*args, **kwargs):
         raise AssertionError("the interior block was gathered")
 
@@ -272,18 +309,18 @@ def test_p2_runs_past_6000_interior_nodes_without_the_block(monkeypatch):
                     assemble_kernel(dom, params), params)
     assert traj.n_steps == 2
     assert all(d.iterations >= 1 for d in traj.diagnostics)
-    # the oracle block itself is still refused at this size
+    assert traj.kernel.interior is None and traj.kernel.boundary is None
     with pytest.raises(ValueError, match="6400 interior nodes"):
-        traj.kernel.interior
+        assemble_kernel(dom, params_with(p=2.5))
 
 
 def test_assembly_never_holds_the_collar_table():
     # converge-2d's grid: the full table would be 2304^2 doubles (40.5 MiB).
     # At p = 2 assembly and a whole run hold no (n, n) array: the interior
-    # block alone would be 8 MiB.  For other p, assembly and the first read
-    # of the interior block hold that block and, for one row block of 14
-    # rows, the gathered weights to the 1280 exterior nodes and their keys
-    # (140 KiB each): 8.4 MiB in all; the offset table is 9025 doubles
+    # block alone would be 8 MiB.  For other p, assembly holds that block
+    # and, for one row block of 14 rows, the gathered weights to the 1280
+    # exterior nodes and their keys (140 KiB each): 8.4 MiB in all; the
+    # offset table is 9025 doubles
     dom = build_grid(2, 0.0, 1.0, 32, 1.5)
     assert (dom.n_nodes, dom.n_interior) == (2304, 1024)
     u0 = eval_preset(dom, "bump", 1.0)
@@ -294,7 +331,7 @@ def test_assembly_never_holds_the_collar_table():
         run_flow(u0, assemble_kernel(dom, params), params)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        assemble_kernel(dom, params_with(p=2.5)).interior
+        assemble_kernel(dom, params_with(p=2.5))
         peak_gather = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -424,7 +461,7 @@ def test_require_match_guards_mismatch():
     u = eval_preset(dom, "bump", 1.0)
     for call in (lambda: run_flow(u, k, params),
                  lambda: minimize_step(u, k, params),
-                 lambda: scale_for(u, k, params),
+                 lambda: _data_energies(u, k, params),
                  lambda: rothe_gradient(u, u, k, params),
                  lambda: verify.check_poincare(u, k, params),
                  # data on another grid, with the scale given

@@ -7,12 +7,12 @@ from fracflow import (FlowParams, GridFunction, apply_frac_p_laplacian,
                       assemble_kernel, build_grid, eval_preset,
                       gagliardo_seminorm_p, minimize_step, reconstruct,
                       rothe_gradient, run_flow, truncate, NonConvergence)
-from fracflow.energy import lq_power_integral, scale_for, sgn_power
+from fracflow.energy import _data_energies, lq_power_integral, sgn_power
 from fracflow import rothe
 from fracflow.rothe import (NonFiniteData, _StepWorkspace, _ray_start,
                             _snap_clusters, _solve_step)
-from oracles import (interior_step_objective, snap_clusters_loop,
-                     step_objective, zero_function)
+from oracles import (dense_interior, interior_step_objective,
+                     snap_clusters_loop, step_objective, zero_function)
 
 
 def make_problem(n_cells=16, s=0.5, p=2.0, q=1.0, h=0.01, t_end=0.1, **kw):
@@ -34,7 +34,7 @@ def test_step_decreases_objective():
     u, diag = minimize_step(u_prev, kernel, params)
     assert (step_objective(u, u_prev, kernel, params)
             <= step_objective(u_prev, u_prev, kernel, params))
-    scale = scale_for(u_prev, kernel, params)
+    scale = _data_energies(u_prev, kernel, params)[1]
     assert diag.grad_norm <= params.solver_tol * scale
     assert rothe_gradient(u, u_prev, kernel, params).linf() <= params.solver_tol * scale
 
@@ -191,9 +191,11 @@ def test_cg_direction_meets_its_residual_target(dim, p, q):
         dom = build_grid(2, (0.0, 0.0), (1.0, 1.0), 8, 2.0)
     params = FlowParams(s=0.5, p=p, q=q, h=0.01, t_end=0.01)
     kernel = assemble_kernel(dom, params)
+    interior, boundary = dense_interior(kernel)
     for seed in range(3):
         u0 = eval_preset(dom, "random", 1.0, seed=seed)
-        tol_abs = params.solver_tol * scale_for(u0, kernel, params)
+        tol_abs = (params.solver_tol
+                   * _data_energies(u0, kernel, params)[1])
         ws = _StepWorkspace(kernel, params, tol_abs)
         x0 = u0.interior_values()
         x = 0.5 * x0
@@ -201,11 +203,11 @@ def test_cg_direction_meets_its_residual_target(dim, p, q):
         assert np.max(np.abs(g)) > 1e3 * tol_abs
         d = ws.newton_direction(x, g)
         assert ws.linear_iters > 0
-        w = kernel.interior * np.abs(np.subtract.outer(x, x)) ** (p - 2.0)
+        w = interior * np.abs(np.subtract.outer(x, x)) ** (p - 2.0)
         np.fill_diagonal(w, 0.0)
         hess = -(p - 1.0) * w
         hess[np.diag_indices_from(hess)] = (
-            (p - 1.0) * (w.sum(axis=1) + kernel.boundary * np.abs(x) ** (p - 2.0))
+            (p - 1.0) * (w.sum(axis=1) + boundary * np.abs(x) ** (p - 2.0))
             + ws.vol_h * q * np.abs(x) ** (q - 1.0))
         assert np.max(np.abs(hess @ d + g)) <= tol_abs / 4.0
         assert d @ g < 0.0
@@ -221,7 +223,8 @@ def test_p2_step_forms_no_pair_matrix():
     for p, q in ((2.0, 0.5), (3.0, 0.5)):
         params = FlowParams(s=0.5, p=p, q=q, h=0.01, t_end=0.01)
         kernel = assemble_kernel(dom, params)
-        tol_abs = params.solver_tol * scale_for(u_prev, kernel, params)
+        tol_abs = (params.solver_tol
+                   * _data_energies(u_prev, kernel, params)[1])
         tracemalloc.start()
         try:
             ws = _StepWorkspace(kernel, params, tol_abs)

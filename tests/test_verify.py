@@ -394,7 +394,7 @@ def test_st_sobolev_sums_over_the_support(monkeypatch):
         sums.append((r, len(a), block.shape, buf.shape))
         return pair_sum(a, b, block, boundary, r, buf, rows)
 
-    monkeypatch.setattr(kernel_mod, "_offset_weights", spy_offsets)
+    monkeypatch.setattr(verify, "_offset_weights", spy_offsets)
     monkeypatch.setattr(kernel_mod, "_gather", spy_gather)
     monkeypatch.setattr(verify, "_pair_sum", spy_sum)
     t_grid = 6
