@@ -153,15 +153,15 @@ def _write_report(report: verify.VerificationReport, out_dir: str) -> None:
 
 def cmd_run(cfg: RunConfig) -> int:
     """Run one flow, write trace.csv and report.json, return an exit code."""
-    # each command makes its output directory only once the problem is
-    # built, so a config refused by the build leaves none behind
     domain, params, u0, kernel = _build_problem(cfg)
-    os.makedirs(cfg.output_dir, exist_ok=True)
     try:
         traj = run_flow(u0, kernel, params)
     except NonConvergence as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
+    # the directory is made only once the flow is solved, so a config
+    # refused by the build or a failed solve leaves none behind
+    os.makedirs(cfg.output_dir, exist_ok=True)
 
     lq_pow, sem, linf = traj.lq_pow, traj.seminorm, traj.linf
     rows = [[0, 0.0, lq_pow[0], sem[0], linf[0], 0.0, 0, 0.0]]
@@ -256,9 +256,8 @@ def cmd_ineq(cfg: RunConfig, trials: int, seed: int) -> int:
 
     def random_poincare():
         vals = rng.uniform(-1.0, 1.0, size=domain.n_nodes)
-        vals[~domain.interior_mask] = 0.0
-        return verify.check_poincare(GridFunction(domain, vals), kernel,
-                                     params)
+        return verify.check_poincare(
+            GridFunction(domain, vals[domain.interior_mask]), kernel, params)
 
     worst = min((random_poincare() for _ in range(100)),
                 key=lambda e: e.margin)

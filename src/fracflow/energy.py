@@ -1,7 +1,9 @@
-"""Nonlocal energies and gradients on the collar grid.
+"""Nonlocal energies and gradients of grid functions.
 
-Everything here is a plain function of nodal values, at the s and p of the
-kernel table it is given.  The seminorm follows
+Everything here is a plain function of the interior values of a grid
+function (``GridFunction.values``), at the s and p of the kernel table it
+is given; a gradient is again a grid function, since the exterior nodes are
+held at zero and only its interior components enter.  The seminorm follows
 the double-integral convention: the pair sum runs over ordered pairs (both
 (i,j) and (j,i)), and the tail term carries a factor 2 because the region
 beyond the collar pairs with each node in both orders.  The energy is the
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridDomain, GridFunction
+from .grid import GridFunction
 from .kernel import FlowParams, KernelTable
 
 __all__ = [
@@ -45,13 +47,6 @@ def lq_power_integral(u: GridFunction, r: float) -> float:
     if r < 1.0:
         raise ValueError("exponent r must be at least 1")
     return float(u.domain.vol * np.sum(np.abs(u.values) ** r))
-
-
-def _expand(domain: GridDomain, interior: np.ndarray) -> GridFunction:
-    """The grid function with these interior values and a zero exterior."""
-    full = np.zeros(domain.n_nodes)
-    full[domain.interior_mask] = interior
-    return GridFunction(domain, full)
 
 
 def _pair_sum(a: np.ndarray, b: np.ndarray, block: np.ndarray,
@@ -119,7 +114,7 @@ def gagliardo_seminorm_p(u: GridFunction, kernel: KernelTable) -> float:
     """p-th power of the nonlocal seminorm (pair sum plus doubled tail term),
     for the kernel's own s and p."""
     kernel.require_match(u.domain)
-    return _self_pair_sum(u.interior_values(), kernel)
+    return _self_pair_sum(u.values, kernel)
 
 
 def energy_functional(u: GridFunction, kernel: KernelTable) -> float:
@@ -130,15 +125,16 @@ def apply_frac_p_laplacian(u: GridFunction,
                            kernel: KernelTable) -> GridFunction:
     """Exact gradient of ``energy_functional`` at u.
 
-    Interior component i:  sum_j w_ij |u_i-u_j|^(p-2)(u_i-u_j)
-                           + t_i |u_i|^(p-2) u_i.
-    Exterior components are reported as 0 (those nodes are constrained).
-    For every zero-exterior direction phi, <result, phi> equals the
-    directional derivative of the energy at u along phi.
+    Component i:  sum_j w_ij |u_i-u_j|^(p-2)(u_i-u_j) + t_i |u_i|^(p-2) u_i,
+    over the interior nodes i, j, with t_i the weight of node i to the
+    exterior nodes plus its tail.  For every grid function phi,
+    <result, phi> equals the directional derivative of the energy at u
+    along phi.
     """
     kernel.require_match(u.domain)
-    x = u.interior_values()
-    return _expand(u.domain, _add_pair_gradient(np.zeros_like(x), x, kernel))
+    x = u.values
+    return GridFunction(u.domain,
+                        _add_pair_gradient(np.zeros_like(x), x, kernel))
 
 
 def _step_gradient(x: np.ndarray, vprev: np.ndarray, kernel: KernelTable,
@@ -158,12 +154,11 @@ def _step_gradient(x: np.ndarray, vprev: np.ndarray, kernel: KernelTable,
 def rothe_gradient(w: GridFunction, u_prev: GridFunction,
                    kernel: KernelTable, params: FlowParams) -> GridFunction:
     """Gradient in w of the objective of the implicit step from u_prev
-    (``_step_gradient``), the residual of the step's equation; zero on
-    exterior nodes."""
+    (``_step_gradient``), the residual of the step's equation."""
     kernel.require_match(w.domain, params)
-    return _expand(w.domain, _step_gradient(
-        w.interior_values(), sgn_power(u_prev.interior_values(), params.q),
-        kernel, params, w.domain.vol / params.h))
+    return GridFunction(w.domain, _step_gradient(
+        w.values, sgn_power(u_prev.values, params.q), kernel, params,
+        w.domain.vol / params.h))
 
 
 class NonFiniteData(ValueError):

@@ -2,9 +2,10 @@
 
 The computational domain Omega is a bounded interval (1D) or square box (2D)
 embedded in a larger collar box.  Nodes sit at cell midpoints of the collar
-box; a node is *interior* iff its center lies strictly inside Omega.  Grid
-functions are extended by zero on every exterior node, which is how the
-nonlocal homogeneous Dirichlet condition is realized on a finite grid.
+box; a node is *interior* iff its center lies strictly inside Omega.  A grid
+function vanishes on every exterior node, which is how the nonlocal
+homogeneous Dirichlet condition is realized on a finite grid, so it is
+stored by its values on the interior nodes alone, in node order.
 """
 
 from __future__ import annotations
@@ -132,30 +133,25 @@ def build_grid(dim: int, omega_min, omega_max, n_cells: int,
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Nodal values on a GridDomain, identically zero on exterior nodes."""
+    """A function on a GridDomain that vanishes off Omega: ``values`` holds
+    its n_interior values on the interior nodes, in node order (the order
+    of ``domain.node_coords[domain.interior_mask]``)."""
 
     domain: GridDomain
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=float)
-        if vals.shape != (self.domain.n_nodes,):
-            raise ValueError(f"expected {self.domain.n_nodes} values, got {vals.shape}")
+        if vals.shape != (self.domain.n_interior,):
+            raise ValueError(f"expected {self.domain.n_interior} interior "
+                             f"values, got {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise ValueError("grid function values must be finite")
-        if np.any(vals[~self.domain.interior_mask] != 0.0):
-            raise ValueError("grid function must vanish on exterior nodes")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        return GridFunction(self.domain, self.values - other.values)
-
-    def interior_values(self) -> np.ndarray:
-        return self.values[self.domain.interior_mask]
-
     def linf(self) -> float:
-        return float(np.max(np.abs(self.values))) if self.values.size else 0.0
+        return float(np.max(np.abs(self.values)))
 
 
 def _bump_profile(domain: GridDomain) -> np.ndarray:
@@ -165,19 +161,20 @@ def _bump_profile(domain: GridDomain) -> np.ndarray:
         a, b = domain.omega_min[d], domain.omega_max[d]
         xhat = (domain.node_coords[:, d] - a) / (b - a)
         prof = prof * 4.0 * xhat * (1.0 - xhat)
-    prof[~domain.interior_mask] = 0.0
     return prof
 
 
 def eval_preset(domain: GridDomain, preset: str, amplitude: float,
                 seed: int = 0, csv_path: str | None = None) -> GridFunction:
-    """Sample one of the built-in initial data presets at the node centers.
+    """Sample one of the built-in initial data presets at the centers of
+    the collar nodes and keep the values on the interior ones.
 
     ``bump``   amplitude times a polynomial bump vanishing on the boundary;
     ``step``   amplitude on the middle half of Omega (per axis), 0 elsewhere;
-    ``random`` i.i.d. uniform[-amplitude, amplitude] on interior nodes,
-               reproducible from ``seed``;
-    ``csv``    one value per line in node-major order, one per collar node.
+    ``random`` i.i.d. uniform[-amplitude, amplitude], drawn for every
+               collar node and reproducible from ``seed``;
+    ``csv``    one value per line in node-major order, one per collar node,
+               zero on the exterior ones.
     """
     if not np.isfinite(amplitude):
         raise ValueError("amplitude must be finite")
@@ -191,11 +188,9 @@ def eval_preset(domain: GridDomain, preset: str, amplitude: float,
             x = domain.node_coords[:, d]
             lo, hi = a + 0.25 * (b - a), a + 0.75 * (b - a)
             vals[(x < lo) | (x > hi)] = 0.0
-        vals[~domain.interior_mask] = 0.0
     elif preset == "random":
         rng = np.random.default_rng(seed)
         vals = rng.uniform(-amplitude, amplitude, size=n)
-        vals[~domain.interior_mask] = 0.0
     elif preset == "csv":
         if csv_path is None:
             raise ValueError("csv preset requires a path")
@@ -208,4 +203,4 @@ def eval_preset(domain: GridDomain, preset: str, amplitude: float,
             raise ValueError("csv assigns a nonzero value to an exterior node")
     else:
         raise ValueError(f"unknown preset {preset!r}")
-    return GridFunction(domain, vals)
+    return GridFunction(domain, vals[domain.interior_mask])

@@ -34,6 +34,10 @@ block, taken by FFT in O(n_interior log n_interior) work, the model
 L + diag(time term) is never assembled, and nothing of size n_interior^2
 is formed or read.  For p != 2 the gradient and the model each form one
 pair matrix, O(n_interior^2), in the workspace array.
+
+A trajectory holds its steps as one read-only (N+1, n_interior) array of
+interior values, and ``reconstruct`` evaluates its piecewise-linear
+interpolant, values and slopes, at many times at once.
 """
 
 from __future__ import annotations
@@ -47,8 +51,8 @@ import numpy as np
 from .grid import GridDomain, GridFunction
 from .kernel import FlowParams, KernelTable
 from .energy import (NonFiniteData, sgn_power, lq_power_integral,
-                     gagliardo_seminorm_p, _data_energies, _expand,
-                     _self_pair_sum, _step_gradient)
+                     gagliardo_seminorm_p, _data_energies, _self_pair_sum,
+                     _step_gradient, _tolerance_scale)
 
 __all__ = [
     "NonConvergence", "StepDiagnostics", "RotheTrajectory", "minimize_step",
@@ -94,16 +98,16 @@ class _StepWorkspace:
     p != 2 the one (n, n) scratch array that every pair matrix of the solve
     is formed in (``buf``; None at p = 2, where no pair matrix is formed).
 
-    ``tol_abs`` is the run's gradient stopping tolerance; ``linear_iters``
-    counts the CG iterations of the Newton solves since the step began.
-    The caller has matched params and its data's grid to the kernel."""
+    ``tol_abs`` is the run's gradient stopping tolerance, solver_tol times
+    the run's tolerance scale; ``linear_iters`` counts the CG iterations of
+    the Newton solves since the step began.  The caller has matched params
+    and its data's grid to the kernel."""
 
     def __init__(self, kernel: KernelTable, params: FlowParams,
-                 tol_abs: float):
+                 scale: float):
         self.kernel = kernel
         self.params = params
-        self.tol_abs = tol_abs
-        self.mask = kernel.domain.interior_mask
+        self.tol_abs = params.solver_tol * scale
         self.vol_h = kernel.domain.vol / params.h
         n = kernel.domain.n_interior
         self.buf = None if params.p == 2.0 else np.empty((n, n))
@@ -275,10 +279,11 @@ def _ray_start(ws: _StepWorkspace, x0: np.ndarray) -> float:
 
 
 def _solve_step(ws: _StepWorkspace,
-                u_prev: np.ndarray) -> tuple[np.ndarray, StepDiagnostics]:
+                x0: np.ndarray) -> tuple[np.ndarray, StepDiagnostics]:
+    """One implicit step from the interior values x0 of the previous step;
+    returns the interior values of the new one."""
     tol_abs, max_iter = ws.tol_abs, ws.params.solver_max_iter
     ws.linear_iters = 0
-    x0 = u_prev[ws.mask]
     if not np.any(x0):
         # unique minimizer of a nonnegative functional vanishing at 0
         return np.zeros_like(x0), StepDiagnostics(0, 0.0)
@@ -327,21 +332,19 @@ def _solve_step(ws: _StepWorkspace,
     raise NonConvergence(max_iter, gnorm, diagnostics=diag)
 
 
-def minimize_step(u_prev: GridFunction, kernel: KernelTable, params: FlowParams,
-                  scale: float | None = None) -> tuple[GridFunction, StepDiagnostics]:
+def minimize_step(u_prev: GridFunction, kernel: KernelTable,
+                  params: FlowParams) -> tuple[GridFunction, StepDiagnostics]:
     """Solve one implicit step, started at the best multiple of u_prev.
 
     Returns the minimizer together with its diagnostics.  The stopping rule
-    is inf-norm of the interior gradient <= solver_tol * scale; with scale
-    taken from u_prev when not supplied by the caller, which raises
-    NonFiniteData, as ``run_flow`` does, if an energy of u_prev overflows.
+    is inf-norm of the gradient <= solver_tol * scale, with the scale of
+    u_prev taken as ``run_flow`` takes it from its data; like ``run_flow``
+    it raises NonFiniteData if an energy of u_prev overflows.
     """
-    kernel.require_match(u_prev.domain, params)
-    if scale is None:
-        scale = _data_energies(u_prev, kernel, params)[1]
-    ws = _StepWorkspace(kernel, params, params.solver_tol * scale)
+    ws = _StepWorkspace(kernel, params,
+                        _data_energies(u_prev, kernel, params)[1])
     x, diag = _solve_step(ws, u_prev.values)
-    return _expand(u_prev.domain, x), diag
+    return GridFunction(u_prev.domain, x), diag
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,22 +352,32 @@ class RotheTrajectory:
     """Steps u_0 ... u_N of one run, their diagnostics and energy series,
     on the grid of the kernel they were solved with.
 
-    Every step met the run's stopping rule, grad_norm <= solver_tol * scale:
-    construction refuses anything else (a NaN grad_norm included), so each
-    check reads a converged trajectory."""
+    ``u`` is one read-only (N+1, n_interior) array whose row m holds the
+    interior values of u_m.  Every step met the run's stopping rule,
+    grad_norm <= ``tol_abs``: construction refuses anything else (a NaN
+    grad_norm included), so each check reads a converged trajectory."""
 
     params: FlowParams
     kernel: KernelTable  # the kernel the steps were solved with
-    scale: float
-    steps: tuple        # N+1 GridFunctions
+    u: np.ndarray = field(repr=False)
     diagnostics: tuple  # N StepDiagnostics, for steps 1..N
     # ([u_0]^p, ||u_0||_{q+1}^{q+1}), the first entries of the series
     _u0_energies: tuple = field(repr=False)
 
     def __post_init__(self):
-        tol = self.params.solver_tol * self.scale
-        if not all(d.grad_norm <= tol for d in self.diagnostics):
+        self.u.setflags(write=False)
+        if not all(d.grad_norm <= self.tol_abs for d in self.diagnostics):
             raise ValueError("trajectory has unconverged steps")
+
+    @property
+    def scale(self) -> float:
+        """The run's tolerance scale, from the energies of u_0."""
+        return _tolerance_scale(*self._u0_energies)
+
+    @property
+    def tol_abs(self) -> float:
+        """The run's gradient stopping tolerance."""
+        return self.params.solver_tol * self.scale
 
     @property
     def domain(self) -> GridDomain:
@@ -372,11 +385,12 @@ class RotheTrajectory:
 
     @property
     def n_steps(self) -> int:
-        return len(self.steps) - 1
+        return self.u.shape[0] - 1
 
     def _series(self, at: int, energy) -> tuple:
         return ((self._u0_energies[at],)
-                + tuple(energy(u) for u in self.steps[1:]))
+                + tuple(energy(GridFunction(self.domain, row))
+                        for row in self.u[1:]))
 
     @cached_property
     def lq_pow(self) -> tuple:      # ||u_m||_{q+1}^{q+1}, m = 0..N
@@ -390,7 +404,7 @@ class RotheTrajectory:
 
     @cached_property
     def linf(self) -> tuple:        # max |u_m|, m = 0..N
-        return tuple(u.linf() for u in self.steps)
+        return tuple(map(float, np.max(np.abs(self.u), axis=1)))
 
     @property
     def t_final(self) -> float:
@@ -405,53 +419,54 @@ def run_flow(u0: GridFunction, kernel: KernelTable,
     The energies of u0 that give the scale are the first entries of the
     trajectory's series."""
     energies, scale = _data_energies(u0, kernel, params)
-    ws = _StepWorkspace(kernel, params, params.solver_tol * scale)
-    steps = [u0]
+    ws = _StepWorkspace(kernel, params, scale)
+    u = np.empty((params.n_steps + 1, u0.values.size))
+    u[0] = u0.values
     diags = []
-    current = u0.values
     for m in range(1, params.n_steps + 1):
         try:
-            x, diag = _solve_step(ws, current)
+            u[m], diag = _solve_step(ws, u[m - 1])
         except NonConvergence as err:
             raise NonConvergence(err.iterations, err.grad_norm, step_index=m,
                                  diagnostics=err.diagnostics) from None
-        gf = _expand(u0.domain, x)
-        steps.append(gf)
         diags.append(diag)
-        current = gf.values
-    return RotheTrajectory(params=params, kernel=kernel, scale=scale,
-                           steps=tuple(steps), diagnostics=tuple(diags),
-                           _u0_energies=energies)
+    return RotheTrajectory(params=params, kernel=kernel, u=u,
+                           diagnostics=tuple(diags), _u0_energies=energies)
 
 
-def reconstruct(traj: RotheTrajectory, t: float) -> GridFunction:
-    """The piecewise-linear interpolant of u_0 ... u_N at t in [0, t_end];
-    at a knot time it is that step itself."""
-    h = traj.params.h
-    n = traj.n_steps
-    if t < 0.0 or t > max(traj.params.t_end, traj.t_final):
-        raise ValueError(f"t={t} outside [0, {traj.params.t_end}]")
-    m_exact = int(round(t / h))
-    if 0 <= m_exact <= n and t == m_exact * h:
-        return traj.steps[m_exact]
-    m = min(n, int(math.floor(t / h)) + 1)
-    theta = (t - (m - 1) * h) / h
-    return GridFunction(traj.domain, theta * traj.steps[m].values
-                        + (1.0 - theta) * traj.steps[m - 1].values)
+def reconstruct(traj: RotheTrajectory,
+                taus) -> tuple[np.ndarray, np.ndarray]:
+    """The piecewise-linear interpolant of u_0 ... u_N at the times taus in
+    [0, t_end]: its values and its slopes, one row of interior values per
+    time.  Time t lies on the piece of step m = min(N, floor(t/h) + 1),
+    where the value is the mix of u_(m-1) and u_m and the slope is
+    (u_m - u_(m-1)) / h; at a knot time the value is that step itself."""
+    taus = np.asarray(taus, dtype=float)
+    h, n, u = traj.params.h, traj.n_steps, traj.u
+    t_max = max(traj.params.t_end, traj.t_final)
+    if not np.all((taus >= 0.0) & (taus <= t_max)):     # nan included
+        raise ValueError(f"times outside [0, {traj.params.t_end}]")
+    m = np.minimum(n, np.floor(taus / h).astype(int) + 1)
+    theta = ((taus - (m - 1) * h) / h)[:, None]
+    values = theta * u[m] + (1.0 - theta) * u[m - 1]
+    knot = np.rint(taus / h).astype(int)
+    at_knot = (knot <= n) & (taus == knot * h)
+    values[at_knot] = u[knot[at_knot]]
+    return values, (u[m] - u[m - 1]) / h
 
 
-def truncate(u: GridFunction, sign: str, ell: int) -> np.ndarray:
-    """Signed part of u clamped to the band [1/ell, ell].
+def truncate(x: np.ndarray, sign: str, ell: int) -> np.ndarray:
+    """Signed part of the values x clamped to the band [1/ell, ell].
 
-    Returns a plain array: the result equals 1/ell on every exterior node,
-    so it is not a zero-exterior grid function.
+    Works on an array of any shape, such as a trajectory's ``u``.  The band
+    keeps the result off zero, so it is a plain array, not a grid function.
     """
     if int(ell) != ell or ell < 2:
         raise ValueError("ell must be an integer >= 2")
     if sign == "+":
-        part = np.maximum(u.values, 0.0)
+        part = np.maximum(x, 0.0)
     elif sign == "-":
-        part = np.maximum(-u.values, 0.0)
+        part = np.maximum(-x, 0.0)
     else:
         raise ValueError("sign must be '+' or '-'")
     return np.clip(part, 1.0 / ell, float(ell))

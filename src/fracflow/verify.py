@@ -7,7 +7,8 @@ those that are exact consequences of the per-step optimality conditions
 residual) and therefore can only be violated by solver inexactness, and
 those inherited from continuum inequalities with explicit proof constants
 (Poincare, space-time interpolation, level-set bounds) evaluated by midpoint
-quadrature.
+quadrature.  The checks of a trajectory read its steps as the one array
+``traj.u`` of interior values, all steps at once.
 """
 
 from __future__ import annotations
@@ -150,12 +151,12 @@ def _tol_check(params: FlowParams, scale: float) -> float:
     return 10.0 * params.solver_tol * scale
 
 
-def _step_sum(traj: RotheTrajectory, vals: list, f) -> float:
-    """sum_m h vol sum_i f(vals[m], vals[m-1])_i over m = 1..N, for one
-    per-step array vals[m] of each step of the trajectory."""
+def _step_sum(traj: RotheTrajectory, vals: np.ndarray, f) -> float:
+    """sum_m h vol sum_i f(vals[m], vals[m-1])_i over m = 1..N, for an
+    array vals with one row per step of the trajectory."""
     h, vol = traj.params.h, traj.domain.vol
-    return sum(h * vol * float(np.sum(f(vals[m], vals[m - 1])))
-               for m in range(1, traj.n_steps + 1))
+    return sum(h * vol * float(row)
+               for row in np.sum(f(vals[1:], vals[:-1]), axis=1))
 
 
 def _degenerate_weight(a: np.ndarray, b: np.ndarray, expo: float) -> np.ndarray:
@@ -194,7 +195,7 @@ def check_energy_estimates(traj: RotheTrajectory) -> list:
         rhs=(2.0 * q / (q + 1.0)) * lq_pow[0],
         constant_used=2.0 * q / (q + 1.0), tol=tol))
 
-    dissip = _step_sum(traj, [u.values for u in traj.steps],
+    dissip = _step_sum(traj, traj.u,
                        lambda um, up: _degenerate_weight(um, up, q - 1.0)
                        * ((um - up) / h) ** 2)
     entries.append(CheckEntry(
@@ -220,7 +221,7 @@ def check_time_derivative_bounds(traj: RotheTrajectory) -> list:
     full = alg_constants(q + 1.0)
     c2 = full.c2
 
-    wvals = [sgn_power(u.values, (q + 1.0) / 2.0) for u in traj.steps]
+    wvals = sgn_power(traj.u, (q + 1.0) / 2.0)
     lhs1 = _step_sum(traj, wvals, lambda wm, wp: ((wm - wp) / h) ** 2)
     const1 = c1_half ** 2 / c2
     entries = [CheckEntry(
@@ -230,7 +231,7 @@ def check_time_derivative_bounds(traj: RotheTrajectory) -> list:
 
     if q >= 1.0:
         c1_full = full.c1
-        vvals = [sgn_power(u.values, q) for u in traj.steps]
+        vvals = sgn_power(traj.u, q)
         lhs2 = _step_sum(traj, vvals, lambda vm, vp: np.abs(vm - vp) / h)
         t_total = traj.t_final
         omega_t = traj.domain.omega_volume * t_total
@@ -260,18 +261,15 @@ def check_truncation_energy(traj: RotheTrajectory, ell: int) -> list:
     of the squared and the (q+1)-power integrals is bounded with an extra
     3^(1-q) factor, valid for h <= 1.
     """
-    if ell < 2:
-        raise ValueError("ell must be at least 2")
     params = traj.params
     q, p, h = params.q, params.p, params.h
     tol = _tol_check(params, traj.scale)
     s0 = traj.seminorm[0]
     c2 = alg_constants(q + 1.0).c2
-    interior = traj.domain.interior_mask
 
     entries = []
     for sign, tag in (("+", "plus"), ("-", "minus")):
-        tr = [truncate(u, sign, ell)[interior] for u in traj.steps]
+        tr = truncate(traj.u, sign, ell)
         sq = _step_sum(traj, tr, lambda tm, tp: (np.abs(tm - tp) / h) ** 2)
         qp = _step_sum(traj, tr,
                        lambda tm, tp: (np.abs(tm - tp) / h) ** (q + 1.0))
@@ -299,13 +297,12 @@ def check_truncation_energy(traj: RotheTrajectory, ell: int) -> list:
 def check_weak_residual(traj: RotheTrajectory) -> CheckEntry:
     """Max over steps and interior basis directions of the step equation
     residual; bounded by the solver stopping rule."""
-    params, steps = traj.params, traj.steps
-    worst = 0.0
-    for m in range(1, traj.n_steps + 1):
-        g = rothe_gradient(steps[m], steps[m - 1], traj.kernel, params)
-        worst = max(worst, g.linf())
+    params = traj.params
+    steps = [GridFunction(traj.domain, row) for row in traj.u]
+    worst = max(rothe_gradient(w, u_prev, traj.kernel, params).linf()
+                for u_prev, w in zip(steps, steps[1:]))
     return CheckEntry(name="RESID", ref="step-equation-residual",
-                      lhs=worst, rhs=params.solver_tol * traj.scale,
+                      lhs=worst, rhs=traj.tol_abs,
                       tol=_tol_check(params, traj.scale))
 
 
@@ -393,15 +390,18 @@ def spacetime_seminorm_values(vals: np.ndarray, domain: GridDomain,
 
 
 def _sample_lin(traj: RotheTrajectory, t_grid: int):
-    """Midpoint samples of the piecewise-linear interpolant on t_grid slabs;
-    the size guard of the space-time sums runs first, so an oversized grid
-    samples nothing."""
-    _require_spacetime_fits(traj.domain.n_nodes, t_grid)
-    t_total = traj.params.t_end
-    dt = t_total / t_grid
+    """Values and slopes of the piecewise-linear interpolant at the
+    midpoints of t_grid slabs, on every collar node, which is what the
+    space-time sums take; the size guard of those sums runs first, so an
+    oversized grid samples nothing."""
+    domain = traj.domain
+    _require_spacetime_fits(domain.n_nodes, t_grid)
+    dt = traj.params.t_end / t_grid
     taus = (np.arange(t_grid) + 0.5) * dt
-    vals = np.stack([reconstruct(traj, t).values for t in taus])
-    return vals, taus, dt
+    values, slopes = reconstruct(traj, taus)
+    on_collar = np.zeros((2, t_grid, domain.n_nodes))
+    on_collar[:, :, domain.interior_mask] = values, slopes
+    return on_collar[0], on_collar[1], dt
 
 
 def spacetime_seminorm_w1(traj: RotheTrajectory, s_prime: float,
@@ -446,13 +446,7 @@ def check_spacetime_sobolev(traj: RotheTrajectory, s_prime: float,
         return CheckEntry(name="ST-SOBOLEV",
                           ref="spacetime-interpolation-bound", lhs=0.0,
                           rhs=0.0, skipped="space-time sum guard exceeded")
-    vals, taus, _ = _sample_lin(traj, t_grid)
-    h = traj.params.h
-    n = traj.n_steps
-    dvals = np.empty_like(vals)
-    for k, t in enumerate(taus):
-        m = min(n, int(math.floor(t / h)) + 1)
-        dvals[k] = (traj.steps[m].values - traj.steps[m - 1].values) / h
+    vals, dvals, _ = _sample_lin(traj, t_grid)
     return check_spacetime_sobolev_values(
         vals, dvals, traj.domain, traj.params.t_end, s_prime, s_bar,
         tol=_tol_check(traj.params, traj.scale))
@@ -461,13 +455,11 @@ def check_spacetime_sobolev(traj: RotheTrajectory, s_prime: float,
 def check_initial_trend(traj: RotheTrajectory) -> CheckEntry:
     """Informational: seminorm gap between the reconstruction and the initial
     data at shrinking times.  Recorded without pass/fail semantics."""
-    u0 = traj.steps[0]
-    gaps = []
-    t = traj.params.t_end
-    for _ in range(4):
-        gap = gagliardo_seminorm_p(reconstruct(traj, t) - u0, traj.kernel)
-        gaps.append((t, gap))
-        t /= 4.0
+    taus = traj.params.t_end / 4.0 ** np.arange(4)
+    values, _ = reconstruct(traj, taus)
+    gaps = [(float(t), gagliardo_seminorm_p(
+        GridFunction(traj.domain, v - traj.u[0]), traj.kernel))
+        for t, v in zip(taus, values)]
     note = " ".join(f"t={tv!r}:{gv!r}" for tv, gv in gaps)
     return CheckEntry(name="INIT-TREND", ref="initial-data-attainment-trend",
                       lhs=gaps[-1][1], rhs=gaps[0][1],
@@ -508,9 +500,7 @@ def cauchy_refinement_study(u0: GridFunction, kernel: KernelTable,
     h_fine = hs[-1]
     n_samp = int(math.floor(params.t_end / h_fine + 1e-12))
     taus = (np.arange(n_samp) + 0.5) * h_fine
-    interior = u0.domain.interior_mask
-    sampled = [np.stack([reconstruct(tr, t).values[interior]
-                         for t in taus]) for tr in trajs]
+    sampled = [reconstruct(tr, taus)[0] for tr in trajs]
     vol = u0.domain.vol
 
     entries = []
@@ -552,7 +542,6 @@ def measure_sobolev_constant(kernel: KernelTable) -> float:
     hi = np.asarray(domain.omega_max)
     best = 0.0
     for k in range(_SOBOLEV_PROBES):
-        vals = np.zeros(domain.n_nodes)
         if k % 2 == 0:
             center = rng.uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo))
             width = rng.uniform(0.15, 0.45) * float(np.min(hi - lo))
@@ -560,8 +549,7 @@ def measure_sobolev_constant(kernel: KernelTable) -> float:
             vals = np.maximum(0.0, 1.0 - r2) ** 2
         else:
             vals = rng.uniform(-1.0, 1.0, size=domain.n_nodes)
-        vals[~domain.interior_mask] = 0.0
-        u = GridFunction(domain, vals)
+        u = GridFunction(domain, vals[domain.interior_mask])
         sem = gagliardo_seminorm_p(u, kernel)
         if sem <= 0.0:
             continue
@@ -582,8 +570,7 @@ def chebyshev_level_sets(traj: RotheTrajectory, ell: float) -> CheckEntry:
                           skipped="p_star undefined (s*p >= dim)")
     p_star = exps.p_star
     c_sob = measure_sobolev_constant(traj.kernel)
-    u = traj.steps[-1]
-    lhs = domain.vol * float(np.sum(np.maximum(u.values, 0.0) >= ell))
+    lhs = domain.vol * float(np.sum(np.maximum(traj.u[-1], 0.0) >= ell))
     rhs = ((c_sob * traj.seminorm[0] ** (1.0 / params.p)) ** p_star
            / float(ell) ** p_star)
     return CheckEntry(name="LEVELSET", ref="level-set-bound",

@@ -18,7 +18,17 @@ from fracflow.kernel import _node_set_weights, _offset_weights
 
 def zero_function(domain):
     """The zero grid function."""
-    return GridFunction(domain, np.zeros(domain.n_nodes))
+    return GridFunction(domain, np.zeros(domain.n_interior))
+
+
+def on_collar(domain, values):
+    """Interior values (one row per function in a stack, node order last)
+    widened onto every collar node, zero on the exterior ones: the layout of
+    the collar table ``KernelTable.weights`` and of the space-time sums."""
+    values = np.asarray(values, dtype=float)
+    full = np.zeros(values.shape[:-1] + (domain.n_nodes,))
+    full[..., domain.interior_mask] = values
+    return full
 
 
 def interior_step_objective(x, vprev, kernel, params, vol_h):
@@ -35,8 +45,8 @@ def interior_step_objective(x, vprev, kernel, params, vol_h):
 def step_objective(w, u_prev, kernel, params):
     """Objective of one implicit step from u_prev, at w."""
     return interior_step_objective(
-        w.interior_values(), sgn_power(u_prev.interior_values(), params.q),
-        kernel, params, w.domain.vol / params.h)
+        w.values, sgn_power(u_prev.values, params.q), kernel, params,
+        w.domain.vol / params.h)
 
 
 def pair_weights(coords, vol, expo, lag=0.0, rows=None):

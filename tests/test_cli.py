@@ -148,6 +148,18 @@ def test_cmd_run_nonconvergence_exit_code(tmp_path):
     assert cmd_run(cfg) == 3
 
 
+def test_failed_run_leaves_no_output_dir(tmp_path, capsys):
+    # the output directory is made only once the flow is solved, so a run
+    # whose step solver fails exits 3 and leaves no directory behind
+    out = tmp_path / "out"
+    cfg_path = write_cfg(tmp_path, "\n".join([
+        "n_cells = 16", "p = 1.5", "preset = random", "solver_max_iter = 1",
+        f"output_dir = {out}"]))
+    assert main(["run", "--config", cfg_path]) == 3
+    assert "did not reach tolerance at step 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cmd_run_check_failure_exit_code(tmp_path, monkeypatch):
     cfg = small_run_cfg(tmp_path)
     failing = cli.verify.CheckEntry(name="MAX", ref="sup-norm-bound",
@@ -175,7 +187,7 @@ def test_cmd_run_overflow_writes_no_output(tmp_path, capsys, monkeypatch):
         f"output_dir = {tmp_path / 'out'}"]))
     assert main(["run", "--config", cfg_path]) == 2
     assert "error:" in capsys.readouterr().err
-    assert os.listdir(tmp_path / "out") == []
+    assert not (tmp_path / "out").exists()
     assert solved == []
 
 
@@ -200,7 +212,7 @@ def test_cmd_run_nan_energy_writes_no_output(tmp_path, capsys, monkeypatch):
     assert main(["run", "--config", cfg_path]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "nan" in err and "non-finite" not in err
-    assert os.listdir(tmp_path / "out") == []
+    assert not (tmp_path / "out").exists()
     assert solved == []
 
 
@@ -378,12 +390,12 @@ def test_run_evaluates_each_step_energy_once(tmp_path, monkeypatch):
         assert cmd_run(cfg) == 0
         (traj,) = trajs
         q1 = traj.params.q + 1.0
-        steps = [u.values.tobytes() for u in traj.steps[1:]]
+        steps = [row.tobytes() for row in traj.u[1:]]
         assert len(set(steps)) == traj.n_steps == 50
         assert all(sem[b] == 1 and lq[b, q1] == 1 for b in steps)
         # u0: the run scale, which is also the series' first entry, and
         # POINCARE
-        u0 = traj.steps[0].values.tobytes()
+        u0 = traj.u[0].tobytes()
         assert sem[u0] == 2
         # POINCARE's left side ||u0||_p^p is a call at r = p = q + 1 = 2 too
         assert lq[u0, q1] == 2 + (traj.params.p == q1)

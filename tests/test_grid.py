@@ -79,43 +79,38 @@ def test_interior_volume_converges():
 
 
 def test_grid_function_invariants():
+    # a grid function holds one value per interior node, so no exterior
+    # value can be given: a collar-length array is refused by its shape
     dom = build_grid(1, 0.0, 1.0, 4, 2.0)
-    vals = np.zeros(8)
-    vals[0] = 1.0  # exterior node
+    assert (dom.n_nodes, dom.n_interior) == (8, 4)
+    with pytest.raises(ValueError, match="interior values"):
+        GridFunction(dom, np.zeros(dom.n_nodes))
     with pytest.raises(ValueError):
-        GridFunction(dom, vals)
-    with pytest.raises(ValueError):
-        GridFunction(dom, np.full(8, np.nan))
+        GridFunction(dom, np.full(dom.n_interior, np.nan))
     with pytest.raises(ValueError):
         GridFunction(dom, np.zeros(5))
-    u = zero_function(dom)
-    assert u.linf() == 0.0
-
-
-def test_arithmetic_preserves_exterior_zeros():
-    dom = build_grid(1, 0.0, 1.0, 8, 2.0)
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=dom.n_nodes) * dom.interior_mask
-    b = rng.normal(size=dom.n_nodes) * dom.interior_mask
-    u, v = GridFunction(dom, a), GridFunction(dom, b)
-    w = u - v
-    assert np.all(w.values[~dom.interior_mask] == 0.0)
-    assert np.all(np.isfinite(w.values))
+    vals = np.array([1.0, -3.0, 2.0, 0.5])
+    u = GridFunction(dom, vals)
+    assert u.values.shape == (dom.n_interior,)
+    assert not u.values.flags.writeable
+    vals[0] = 7.0                       # the function holds its own copy
+    assert u.values[0] == 1.0
+    assert u.linf() == 3.0
+    assert zero_function(dom).linf() == 0.0
 
 
 def test_bump_preset():
     dom = build_grid(1, 0.0, 1.0, 8, 2.0)
     assert np.all(eval_preset(dom, "bump", 0.0).values == 0.0)
     u = eval_preset(dom, "bump", 2.0)
-    x = dom.node_coords[:, 0]
-    expect = np.where(dom.interior_mask, 2.0 * 4.0 * x * (1.0 - x), 0.0)
-    assert np.allclose(u.values, expect)
+    x = dom.node_coords[dom.interior_mask, 0]
+    assert np.allclose(u.values, 2.0 * 4.0 * x * (1.0 - x))
 
 
 def test_step_preset_middle_half():
     dom = build_grid(1, 0.0, 1.0, 8, 2.0)
     u = eval_preset(dom, "step", 1.0)
-    x = dom.node_coords[:, 0]
+    x = dom.node_coords[dom.interior_mask, 0]
     inside_mid = (x >= 0.25) & (x <= 0.75)
     assert np.all(u.values[inside_mid] == 1.0)
     assert np.all(u.values[~inside_mid] == 0.0)
@@ -129,6 +124,9 @@ def test_random_preset_reproducible():
     c = eval_preset(dom, "random", 1.0, seed=8)
     assert not np.array_equal(a.values, c.values)
     assert np.all(np.abs(a.values) <= 1.0)
+    # one draw per collar node, of which the interior ones are kept
+    draws = np.random.default_rng(7).uniform(-1.0, 1.0, dom.n_nodes)
+    assert np.array_equal(a.values, draws[dom.interior_mask])
 
 
 def test_csv_preset(tmp_path):
@@ -137,7 +135,7 @@ def test_csv_preset(tmp_path):
     vals = np.where(dom.interior_mask, 0.5, 0.0)
     good.write_text("\n".join(str(v) for v in vals) + "\n")
     u = eval_preset(dom, "csv", 1.0, csv_path=str(good))
-    assert np.array_equal(u.values, vals)
+    assert np.array_equal(u.values, vals[dom.interior_mask])
 
     short = tmp_path / "short.csv"
     short.write_text("1.0\n2.0\n")

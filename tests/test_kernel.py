@@ -464,8 +464,8 @@ def test_require_match_guards_mismatch():
                  lambda: _data_energies(u, k, params),
                  lambda: rothe_gradient(u, u, k, params),
                  lambda: verify.check_poincare(u, k, params),
-                 # data on another grid, with the scale given
+                 # data on another grid
                  lambda: minimize_step(eval_preset(other, "bump", 1.0), k,
-                                       params_with(s=0.5, p=2.0), scale=1.0)):
+                                       params_with(s=0.5, p=2.0))):
         with pytest.raises(ValueError, match=r"\(s, p, grid\)"):
             call()

@@ -61,14 +61,6 @@ def test_three_node_linear_solve_oracle():
         assert rel <= 1e-8
 
 
-def test_minimize_step_explicit_scale():
-    # a supplied run scale controls the stopping rule
-    dom, params, kernel = make_problem()
-    u_prev = eval_preset(dom, "bump", 1.0)
-    u, diag = minimize_step(u_prev, kernel, params, scale=100.0)
-    assert diag.grad_norm <= params.solver_tol * 100.0
-
-
 def test_nonconvergence_carries_diagnostics():
     # the error carries the failing step's partial diagnostics; CG
     # iterations are counted for p >= 2 only
@@ -89,8 +81,8 @@ def test_flow_counts_and_zero_data():
     dom, params, kernel = make_problem(h=0.03, t_end=0.1)
     traj = run_flow(zero_function(dom), kernel, params)
     assert traj.n_steps == 4  # ceil(0.1 / 0.03)
-    assert len(traj.steps) == 5
-    assert all(np.all(u.values == 0.0) for u in traj.steps)
+    assert traj.u.shape == (5, dom.n_interior)
+    assert np.all(traj.u == 0.0)
 
     traj = run_flow(eval_preset(dom, "bump", 1.0), kernel, params)
     assert traj.n_steps == 4
@@ -194,10 +186,10 @@ def test_cg_direction_meets_its_residual_target(dim, p, q):
     interior, boundary = dense_interior(kernel)
     for seed in range(3):
         u0 = eval_preset(dom, "random", 1.0, seed=seed)
-        tol_abs = (params.solver_tol
-                   * _data_energies(u0, kernel, params)[1])
-        ws = _StepWorkspace(kernel, params, tol_abs)
-        x0 = u0.interior_values()
+        scale = _data_energies(u0, kernel, params)[1]
+        tol_abs = params.solver_tol * scale
+        ws = _StepWorkspace(kernel, params, scale)
+        x0 = u0.values
         x = 0.5 * x0
         g = ws.gradient(x, sgn_power(x0, q))
         assert np.max(np.abs(g)) > 1e3 * tol_abs
@@ -223,11 +215,10 @@ def test_p2_step_forms_no_pair_matrix():
     for p, q in ((2.0, 0.5), (3.0, 0.5)):
         params = FlowParams(s=0.5, p=p, q=q, h=0.01, t_end=0.01)
         kernel = assemble_kernel(dom, params)
-        tol_abs = (params.solver_tol
-                   * _data_energies(u_prev, kernel, params)[1])
+        scale = _data_energies(u_prev, kernel, params)[1]
         tracemalloc.start()
         try:
-            ws = _StepWorkspace(kernel, params, tol_abs)
+            ws = _StepWorkspace(kernel, params, scale)
             _, diag = _solve_step(ws, u_prev.values)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -279,7 +270,7 @@ def test_step_counters_match_the_call_sequence(monkeypatch, s, p, q, preset,
     assert traj.n_steps == step
 
     events = []
-    ws = _StepWorkspace(kernel, params, params.solver_tol * traj.scale)
+    ws = _StepWorkspace(kernel, params, traj.scale)
     newton, gradient, snap = (ws.newton_direction, ws.gradient,
                               rothe._snap_clusters)
 
@@ -299,9 +290,9 @@ def test_step_counters_match_the_call_sequence(monkeypatch, s, p, q, preset,
 
     ws.newton_direction, ws.gradient = spy_newton, spy_gradient
     monkeypatch.setattr(rothe, "_snap_clusters", spy_snap)
-    for prev, diag in zip(traj.steps, traj.diagnostics):
+    for prev, diag in zip(traj.u, traj.diagnostics):
         events.clear()
-        x, again = _solve_step(ws, prev.values)
+        x, again = _solve_step(ws, prev)
         assert again == diag
         assert _parse_step_calls(events, x) == (
             diag.iterations, diag.backtracks, diag.snaps)
@@ -313,17 +304,14 @@ def test_ground_state_step_is_the_ray_start():
     # p=2, q=1: a lowest eigenvector v of the operator, A v = lam vol v,
     # steps exactly to v / (1 + lam h), which lies on the ray tau * v
     dom, params, kernel = make_problem(p=2.0, q=1.0)
-    interior = np.flatnonzero(dom.interior_mask)
-    a_mat = np.empty((interior.size, interior.size))
-    for col, node in enumerate(interior):
-        e = np.zeros(dom.n_nodes)
-        e[node] = 1.0
+    n = dom.n_interior
+    a_mat = np.empty((n, n))
+    for col, e in enumerate(np.eye(n)):
         a_mat[:, col] = apply_frac_p_laplacian(
-            GridFunction(dom, e), kernel).values[interior]
+            GridFunction(dom, e), kernel).values
     mu, vecs = np.linalg.eigh(a_mat)
     lam = mu[0] / dom.vol
-    v = np.zeros(dom.n_nodes)
-    v[interior] = vecs[:, 0]
+    v = vecs[:, 0]
     u, diag = minimize_step(GridFunction(dom, v), kernel, params)
     assert diag.iterations == 0
     assert abs(diag.ray_tau - 1.0 / (1.0 + lam * params.h)) <= 1e-12
@@ -345,10 +333,10 @@ def test_ray_start_closed_form_objective(dim, p, q):
     for h in (0.01, 1e6):
         params = FlowParams(s=0.5, p=p, q=q, h=h, t_end=h)
         kernel = assemble_kernel(dom, params)
-        ws = _StepWorkspace(kernel, params, params.solver_tol)
+        ws = _StepWorkspace(kernel, params, 1.0)
         for seed in range(3):
             u_prev = eval_preset(dom, "random", 1.0, seed=seed)
-            tau = _ray_start(ws, u_prev.interior_values())
+            tau = _ray_start(ws, u_prev.values)
             assert 0.0 < tau < 1.0
 
             def along_ray(t):
@@ -415,9 +403,9 @@ def test_solver_objective_history_monotone(monkeypatch):
     start = 0
     for m, diag in enumerate(traj.diagnostics, 1):
         xs = iterates[start:start + diag.iterations]
-        xs.append(traj.steps[m].interior_values())
+        xs.append(traj.u[m])
         start += diag.iterations
-        vprev = sgn_power(traj.steps[m - 1].interior_values(), params.q)
+        vprev = sgn_power(traj.u[m - 1], params.q)
         hist = np.array([interior_step_objective(x, vprev, kernel, params,
                                                  vol_h)
                          for x in xs])
@@ -446,8 +434,9 @@ def test_gradient_norm_falls_at_every_accepted_iterate(monkeypatch, p):
     for m, diag in enumerate(traj.diagnostics, 1):
         hist = norms[start:start + diag.iterations]
         start += diag.iterations
-        final = rothe_gradient(traj.steps[m], traj.steps[m - 1], kernel, params)
-        hist.append(float(np.linalg.norm(final.interior_values())))
+        final = rothe_gradient(GridFunction(dom, traj.u[m]),
+                               GridFunction(dom, traj.u[m - 1]), kernel, params)
+        hist.append(float(np.linalg.norm(final.values)))
         assert np.all(np.diff(hist) < 0.0), (m, hist)
 
 
@@ -485,11 +474,11 @@ def test_trajectory_series_match_direct_evaluation():
     dom, params, kernel = make_problem(p=1.5, q=2.0)
     traj = run_flow(eval_preset(dom, "random", 1.0, seed=3), kernel, params)
     assert traj.kernel is kernel
+    steps = [GridFunction(dom, row) for row in traj.u]
     direct = {
-        "seminorm": [gagliardo_seminorm_p(u, kernel)
-                     for u in traj.steps],
-        "lq_pow": [lq_power_integral(u, params.q + 1.0) for u in traj.steps],
-        "linf": [u.linf() for u in traj.steps]}
+        "seminorm": [gagliardo_seminorm_p(u, kernel) for u in steps],
+        "lq_pow": [lq_power_integral(u, params.q + 1.0) for u in steps],
+        "linf": [u.linf() for u in steps]}
     for name, values in direct.items():
         series = getattr(traj, name)
         assert isinstance(series, tuple) and series is getattr(traj, name)
@@ -502,8 +491,7 @@ def test_determinism_bitwise():
     u0 = eval_preset(dom, "random", 1.0, seed=4)
     a = run_flow(u0, kernel, params)
     b = run_flow(u0, kernel, params)
-    for ua, ub in zip(a.steps, b.steps):
-        assert np.array_equal(ua.values, ub.values)
+    assert np.array_equal(a.u, b.u)
 
 
 def test_reconstruction_knots_and_midpoints():
@@ -511,18 +499,44 @@ def test_reconstruction_knots_and_midpoints():
     u0 = eval_preset(dom, "bump", 1.0)
     traj = run_flow(u0, kernel, params)
     h = params.h
-    for m in (0, 1, traj.n_steps):
-        t = m * h
-        um = traj.steps[m].values
-        assert np.array_equal(reconstruct(traj, t).values, um)
-    mid = 1.5 * h
-    expect = 0.5 * (traj.steps[1].values + traj.steps[2].values)
-    assert np.allclose(reconstruct(traj, mid).values, expect,
+    knots = (0, 1, traj.n_steps)
+    values, _ = reconstruct(traj, [m * h for m in knots])
+    for row, m in zip(values, knots):
+        assert np.array_equal(row, traj.u[m])
+    expect = 0.5 * (traj.u[1] + traj.u[2])
+    assert np.allclose(reconstruct(traj, [1.5 * h])[0][0], expect,
                        rtol=1e-12, atol=1e-15)
     with pytest.raises(ValueError):
-        reconstruct(traj, -0.01)
+        reconstruct(traj, [-0.01])
+    for bad in (params.t_end + 10 * h, np.nan):
+        with pytest.raises(ValueError, match="outside"):
+            reconstruct(traj, [0.0, bad])
+
+
+def test_trajectory_array_and_reconstruct_at_knots_and_midpoints():
+    # 2D, p = 1.5: the steps are one read-only (N+1, n_interior) array, and
+    # one reconstruct call at times that mix every knot, 0 and t_end
+    # included, with every midpoint returns the steps themselves at the
+    # knots and the slopes (u_m - u_(m-1)) / h exactly at the midpoints
+    dom = build_grid(2, (0.0, 0.0), (1.0, 1.0), 6, 2.0)
+    params = FlowParams(s=0.5, p=1.5, q=1.0, h=0.01, t_end=0.05)
+    kernel = assemble_kernel(dom, params)
+    traj = run_flow(eval_preset(dom, "bump", 1.0), kernel, params)
+    u, h, n = traj.u, params.h, traj.n_steps
+    assert n == 5 and u.shape == (n + 1, dom.n_interior)
+    assert not u.flags.writeable
     with pytest.raises(ValueError):
-        reconstruct(traj, params.t_end + 10 * h)
+        u[1, 0] = 0.0
+    knots = np.append(np.arange(n) * h, params.t_end)
+    mids = (np.arange(n) + 0.5) * h
+    taus = np.empty(2 * n + 1)
+    taus[0::2], taus[1::2] = knots, mids
+    values, slopes = reconstruct(traj, taus)
+    assert values.shape == slopes.shape == (2 * n + 1, dom.n_interior)
+    assert np.array_equal(values[0::2], u)
+    assert np.array_equal(slopes[1::2], (u[1:] - u[:-1]) / h)
+    np.testing.assert_allclose(values[1::2], 0.5 * (u[1:] + u[:-1]),
+                               rtol=1e-12, atol=1e-15)
 
 
 def test_interpolation_elementary_bounds():
@@ -535,11 +549,11 @@ def test_interpolation_elementary_bounds():
     rng = np.random.default_rng(2)
     tol = 1e-12
     for m in range(1, traj.n_steps + 1):
-        for t in rng.uniform((m - 1) * h, m * h, size=10):
+        ts = rng.uniform((m - 1) * h, m * h, size=10)
+        for t, lin in zip(ts, reconstruct(traj, ts)[0]):
             theta_r = (m * h - t) / h
-            bar = traj.steps[m].values          # the step function at t
-            bar_lag = traj.steps[m - 1].values  # ... and at t - h
-            lin = reconstruct(traj, t).values
+            bar = traj.u[m]          # the step function at t
+            bar_lag = traj.u[m - 1]  # ... and at t - h
             # convex-combination bound
             assert np.all(np.abs(lin) <= (1 - theta_r) * np.abs(bar)
                           + theta_r * np.abs(bar_lag) + tol)
@@ -562,20 +576,19 @@ def test_near_unit_p_converges_on_symmetric_data():
 
 
 def test_truncate_values():
-    dom, params, kernel = make_problem(4)
-    i = np.flatnonzero(dom.interior_mask)
-    vals = np.zeros(dom.n_nodes)
-    vals[i[0]], vals[i[1]], vals[i[2]] = 0.1, 3.0, -1.0
-    u = GridFunction(dom, vals)
-    plus = truncate(u, "+", 2)
-    assert plus[i[0]] == 0.5    # clamped up to 1/ell
-    assert plus[i[1]] == 2.0    # clamped down to ell
-    assert plus[i[2]] == 0.5    # negative part removed, then clamped
-    assert np.all(plus[~dom.interior_mask] == 0.5)
-    minus = truncate(u, "-", 2)
-    assert minus[i[2]] == 1.0
-    assert minus[i[1]] == 0.5
+    x = np.array([0.1, 3.0, -1.0, 0.0])
+    plus = truncate(x, "+", 2)
+    assert plus[0] == 0.5    # clamped up to 1/ell
+    assert plus[1] == 2.0    # clamped down to ell
+    assert plus[2] == 0.5    # negative part removed, then clamped
+    assert plus[3] == 0.5    # a zero value is clamped up too
+    minus = truncate(x, "-", 2)
+    assert minus[2] == 1.0
+    assert minus[1] == 0.5
+    # a stack of value arrays is truncated row by row
+    both = truncate(np.stack([x, -x]), "+", 2)
+    assert np.array_equal(both, np.stack([plus, minus]))
     with pytest.raises(ValueError):
-        truncate(u, "+", 1)
+        truncate(x, "+", 1)
     with pytest.raises(ValueError):
-        truncate(u, "x", 2)
+        truncate(x, "x", 2)

@@ -10,7 +10,7 @@ from fracflow import kernel as kernel_mod
 from fracflow import verify
 from fracflow.verify import (CheckEntry, VerificationReport,
                              sobolev_exponents, _degenerate_weight)
-from oracles import st_seminorm_bruteforce, zero_function
+from oracles import on_collar, st_seminorm_bruteforce, zero_function
 
 
 def make_problem(n_cells=16, dim=1, s=0.5, p=2.0, q=1.0, h=0.01, t_end=0.1, **kw):
@@ -80,12 +80,30 @@ def test_rejects_unconverged_trajectory():
         with pytest.raises(ValueError, match="unconverged"):
             replace(traj, diagnostics=diags)
         with pytest.raises(ValueError, match="unconverged"):
-            RotheTrajectory(params=params, kernel=kernel, scale=traj.scale,
-                            steps=traj.steps, diagnostics=diags,
+            RotheTrajectory(params=params, kernel=kernel, u=traj.u,
+                            diagnostics=diags,
                             _u0_energies=traj._u0_energies)
 
 
 # --- discrete-exact estimates ------------------------------------------------
+
+def test_step_sum_matches_the_per_step_loop():
+    # _step_sum reduces the rows of all steps in one call; each row's sum
+    # must be that step's own np.sum bit for bit, for rows shorter and
+    # longer than numpy's pairwise summation block
+    dom, params, kernel, traj = bump_run(n_cells=4, h=0.02, t_end=0.1)
+    h, vol = params.h, dom.vol
+    rng = np.random.default_rng(3)
+
+    def f(a, b):
+        return _degenerate_weight(a, b, -0.5) * ((a - b) / h) ** 2
+
+    for width in (3, 64, 129, 256, 1000, 4099):
+        vals = rng.uniform(-1.0, 1.0, (traj.n_steps + 1, width))
+        loop = sum(h * vol * float(np.sum(f(vals[m], vals[m - 1])))
+                   for m in range(1, traj.n_steps + 1))
+        assert verify._step_sum(traj, vals, f) == loop
+
 
 def test_all_checks_vacuous_on_zero_data():
     dom, params, kernel = make_problem()
@@ -115,7 +133,7 @@ def test_energy_estimates_bump():
 def test_time_derivative_bounds_q1_constants_are_one():
     dom, params, kernel, traj = bump_run(q=1.0)
     t1 = verify.check_time_derivative_bounds(traj)[0]
-    s0 = gagliardo_seminorm_p(traj.steps[0], kernel)
+    s0 = gagliardo_seminorm_p(GridFunction(dom, traj.u[0]), kernel)
     assert t1.constant_used == pytest.approx(1.0)
     assert t1.rhs == pytest.approx(s0 / (2.0 * params.p))
     assert t1.passed
@@ -204,8 +222,8 @@ def test_poincare_single_node_hand_case():
     # s=0.5, p=2, diam=1: constant = (sp/(n alpha_n)) (2d)^sp = (1/2)*2 = 1,
     # so the bound reads vol <= seminorm^p for a unit indicator
     dom, params, kernel = make_problem(n_cells=8, s=0.5, p=2.0)
-    vals = np.zeros(dom.n_nodes)
-    vals[np.flatnonzero(dom.interior_mask)[3]] = 1.0
+    vals = np.zeros(dom.n_interior)
+    vals[3] = 1.0
     u = GridFunction(dom, vals)
     e = verify.check_poincare(u, kernel, params)
     assert e.constant_used == pytest.approx(1.0)
@@ -217,7 +235,7 @@ def test_poincare_single_node_hand_case():
 def test_poincare_scale_invariant_verdict():
     dom, params, kernel = make_problem(n_cells=16, s=0.3, p=2.5)
     rng = np.random.default_rng(0)
-    vals = rng.uniform(-1, 1, dom.n_nodes) * dom.interior_mask
+    vals = rng.uniform(-1, 1, dom.n_nodes)[dom.interior_mask]
     u = GridFunction(dom, vals)
     e1 = verify.check_poincare(u, kernel, params)
     e2 = verify.check_poincare(GridFunction(dom, 17.0 * vals), kernel, params)
@@ -235,7 +253,7 @@ def test_poincare_random_sweep():
     dom, params, kernel = make_problem(n_cells=32, s=0.5, p=2.0)
     rng = np.random.default_rng(101)
     for _ in range(100):
-        vals = rng.uniform(-1, 1, dom.n_nodes) * dom.interior_mask
+        vals = rng.uniform(-1, 1, dom.n_nodes)[dom.interior_mask]
         e = verify.check_poincare(GridFunction(dom, vals), kernel, params)
         assert e.passed
 
@@ -258,7 +276,7 @@ def test_st_seminorm_matches_bruteforce_oracle():
     dom, params, kernel, traj = bump_run(n_cells=4, h=0.02, t_end=0.08)
     val = verify.spacetime_seminorm_w1(traj, 0.25, 8)
     taus = (np.arange(8) + 0.5) * (params.t_end / 8)
-    vals = np.stack([reconstruct(traj, t).values for t in taus])
+    vals = on_collar(dom, reconstruct(traj, taus)[0])
     oracle = st_seminorm_bruteforce(vals, dom, params.t_end / 8, 0.25)
     assert abs(val - oracle) <= 1e-12 * oracle
 
@@ -274,7 +292,7 @@ def st_support_cases():
     for dom in (build_grid(1, 0.0, 1.0, 8, 2.0),      # 16 nodes
                 build_grid(2, 0.0, 1.0, 4, 1.5)):     # 36 nodes
         inside = dom.interior_mask
-        step = eval_preset(dom, "step", 1.0).values
+        step = on_collar(dom, eval_preset(dom, "step", 1.0).values)
         assert 0 < np.count_nonzero(step) < dom.n_interior
         noise = rng.uniform(-1.0, 1.0, (3, dom.n_nodes))
         cols = noise * (rng.uniform(size=dom.n_nodes) < 0.5)
