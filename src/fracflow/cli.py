@@ -95,6 +95,8 @@ def _validate(cfg: RunConfig) -> None:
                           f"got {cfg.csv_path!r}")
     if not math.isfinite(cfg.amplitude):
         raise ConfigError("amplitude must be finite")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be non-negative")
     if cfg.ell < 2:
         raise ConfigError("ell must be at least 2")
     if not (0.0 < cfg.s_prime < cfg.s_bar < 1.0):
@@ -229,10 +231,11 @@ def cmd_ineq(cfg: RunConfig, trials: int, seed: int) -> int:
     """Standalone inequality suite, independent of any flow."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    from .stream import Stream  # imported where drawn (see stream)
+    rng = Stream(seed)      # refuses a negative seed
     domain, params = _grid_and_params(cfg)
     kernel = assemble_kernel(domain, params)
     os.makedirs(cfg.output_dir, exist_ok=True)
-    rng = np.random.default_rng(seed)
     report = verify.VerificationReport(
         meta=_meta(cfg, {"trials": trials, "ineq_seed": seed}))
 

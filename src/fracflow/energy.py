@@ -176,10 +176,12 @@ def _data_energies(u0: GridFunction, kernel: KernelTable,
     """The energies ([u0]^p, ||u0||_{q+1}^{q+1}) of a run's data and the
     tolerance scale they give; raises NonFiniteData if either energy is not
     finite.  Both are checked, not the scale: ``max`` drops a nan that is
-    not its first argument."""
+    not its first argument.  Overflow is silenced while they are evaluated,
+    since this named error reports it."""
     kernel.require_match(u0.domain, params)
-    energies = (gagliardo_seminorm_p(u0, kernel),
-                lq_power_integral(u0, params.q + 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        energies = (gagliardo_seminorm_p(u0, kernel),
+                    lq_power_integral(u0, params.q + 1.0))
     if not all(map(math.isfinite, energies)):
         raise NonFiniteData(f"the energies of the initial data overflow "
                             f"([u0]^p = {energies[0]!r}, "

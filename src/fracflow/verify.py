@@ -530,13 +530,18 @@ def measure_sobolev_constant(kernel: KernelTable) -> float:
     A measured surrogate for the embedding constant, recorded per grid and
     (s, p) (the kernel's); half the probes are nodal noise, half are
     randomly placed smooth bumps (which sit closer to the extremal ratio).
+    The probes are numpy's ``default_rng(_SOBOLEV_SEED)`` draws,
+    reproduced by ``stream.Stream`` without importing numpy's random
+    subpackage (whose import costs about 6 MiB of resident memory, more
+    than the probes themselves).
     """
     domain = kernel.domain
     exps = sobolev_exponents(domain.dim, kernel.s, kernel.p)
     if not exps.p_star_defined:
         raise ValueError("embedding exponent undefined: need s*p < dim")
     p_star = exps.p_star
-    rng = np.random.default_rng(_SOBOLEV_SEED)
+    from .stream import Stream  # imported where drawn (see stream)
+    rng = Stream(_SOBOLEV_SEED)
     coords = domain.node_coords
     lo = np.asarray(domain.omega_min)
     hi = np.asarray(domain.omega_max)

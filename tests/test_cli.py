@@ -68,6 +68,8 @@ def test_out_of_range_values_name_the_constraint(tmp_path):
         parse_config(write_cfg(tmp_path, "h = 0\n"))
     with pytest.raises(ConfigError, match="solver_tol must be positive"):
         parse_config(write_cfg(tmp_path, "solver_tol = 0\n"))
+    with pytest.raises(ConfigError, match="seed must be non-negative"):
+        parse_config(write_cfg(tmp_path, "seed = -1\npreset = random\n"))
     # q < 1 is fine (slow diffusion at the default p = 2, as p - 1 > q)
     assert parse_config(write_cfg(tmp_path, "q = 0.5\n")).q == 0.5
 
@@ -169,11 +171,12 @@ def test_cmd_run_check_failure_exit_code(tmp_path, monkeypatch):
     assert cmd_run(cfg) == 4
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_cmd_run_overflow_writes_no_output(tmp_path, capsys, monkeypatch):
     # the seminorm of this data overflows to inf; that must be refused with
     # an error before any step is solved, not written as a bare inf that
-    # strict JSON readers reject
+    # strict JSON readers reject, and the named error is all that is
+    # printed: no numpy overflow warning comes before it
     solved = []
     solve_step = rothe._solve_step
 
@@ -191,8 +194,7 @@ def test_cmd_run_overflow_writes_no_output(tmp_path, capsys, monkeypatch):
     assert solved == []
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_cmd_run_nan_energy_writes_no_output(tmp_path, capsys, monkeypatch):
     # at p = 2 the seminorm of this data is nan (inf - inf in x.(L x)) while
     # its L^{q+1} power is a finite 1.9e232: max(1, nan, 1.9e232) would give
@@ -247,7 +249,8 @@ def test_converge_exit_code_is_the_reports_verdict(tmp_path, monkeypatch):
 
 def test_unbuildable_problem_leaves_no_output(tmp_path, capsys):
     # the problem is built before the output directory is made; ineq reads
-    # no initial data, so a csv file of the wrong size does not refuse it
+    # no initial data, so neither a csv file of the wrong size nor random
+    # data whose range 2 * amplitude overflows refuses it
     short = tmp_path / "short.csv"
     short.write_text("0\n0\n")
     configs = {
@@ -256,13 +259,14 @@ def test_unbuildable_problem_leaves_no_output(tmp_path, capsys):
         # p = 2 forms no interior block and refuses no size
         "dense-2d": ["dim = 2", "omega_min = 0,0", "omega_max = 1,1",
                      "n_cells = 80", "collar_factor = 1", "p = 1.5"],
+        "huge-random": ["preset = random", "amplitude = 1e308"],
     }
     for name, lines in configs.items():
         out = tmp_path / f"out-{name}"
         cfg_path = write_cfg(tmp_path, "\n".join(
             lines + [f"output_dir = {out}"]), name=f"{name}.cfg")
-        commands = ["run", "converge"] + (["ineq"] if name != "short-csv"
-                                          else [])
+        commands = ["run", "converge"] + (
+            [] if name in ("short-csv", "huge-random") else ["ineq"])
         for command in commands:
             assert main([command, "--config", cfg_path]) == 2, (name, command)
             assert "error:" in capsys.readouterr().err
@@ -274,7 +278,8 @@ def test_unbuildable_problem_leaves_no_output(tmp_path, capsys):
     for args, message in (
             (["converge", "--levels", "2"], "levels must be at least 3"),
             (["converge", "--gamma", "50"], "gamma must be below"),
-            (["ineq", "--trials", "0"], "trials must be at least 1")):
+            (["ineq", "--trials", "0"], "trials must be at least 1"),
+            (["ineq", "--seed", "-3"], "seed must be non-negative")):
         assert main([args[0], "--config", cfg_path, *args[1:]]) == 2, args
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists(), args
@@ -460,6 +465,38 @@ def test_numpy_fft_loads_only_for_p2():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.split() == ["False", "False"]
+
+
+def test_commands_never_load_numpy_random(tmp_path):
+    # every seeded draw (random data, LEVELSET's Sobolev probes, ineq's
+    # trials) comes from fracflow.stream, so no command pays numpy.random's
+    # import (secrets, hashlib, OpenSSL: about 6 MiB of resident memory);
+    # the stream itself is imported only where a command draws
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    commands = (["run"], ["converge"], ["ineq", "--trials", "200"])
+    for k, args in enumerate(commands):
+        write_cfg(tmp_path, "\n".join([
+            "dim = 2", "omega_min = 0,0", "omega_max = 1,1", "n_cells = 12",
+            "collar_factor = 1", "preset = random", "seed = 5", "t_end = 0.03",
+            f"output_dir = {tmp_path / f'out{k}'}"]), name=f"{k}.cfg")
+    code = "\n".join([
+        "import sys",
+        "from fracflow.cli import main",
+        "print('fracflow.stream' in sys.modules)",
+        f"for k, args in enumerate({commands!r}):",
+        f"    cfg = {str(tmp_path)!r} + f'/{{k}}.cfg'",
+        "    print(main([args[0], '--config', cfg, *args[1:]]))",
+        "print('numpy.random' in sys.modules)"])
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.split() == ["False", "0", "0", "0", "False"]
+    # the draws ran: LEVELSET (64 probes) and the synthetic space-time
+    # trials (integers) are entries, not skips
+    for k, name in ((0, "LEVELSET"), (2, "ST-SOBOLEV-synthetic")):
+        report = json.loads((tmp_path / f"out{k}" / "report.json").read_text())
+        (entry,) = [e for e in report["entries"] if e["name"] == name]
+        assert "skipped" not in entry
 
 
 def test_byte_determinism(tmp_path):

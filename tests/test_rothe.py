@@ -363,7 +363,7 @@ def test_extinguishing_flow_keeps_decaying_below_underflow():
             assert cur < prev
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_overflowing_data_fails_before_the_first_step(monkeypatch):
     # the p=3 seminorm of amplitude-1e120 data is inf: no step may run
     dom, params, kernel = make_problem(p=3.0)
@@ -372,8 +372,7 @@ def test_overflowing_data_fails_before_the_first_step(monkeypatch):
         run_flow(eval_preset(dom, "bump", 1e120), kernel, params)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_minimize_step_refuses_overflowing_data():
     # with no scale given, a step takes the scale of its data as run_flow
     # does, and data whose energies overflow are refused the same way: an
