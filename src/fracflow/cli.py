@@ -103,6 +103,16 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError("need 0 < s_prime < s_bar < 1")
     if cfg.t_grid < 2:
         raise ConfigError("t_grid must be at least 2")
+    # the directory is made only after the solve, so a path that cannot
+    # become one is refused here: empty, or at or below a file
+    if not cfg.output_dir:
+        raise ConfigError("output_dir must not be empty")
+    ancestor = os.path.abspath(cfg.output_dir)
+    while not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not os.path.isdir(ancestor):
+        raise ConfigError(f"output_dir {cfg.output_dir!r} cannot be made: "
+                          f"{ancestor} is not a directory")
 
 
 def parse_config(path: str) -> RunConfig:
@@ -177,7 +187,7 @@ def cmd_run(cfg: RunConfig) -> int:
 
     report = verify.VerificationReport(meta=_meta(cfg, {
         "scale": traj.scale,
-        "tol_check": verify._tol_check(params, traj.scale),
+        "tol_check": traj.tol_check,
         "n_steps": traj.n_steps,
         "interior_nodes": domain.n_interior,
         "total_nodes": domain.n_nodes,

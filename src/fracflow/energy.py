@@ -167,17 +167,12 @@ class NonFiniteData(ValueError):
     first step."""
 
 
-def _tolerance_scale(seminorm: float, lq_pow: float) -> float:
-    return max(1.0, seminorm, lq_pow)
-
-
 def _data_energies(u0: GridFunction, kernel: KernelTable,
-                   params: FlowParams) -> tuple[tuple, float]:
-    """The energies ([u0]^p, ||u0||_{q+1}^{q+1}) of a run's data and the
-    tolerance scale they give; raises NonFiniteData if either energy is not
-    finite.  Both are checked, not the scale: ``max`` drops a nan that is
-    not its first argument.  Overflow is silenced while they are evaluated,
-    since this named error reports it."""
+                   params: FlowParams) -> tuple:
+    """The energies ([u0]^p, ||u0||_{q+1}^{q+1}) of a run's data; raises
+    NonFiniteData if either is not finite.  Both are checked, not the scale:
+    ``max`` drops a nan that is not its first argument.  Overflow is
+    silenced while they are evaluated, since this named error reports it."""
     kernel.require_match(u0.domain, params)
     with np.errstate(over="ignore", invalid="ignore"):
         energies = (gagliardo_seminorm_p(u0, kernel),
@@ -186,7 +181,14 @@ def _data_energies(u0: GridFunction, kernel: KernelTable,
         raise NonFiniteData(f"the energies of the initial data overflow "
                             f"([u0]^p = {energies[0]!r}, "
                             f"||u0||^(q+1) = {energies[1]!r})")
-    return energies, _tolerance_scale(*energies)
+    return energies
+
+
+def _tolerances(energies: tuple, params: FlowParams) -> tuple:
+    """The run's one tolerance rule: from its data's energies, the scale,
+    the steps' stopping tolerance and the trajectory entries' tolerance."""
+    scale = max(1.0, *energies)
+    return scale, params.solver_tol * scale, 10.0 * params.solver_tol * scale
 
 
 @dataclass(frozen=True)

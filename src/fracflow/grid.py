@@ -74,6 +74,8 @@ def _as_coords(value, dim: int, name: str) -> tuple:
         arr = np.full(dim, float(arr[0]))
     if arr.size != dim:
         raise ValueError(f"{name} must have {dim} component(s), got {arr.size}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
     return tuple(float(v) for v in arr)
 
 
@@ -88,8 +90,8 @@ def build_grid(dim: int, omega_min, omega_max, n_cells: int,
         raise ValueError("dim must be 1 or 2")
     if n_cells < 2:
         raise ValueError("n_cells must be at least 2")
-    if collar_factor < 1.0:
-        raise ValueError("collar_factor must be >= 1")
+    if not 1.0 <= collar_factor < np.inf:      # nan fails too
+        raise ValueError("collar_factor must be >= 1 and finite")
     lo = _as_coords(omega_min, dim, "omega_min")
     hi = _as_coords(omega_max, dim, "omega_max")
     extents = [b - a for a, b in zip(lo, hi)]

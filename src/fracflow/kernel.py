@@ -42,7 +42,8 @@ class FlowParams:
     """Exponents and stepping/solver controls for one flow run.
 
     The standing admissibility assumptions are 0 < s < 1, p > 1 and q > 0;
-    anything outside that range is rejected at construction.
+    anything outside that range, or any non-finite value, is rejected at
+    construction.
     """
 
     s: float
@@ -56,16 +57,16 @@ class FlowParams:
     def __post_init__(self):
         if not (0.0 < self.s < 1.0):
             raise ValueError("s must lie in (0,1)")
-        if not self.p > 1.0:
-            raise ValueError("p must exceed 1")
-        if not self.q > 0.0:
-            raise ValueError("q must be positive")
+        if not 1.0 < self.p < math.inf:
+            raise ValueError("p must exceed 1 and be finite")
+        if not 0.0 < self.q < math.inf:
+            raise ValueError("q must be positive and finite")
         if not self.h > 0.0:
             raise ValueError("h must be positive")
-        if not self.t_end >= self.h:
-            raise ValueError("t_end must be at least h")
-        if not self.solver_tol > 0.0:
-            raise ValueError("solver_tol must be positive")
+        if not self.h <= self.t_end < math.inf:
+            raise ValueError("t_end must be at least h and finite")
+        if not 0.0 < self.solver_tol < math.inf:
+            raise ValueError("solver_tol must be positive and finite")
         if not self.solver_max_iter > 0:
             raise ValueError("solver_max_iter must be positive")
 

@@ -52,7 +52,7 @@ from .grid import GridDomain, GridFunction
 from .kernel import FlowParams, KernelTable
 from .energy import (NonFiniteData, sgn_power, lq_power_integral,
                      gagliardo_seminorm_p, _data_energies, _self_pair_sum,
-                     _step_gradient, _tolerance_scale)
+                     _step_gradient, _tolerances)
 
 __all__ = [
     "NonConvergence", "StepDiagnostics", "RotheTrajectory", "minimize_step",
@@ -98,16 +98,16 @@ class _StepWorkspace:
     p != 2 the one (n, n) scratch array that every pair matrix of the solve
     is formed in (``buf``; None at p = 2, where no pair matrix is formed).
 
-    ``tol_abs`` is the run's gradient stopping tolerance, solver_tol times
-    the run's tolerance scale; ``linear_iters`` counts the CG iterations of
-    the Newton solves since the step began.  The caller has matched params
-    and its data's grid to the kernel."""
+    ``tol_abs`` is the run's gradient stopping tolerance, as its caller
+    takes it from ``energy._tolerances``; ``linear_iters`` counts the CG
+    iterations of the Newton solves since the step began.  The caller has
+    matched params and its data's grid to the kernel."""
 
     def __init__(self, kernel: KernelTable, params: FlowParams,
-                 scale: float):
+                 tol_abs: float):
         self.kernel = kernel
         self.params = params
-        self.tol_abs = params.solver_tol * scale
+        self.tol_abs = tol_abs
         self.vol_h = kernel.domain.vol / params.h
         n = kernel.domain.n_interior
         self.buf = None if params.p == 2.0 else np.empty((n, n))
@@ -136,7 +136,7 @@ class _StepWorkspace:
         """
         p, q, kern = self.params.p, self.params.q, self.kernel
         absx = np.abs(x)
-        floor = 32.0 * np.finfo(float).eps * max(1.0, float(absx.max()))
+        floor = 32.0 * np.finfo(float).eps * _magnitude(x)
         np.maximum(absx, floor, out=absx)
         time_di = self.vol_h * q * absx ** (q - 1.0)
         if p == 2.0:
@@ -207,6 +207,11 @@ class _StepWorkspace:
         return d
 
 
+def _magnitude(x: np.ndarray) -> float:
+    """max(1, max |x|), which the Newton clamp and the snap scale eps by."""
+    return max(1.0, float(np.max(np.abs(x))))
+
+
 def _snap_clusters(x: np.ndarray) -> np.ndarray | None:
     """Collapse coordinates that agree to roundoff onto their exact mean.
 
@@ -218,8 +223,7 @@ def _snap_clusters(x: np.ndarray) -> np.ndarray | None:
     """
     eps = np.finfo(float).eps
     out = x.copy()
-    scale = max(1.0, float(np.max(np.abs(x))))
-    out[np.abs(out) <= 8.0 * eps * scale] = 0.0
+    out[np.abs(out) <= 8.0 * eps * _magnitude(x)] = 0.0
     order = np.argsort(out)
     xs = out[order]
     close = np.diff(xs) <= 32.0 * eps * np.maximum(np.abs(xs[:-1]),
@@ -337,12 +341,12 @@ def minimize_step(u_prev: GridFunction, kernel: KernelTable,
     """Solve one implicit step, started at the best multiple of u_prev.
 
     Returns the minimizer together with its diagnostics.  The stopping rule
-    is inf-norm of the gradient <= solver_tol * scale, with the scale of
-    u_prev taken as ``run_flow`` takes it from its data; like ``run_flow``
-    it raises NonFiniteData if an energy of u_prev overflows.
+    is inf-norm of the gradient <= the stopping tolerance that ``run_flow``
+    would take from u_prev as its data; like ``run_flow`` it raises
+    NonFiniteData if an energy of u_prev overflows.
     """
-    ws = _StepWorkspace(kernel, params,
-                        _data_energies(u_prev, kernel, params)[1])
+    ws = _StepWorkspace(kernel, params, _tolerances(
+        _data_energies(u_prev, kernel, params), params)[1])
     x, diag = _solve_step(ws, u_prev.values)
     return GridFunction(u_prev.domain, x), diag
 
@@ -355,7 +359,9 @@ class RotheTrajectory:
     ``u`` is one read-only (N+1, n_interior) array whose row m holds the
     interior values of u_m.  Every step met the run's stopping rule,
     grad_norm <= ``tol_abs``: construction refuses anything else (a NaN
-    grad_norm included), so each check reads a converged trajectory."""
+    grad_norm included), so each check reads a converged trajectory.  Its
+    tolerances ``scale``, ``tol_abs`` and ``tol_check`` are the run's
+    rule, ``energy._tolerances``, on the energies of u_0."""
 
     params: FlowParams
     kernel: KernelTable  # the kernel the steps were solved with
@@ -371,13 +377,15 @@ class RotheTrajectory:
 
     @property
     def scale(self) -> float:
-        """The run's tolerance scale, from the energies of u_0."""
-        return _tolerance_scale(*self._u0_energies)
+        return _tolerances(self._u0_energies, self.params)[0]
 
     @property
-    def tol_abs(self) -> float:
-        """The run's gradient stopping tolerance."""
-        return self.params.solver_tol * self.scale
+    def tol_abs(self) -> float:     # every step's gradient stopping tolerance
+        return _tolerances(self._u0_energies, self.params)[1]
+
+    @property
+    def tol_check(self) -> float:   # the tolerance of every trajectory entry
+        return _tolerances(self._u0_energies, self.params)[2]
 
     @property
     def domain(self) -> GridDomain:
@@ -418,8 +426,8 @@ def run_flow(u0: GridFunction, kernel: KernelTable,
     Raises NonFiniteData, before any step, if an energy of u0 overflows.
     The energies of u0 that give the scale are the first entries of the
     trajectory's series."""
-    energies, scale = _data_energies(u0, kernel, params)
-    ws = _StepWorkspace(kernel, params, scale)
+    energies = _data_energies(u0, kernel, params)
+    ws = _StepWorkspace(kernel, params, _tolerances(energies, params)[1])
     u = np.empty((params.n_steps + 1, u0.values.size))
     u[0] = u0.values
     diags = []

@@ -22,7 +22,7 @@ from .grid import GridDomain, GridFunction
 from .kernel import FlowParams, KernelTable, _offset_weights, _row_blocks
 from .energy import (AlgConstants, sgn_power, lq_power_integral,
                      gagliardo_seminorm_p, rothe_gradient, _data_energies,
-                     _pair_sum)
+                     _pair_sum, _tolerances)
 from .rothe import RotheTrajectory, run_flow, reconstruct, truncate
 
 __all__ = [
@@ -147,10 +147,6 @@ def sobolev_exponents(n: int, s: float, p: float) -> SobolevExponents:
     return SobolevExponents(n=n, s=s, p=p, p_star=p_star, p_star_bar=p_star_bar)
 
 
-def _tol_check(params: FlowParams, scale: float) -> float:
-    return 10.0 * params.solver_tol * scale
-
-
 def _step_sum(traj: RotheTrajectory, vals: np.ndarray, f) -> float:
     """sum_m h vol sum_i f(vals[m], vals[m-1])_i over m = 1..N, for an
     array vals with one row per step of the trajectory."""
@@ -182,7 +178,7 @@ def check_energy_estimates(traj: RotheTrajectory) -> list:
     dissipation, and per-step seminorm decay."""
     params = traj.params
     q, p, h = params.q, params.p, params.h
-    tol = _tol_check(params, traj.scale)
+    tol = traj.tol_check
     lq_pow, sem = traj.lq_pow, traj.seminorm
     c2 = alg_constants(q + 1.0).c2
 
@@ -215,7 +211,7 @@ def check_time_derivative_bounds(traj: RotheTrajectory) -> list:
     L1 bound on the q-power interpolant derivative."""
     params = traj.params
     q, p, h = params.q, params.p, params.h
-    tol = _tol_check(params, traj.scale)
+    tol = traj.tol_check
     s0 = traj.seminorm[0]
     c1_half = alg_constants((q + 3.0) / 2.0).c1
     full = alg_constants(q + 1.0)
@@ -251,7 +247,7 @@ def check_max_principle(traj: RotheTrajectory) -> CheckEntry:
     """The flow never exceeds the initial sup bound."""
     return CheckEntry(name="MAX", ref="sup-norm-bound",
                       lhs=max(traj.linf[1:]), rhs=traj.linf[0],
-                      tol=_tol_check(traj.params, traj.scale))
+                      tol=traj.tol_check)
 
 
 def check_truncation_energy(traj: RotheTrajectory, ell: int) -> list:
@@ -263,7 +259,7 @@ def check_truncation_energy(traj: RotheTrajectory, ell: int) -> list:
     """
     params = traj.params
     q, p, h = params.q, params.p, params.h
-    tol = _tol_check(params, traj.scale)
+    tol = traj.tol_check
     s0 = traj.seminorm[0]
     c2 = alg_constants(q + 1.0).c2
 
@@ -302,8 +298,7 @@ def check_weak_residual(traj: RotheTrajectory) -> CheckEntry:
     worst = max(rothe_gradient(w, u_prev, traj.kernel, params).linf()
                 for u_prev, w in zip(steps, steps[1:]))
     return CheckEntry(name="RESID", ref="step-equation-residual",
-                      lhs=worst, rhs=traj.tol_abs,
-                      tol=_tol_check(params, traj.scale))
+                      lhs=worst, rhs=traj.tol_abs, tol=traj.tol_check)
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +318,11 @@ def check_poincare(u: GridFunction, kernel: KernelTable,
         return CheckEntry(name="POINCARE", ref="poincare-bound",
                           lhs=0.0, rhs=0.0, constant_used=const,
                           skipped="zero function (vacuous)")
-    (sem, _), scale = _data_energies(u, kernel, params)
+    energies = _data_energies(u, kernel, params)
     return CheckEntry(name="POINCARE", ref="poincare-bound",
-                      lhs=lq_power_integral(u, params.p), rhs=const * sem,
-                      constant_used=const, tol=_tol_check(params, scale))
+                      lhs=lq_power_integral(u, params.p),
+                      rhs=const * energies[0], constant_used=const,
+                      tol=_tolerances(energies, params)[2])
 
 
 def spacetime_sum_fits(n_nodes: int, t_grid: int) -> bool:
@@ -449,7 +445,7 @@ def check_spacetime_sobolev(traj: RotheTrajectory, s_prime: float,
     vals, dvals, _ = _sample_lin(traj, t_grid)
     return check_spacetime_sobolev_values(
         vals, dvals, traj.domain, traj.params.t_end, s_prime, s_bar,
-        tol=_tol_check(traj.params, traj.scale))
+        tol=traj.tol_check)
 
 
 def check_initial_trend(traj: RotheTrajectory) -> CheckEntry:
@@ -482,7 +478,7 @@ def cauchy_refinement_study(u0: GridFunction, kernel: KernelTable,
     """
     if levels < 3:
         raise ValueError("levels must be at least 3")
-    if gamma < 1.0:
+    if not gamma >= 1.0:        # nan fails too
         raise ValueError("gamma must be at least 1")
     n = u0.domain.dim
     s_prime = s_prime if s_prime is not None else params.s / 2.0
@@ -580,6 +576,6 @@ def chebyshev_level_sets(traj: RotheTrajectory, ell: float) -> CheckEntry:
            / float(ell) ** p_star)
     return CheckEntry(name="LEVELSET", ref="level-set-bound",
                       lhs=lhs, rhs=rhs, constant_used=c_sob,
-                      tol=_tol_check(params, traj.scale),
+                      tol=traj.tol_check,
                       note=f"C_sob measured over {_SOBOLEV_PROBES} seeded "
                            "probes, not universal")

@@ -2,8 +2,8 @@
 
 The solver sweep (criteria 1-5) covers s in {0.25, 0.5, 0.75}, p in
 {1.5, 2, 3}, q in {0.5, 1, 2} and the three data presets on a 32-cell 1D
-grid with 50 implicit steps; every inequality is checked at
-tol_check = 10 * solver_tol * scale.
+grid with 50 implicit steps; every inequality is checked at the run's
+tol_check (``energy._tolerances``).
 """
 
 import math
@@ -129,10 +129,10 @@ def test_criterion_4_weak_residual(sweep):
     failures = []
     for key, traj in sweep["runs"].items():
         e = verify.check_weak_residual(traj)
-        worst = max(worst, e.lhs / (1e-9 * traj.scale))
-        if e.lhs > 1e-9 * traj.scale:
-            failures.append((key, e.lhs, 1e-9 * traj.scale))
-    report_line(f"4 weak-form residual <= 1e-9*scale (worst ratio {worst:.3f})",
+        worst = max(worst, e.lhs / traj.tol_abs)
+        if e.lhs > traj.tol_abs:
+            failures.append((key, e.lhs, traj.tol_abs))
+    report_line(f"4 weak-form residual <= tol_abs (worst ratio {worst:.3f})",
                 not failures)
     assert not failures, failures[:5]
 

@@ -57,6 +57,19 @@ def test_readme_example_config_names_every_key(tmp_path):
     assert keys == {f.name for f in fields(RunConfig)}
 
 
+NON_FINITE = {
+    "t_end = inf": "t_end must be at least h and finite",
+    "t_end = nan": "t_end must be at least h and finite",
+    "p = inf": "p must exceed 1 and be finite",
+    "q = inf": "q must be positive and finite",
+    "solver_tol = inf": "solver_tol must be positive and finite",
+    "collar_factor = inf": "collar_factor must be >= 1 and finite",
+    "collar_factor = nan": "collar_factor must be >= 1 and finite",
+    "omega_max = inf": "omega_max must be finite",
+    "omega_min = nan": "omega_min must be finite",
+}
+
+
 def test_out_of_range_values_name_the_constraint(tmp_path):
     with pytest.raises(ConfigError, match="p must exceed 1"):
         parse_config(write_cfg(tmp_path, "p = 1.0\n"))
@@ -70,6 +83,11 @@ def test_out_of_range_values_name_the_constraint(tmp_path):
         parse_config(write_cfg(tmp_path, "solver_tol = 0\n"))
     with pytest.raises(ConfigError, match="seed must be non-negative"):
         parse_config(write_cfg(tmp_path, "seed = -1\npreset = random\n"))
+    # a non-finite flow or grid parameter is refused by name, not met later
+    # as an overflow, a grid without interior nodes or a failed solve
+    for text, message in NON_FINITE.items():
+        with pytest.raises(ConfigError, match=message):
+            parse_config(write_cfg(tmp_path, text + "\n"))
     # q < 1 is fine (slow diffusion at the default p = 2, as p - 1 > q)
     assert parse_config(write_cfg(tmp_path, "q = 0.5\n")).q == 0.5
 
@@ -260,6 +278,7 @@ def test_unbuildable_problem_leaves_no_output(tmp_path, capsys):
         "dense-2d": ["dim = 2", "omega_min = 0,0", "omega_max = 1,1",
                      "n_cells = 80", "collar_factor = 1", "p = 1.5"],
         "huge-random": ["preset = random", "amplitude = 1e308"],
+        **{f"non-finite-{k}": [text] for k, text in enumerate(NON_FINITE)},
     }
     for name, lines in configs.items():
         out = tmp_path / f"out-{name}"
@@ -278,6 +297,7 @@ def test_unbuildable_problem_leaves_no_output(tmp_path, capsys):
     for args, message in (
             (["converge", "--levels", "2"], "levels must be at least 3"),
             (["converge", "--gamma", "50"], "gamma must be below"),
+            (["converge", "--gamma", "nan"], "gamma must be at least 1"),
             (["ineq", "--trials", "0"], "trials must be at least 1"),
             (["ineq", "--seed", "-3"], "seed must be non-negative")):
         assert main([args[0], "--config", cfg_path, *args[1:]]) == 2, args
@@ -285,19 +305,25 @@ def test_unbuildable_problem_leaves_no_output(tmp_path, capsys):
         assert not out.exists(), args
 
 
-def test_unusable_output_dir_is_an_error(tmp_path, capsys):
-    # an output_dir that names a file, or lies below one, cannot be made:
-    # each command reports it and exits with the config-error code
+def test_unusable_output_dir_is_an_error(tmp_path, capsys, monkeypatch):
+    # an output_dir that is empty, names a file, or lies below one, cannot
+    # be made: each command reports it and exits with the config-error
+    # code, before any flow is solved
+    def refuse(*args):
+        raise AssertionError("a flow was solved for an unusable output_dir")
+
+    replace_everywhere(monkeypatch, rothe.run_flow, refuse)
     taken = tmp_path / "taken"
     taken.write_text("")
-    for out in (taken, taken / "sub"):
+    for out in (taken, taken / "sub", ""):
         cfg_path = write_cfg(tmp_path, "\n".join(
             ["n_cells = 8", "h = 0.02", "t_end = 0.04",
              f"output_dir = {out}"]))
         for args in (["run"], ["converge"], ["ineq", "--trials", "100"]):
             assert main([args[0], "--config", cfg_path, *args[1:]]) == 2, (
                 out, args)
-            assert "error:" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and ": output_dir " in err
     assert taken.read_text() == ""
 
 
@@ -406,6 +432,38 @@ def test_run_evaluates_each_step_energy_once(tmp_path, monkeypatch):
         assert lq[u0, q1] == 2 + (traj.params.p == q1)
         # 4: INIT-TREND gaps
         assert sum(sem.values()) == 51 + 1 + probes + 4
+
+
+def test_run_reads_one_tolerance_everywhere(tmp_path, monkeypatch):
+    # the solver's workspace, the trajectory, RESID's right side and every
+    # entry's tolerance carry the run's tolerances bit for bit
+    workspaces, trajs = [], []
+
+    class Recorded(rothe._StepWorkspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            workspaces.append(self)
+
+    def keep(*args):
+        trajs.append(rothe.run_flow(*args))
+        return trajs[-1]
+
+    monkeypatch.setattr(rothe, "_StepWorkspace", Recorded)
+    monkeypatch.setattr(cli, "run_flow", keep)
+    cfg = small_run_cfg(tmp_path, dim=2, omega_min="0,0", omega_max="1,1",
+                        n_cells=6, p=1.5, t_end=0.06)
+    assert cmd_run(cfg) == 0
+    (ws,), (traj,) = workspaces, trajs
+    report = json.load(open(os.path.join(cfg.output_dir, "report.json")))
+    entries = {e["name"]: e for e in report["entries"]}
+    tol_abs = entries["RESID"]["rhs"].hex()
+    assert ws.tol_abs.hex() == traj.tol_abs.hex() == tol_abs
+    tol_check = report["meta"]["tol_check"].hex()
+    assert traj.tol_check.hex() == tol_check
+    checked = {e["name"]: e["tol"].hex() for e in entries.values()
+               if "skipped" not in e}
+    assert {"E1", "RESID", "ST-SOBOLEV", "LEVELSET"} <= checked.keys()
+    assert set(checked.values()) == {tol_check}
 
 
 def test_converge_evaluates_no_series(tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ from fracflow import (FlowParams, GridFunction, apply_frac_p_laplacian,
                       eval_preset, gagliardo_seminorm_p, lq_power_integral,
                       rothe_gradient, scan_alg_constants)
 from fracflow.energy import (_data_energies, _pair_sum, _step_gradient,
-                             alg_ratios, sgn_power)
+                             _tolerances, alg_ratios, sgn_power)
 from fracflow.rothe import _StepWorkspace, _ray_start
 from fracflow.verify import alg_constants
 from oracles import (dense_interior, interior_step_objective, on_collar,
@@ -198,7 +198,7 @@ def test_step_functional_convex_on_segments():
     uprev, _ = smooth_pair(dom, 8)
     w1, _ = smooth_pair(dom, 9)
     w2, _ = smooth_pair(dom, 10)
-    scale = _data_energies(uprev, kernel, params)[1]
+    scale = _tolerances(_data_energies(uprev, kernel, params), params)[0]
     f1 = step_objective(w1, uprev, kernel, params)
     f2 = step_objective(w2, uprev, kernel, params)
     for t in (0.25, 0.5, 0.75):
@@ -231,7 +231,7 @@ def test_p2_laplacian_path_matches_elementwise_sums(dim, q):
     kernel = assemble_kernel(dom, params)
     vol_h = dom.vol / params.h
     mask = dom.interior_mask
-    ws = _StepWorkspace(kernel, params, 1.0)
+    ws = _StepWorkspace(kernel, params, params.solver_tol)
     assert ws.buf is None
     rtol = 1e-13
     for seed in range(3):

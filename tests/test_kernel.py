@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import math
@@ -442,6 +443,24 @@ def test_no_function_takes_s_or_p_beside_a_kernel():
                 if "kernel" in names and names & {"s", "p"}:
                     takers.append(fn.__qualname__)
     assert takers == []
+
+
+def test_only_the_tolerance_rule_reads_solver_tol():
+    # the run's tolerances are derived in one place: no other function or
+    # method forms a second copy of the rule from solver_tol
+    readers = set()
+    for info in pkgutil.iter_modules(fracflow.__path__):
+        mod = importlib.import_module(f"fracflow.{info.name}")
+        stack = [(ast.parse(inspect.getsource(mod)), (info.name,))]
+        while stack:
+            node, where = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                where += (node.name,)
+            if (isinstance(node, ast.Attribute) and node.attr == "solver_tol"
+                    and isinstance(node.ctx, ast.Load)):
+                readers.add(".".join(where))
+            stack += [(child, where) for child in ast.iter_child_nodes(node)]
+    assert readers == {"energy._tolerances", "kernel.FlowParams.__post_init__"}
 
 
 def test_require_match_guards_mismatch():

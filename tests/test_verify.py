@@ -200,14 +200,14 @@ def test_weak_residual_tracks_solver_tolerance():
     dom, params, kernel, traj = bump_run(p=2.5, q=1.5)
     e = verify.check_weak_residual(traj)
     assert e.passed
-    assert e.lhs <= params.solver_tol * traj.scale
+    assert e.lhs <= traj.tol_abs
     # loosened tolerance: the residual lands between the tight and loose levels
     loose = FlowParams(s=params.s, p=params.p, q=params.q, h=params.h,
                        t_end=params.t_end, solver_tol=1e-3)
     kernel2 = assemble_kernel(dom, loose)
     traj2 = run_flow(eval_preset(dom, "bump", 1.0), kernel2, loose)
     e2 = verify.check_weak_residual(traj2)
-    assert 1e-9 < e2.lhs <= 1e-3 * traj2.scale
+    assert 1e-9 < e2.lhs <= traj2.tol_abs
 
 
 def test_zero_run_residual_zero():
