@@ -119,7 +119,7 @@ def parse_config(path: str) -> RunConfig:
     """Read a key=value config file and return a validated RunConfig."""
     if not os.path.isfile(path):
         raise ConfigError(f"config file not found: {path}")
-    cfg = RunConfig()
+    cfg, seen = RunConfig(), {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
@@ -130,6 +130,10 @@ def parse_config(path: str) -> RunConfig:
             key, raw = (part.strip() for part in text.split("=", 1))
             if key not in _KEY_TYPES:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in seen:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} repeats "
+                                  f"line {seen[key]}")
+            seen[key] = lineno
             try:
                 value = _parse_value(key, raw)
             except ValueError as err:

@@ -1,4 +1,5 @@
-"""Deterministic text output: floats at 17 significant digits everywhere.
+"""Deterministic text output: every float as its shortest repr that
+round-trips, so reruns are byte-identical and parse back bit for bit.
 
 Non-finite floats raise ValueError, before any file is opened.
 """
@@ -8,65 +9,25 @@ from __future__ import annotations
 import json
 import math
 
-__all__ = ["fmt_float", "dumps_json", "write_csv"]
-
-
-def fmt_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"refusing to write the non-finite value {x!r}")
-    return f"{float(x):.17g}"
-
-
-def _emit(obj, out: list, indent: int) -> None:
-    pad = "  " * indent
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(fmt_float(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        items = list(obj.items())
-        for i, (k, v) in enumerate(items):
-            out.append(pad + "  " + json.dumps(str(k)) + ": ")
-            _emit(v, out, indent + 1)
-            out.append(",\n" if i + 1 < len(items) else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(obj):
-            out.append(pad + "  ")
-            _emit(v, out, indent + 1)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(pad + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
+__all__ = ["dumps_json", "write_csv"]
 
 
 def dumps_json(obj) -> str:
-    """JSON text with insertion-ordered keys and fixed float formatting."""
-    out: list = []
-    _emit(obj, out, 0)
-    out.append("\n")
-    return "".join(out)
+    """JSON text with insertion-ordered keys, indented by two spaces."""
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    except ValueError as err:
+        raise ValueError(
+            f"refusing to write a non-finite value ({err})") from None
 
 
 def write_csv(path, header: list, rows: list) -> None:
-    """Plain CSV; floats rendered by fmt_float, everything else by str."""
-    lines = [",".join(fmt_float(c) if isinstance(c, float) else str(c)
-                      for c in row) for row in [header, *rows]]
+    """Plain CSV, each cell rendered by str."""
+    for row in rows:
+        for cell in row:
+            if isinstance(cell, float) and not math.isfinite(cell):
+                raise ValueError(
+                    f"refusing to write the non-finite value {float(cell)}")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n"
+                      for row in [header, *rows])

@@ -16,10 +16,12 @@ stream with plain numpy and Python ints:
   interval", ACM TOMACS 2019) from 32-bit halves, keeping the unused upper
   half for the next 32-bit draw as numpy's PCG64 does.
 
-An array of n outputs is drawn by jump-ahead doubling: the states
-``s_{k+m} = A_m s_k + C_m`` of a block of m follow from the block before
-in one 128-bit multiply on uint64 halves, so n draws take log2(n) array
-rounds, not n Python steps.
+An array of n outputs is one 128-bit affine map on uint64 halves: the
+state k steps ahead is ``s_k = A_k s_0 + C_k``, and each stream keeps the
+jump constants ``(A_k, C_k)``, k = 1..n, for the longest draw so far.  The
+table grows by doubling (``A_{m+j} = A_j A_m``, ``C_{m+j} = A_j C_m + C_j``),
+so n draws take log2(n) array rounds once, not n Python steps, and every
+later draw of at most n takes one.
 
 Callers import this module where they draw, so a command that draws nothing
 (``converge`` on bump data, say) never loads it.  Without a bytecode cache
@@ -92,11 +94,11 @@ def _pcg_seed(seed: int) -> tuple[int, int]:
     return ((inc + init_state) * _MULT + inc) & _MASK128, inc
 
 
-def _affine(hi: np.ndarray, lo: np.ndarray, a: int,
-            c: int) -> tuple[np.ndarray, np.ndarray]:
-    """``a s + c mod 2^128`` for each ``s = hi 2^64 + lo`` (uint64 arrays)."""
-    a_hi, a_lo, c_hi, c_lo = (np.uint64(v) for v in (
-        a >> 64, a & _MASK64, c >> 64, c & _MASK64))
+def _affine(hi: np.ndarray, lo: np.ndarray, a: int, c_hi,
+            c_lo) -> tuple[np.ndarray, np.ndarray]:
+    """``a s + c mod 2^128`` for each ``s = hi 2^64 + lo`` and
+    ``c = c_hi 2^64 + c_lo`` (uint64 arrays or scalars)."""
+    a_hi, a_lo = np.uint64(a >> 64), np.uint64(a & _MASK64)
     # the high word of lo * a_lo, from 32 x 32-bit products that fit 64 bits
     m32, s32 = np.uint64(_MASK32), np.uint64(32)
     x0, x1 = lo & m32, lo >> s32
@@ -118,20 +120,27 @@ class Stream:
     def __init__(self, seed: int):
         if seed < 0:
             raise ValueError("seed must be non-negative")
-        self._state, self._inc = _pcg_seed(seed)
+        self._state, inc = _pcg_seed(seed)
         self._upper = None      # a 64-bit output's upper half, not yet drawn
+        # rows: the halves of A_k and C_k (s_k = A_k s_0 + C_k), column k - 1
+        self._jump = np.array([[_MULT >> 64], [_MULT & _MASK64],
+                               [inc >> 64], [inc & _MASK64]], dtype=np.uint64)
 
     def _next64(self, n: int) -> np.ndarray:
         """The next n 64-bit outputs."""
-        s = (self._state * _MULT + self._inc) & _MASK128
-        hi = np.array([s >> 64], dtype=np.uint64)
-        lo = np.array([s & _MASK64], dtype=np.uint64)
-        a, c = _MULT, self._inc     # s_{k+m} = a s_k + c for the block size m
-        while len(hi) < n:
-            m = min(len(hi), n - len(hi))
-            new_hi, new_lo = _affine(hi[:m], lo[:m], a, c)
-            hi, lo = np.concatenate((hi, new_hi)), np.concatenate((lo, new_lo))
-            a, c = a * a & _MASK128, (a * c + c) & _MASK128
+        jump = self._jump
+        while jump.shape[1] < n:
+            m = jump.shape[1]
+            a_m, c_m = (int(jump[i, -1]) << 64 | int(jump[i + 1, -1])
+                        for i in (0, 2))
+            a_hi, a_lo, c_hi, c_lo = jump[:, :min(m, n - m)]
+            new = (*_affine(a_hi, a_lo, a_m, 0, 0),
+                   *_affine(a_hi, a_lo, c_m, c_hi, c_lo))
+            jump = np.concatenate((jump, np.stack(new)), axis=1)
+        self._jump = jump
+        # multiplication commutes: A_k s_0 is the array A_k times s_0
+        a_hi, a_lo, c_hi, c_lo = jump[:, :n]
+        hi, lo = _affine(a_hi, a_lo, self._state, c_hi, c_lo)
         self._state = int(hi[-1]) << 64 | int(lo[-1])
         x, rot = hi ^ lo, hi >> 58
         return (x >> rot) | (x << ((64 - rot) & 63))

@@ -99,6 +99,9 @@ def test_unknown_key_reports_line(tmp_path):
         parse_config(write_cfg(tmp_path, "what even is this\n"))
     with pytest.raises(ConfigError, match=":2:"):
         parse_config(write_cfg(tmp_path, "s = 0.5\nseed = banana\n"))
+    # a repeated key is refused, not silently overwritten by its last line
+    with pytest.raises(ConfigError, match=":3: key 'p' repeats line 1"):
+        parse_config(write_cfg(tmp_path, "p = 3\ns = 0.5\np = 1.5\n"))
 
 
 def test_missing_config_file(tmp_path):
@@ -118,7 +121,7 @@ def small_run_cfg(tmp_path, extra="", **over):
 def test_cmd_run_zero_data(tmp_path):
     cfg = small_run_cfg(tmp_path, amplitude=0.0)
     assert cmd_run(cfg) == 0
-    rows = open(os.path.join(cfg.output_dir, "trace.csv")).read().splitlines()
+    rows = Path(cfg.output_dir, "trace.csv").read_text().splitlines()
     assert rows[0].startswith("step,time,lq1_pow,seminorm_p,linf")
     for row in rows[1:]:
         cells = row.split(",")
@@ -128,10 +131,10 @@ def test_cmd_run_zero_data(tmp_path):
 def test_cmd_run_bump_trace_monotone(tmp_path):
     cfg = small_run_cfg(tmp_path)
     assert cmd_run(cfg) == 0
-    rows = open(os.path.join(cfg.output_dir, "trace.csv")).read().splitlines()
+    rows = Path(cfg.output_dir, "trace.csv").read_text().splitlines()
     sem = [float(r.split(",")[3]) for r in rows[1:]]
     assert all(a >= b for a, b in zip(sem, sem[1:]))
-    report = json.load(open(os.path.join(cfg.output_dir, "report.json")))
+    report = json.loads(Path(cfg.output_dir, "report.json").read_text())
     assert report["entries"] and all(e["pass"] for e in report["entries"])
     for e in report["entries"]:
         assert set(e) >= {"name", "paper_ref", "lhs", "rhs", "constant_used",
@@ -141,7 +144,7 @@ def test_cmd_run_bump_trace_monotone(tmp_path):
 def test_default_run_reports_every_estimate(tmp_path):
     cfg = parse_config(write_cfg(tmp_path, f"output_dir = {tmp_path / 'out'}\n"))
     assert cmd_run(cfg) == 0
-    report = json.load(open(os.path.join(cfg.output_dir, "report.json")))
+    report = json.loads(Path(cfg.output_dir, "report.json").read_text())
     names = {e["name"] for e in report["entries"]}
     assert names >= {"E1", "E2", "E3", "E4", "T1", "T2", "MAX", "RESID",
                      "POINCARE", "ST-SOBOLEV", "LEVELSET", "INIT-TREND"}
@@ -239,7 +242,7 @@ def test_cmd_run_nan_energy_writes_no_output(tmp_path, capsys, monkeypatch):
 def test_cmd_converge_writes_table(tmp_path):
     cfg = small_run_cfg(tmp_path, n_cells=16, h=0.04, t_end=0.2)
     assert cmd_converge(cfg, levels=3, gamma=1.0) == 0
-    rows = open(os.path.join(cfg.output_dir, "d_table.csv")).read().splitlines()
+    rows = Path(cfg.output_dir, "d_table.csv").read_text().splitlines()
     assert rows[0] == "k,h_coarse,h_fine,d_plus,d_minus"
     assert len(rows) == 3
     d_plus = [float(r.split(",")[3]) for r in rows[1:]]
@@ -330,7 +333,7 @@ def test_unusable_output_dir_is_an_error(tmp_path, capsys, monkeypatch):
 def test_cmd_ineq_passes_and_reports(tmp_path):
     cfg = small_run_cfg(tmp_path, n_cells=8)
     assert cmd_ineq(cfg, trials=2000, seed=5) == 0
-    report = json.load(open(os.path.join(cfg.output_dir, "report.json")))
+    report = json.loads(Path(cfg.output_dir, "report.json").read_text())
     names = [e["name"] for e in report["entries"]]
     assert "ALG1-alpha1.5" in names and "ALG2-alpha4" in names
     assert "POINCARE-random" in names and "ST-SOBOLEV-synthetic" in names
@@ -454,7 +457,7 @@ def test_run_reads_one_tolerance_everywhere(tmp_path, monkeypatch):
                         n_cells=6, p=1.5, t_end=0.06)
     assert cmd_run(cfg) == 0
     (ws,), (traj,) = workspaces, trajs
-    report = json.load(open(os.path.join(cfg.output_dir, "report.json")))
+    report = json.loads(Path(cfg.output_dir, "report.json").read_text())
     entries = {e["name"]: e for e in report["entries"]}
     tol_abs = entries["RESID"]["rhs"].hex()
     assert ws.tol_abs.hex() == traj.tol_abs.hex() == tol_abs
@@ -562,18 +565,18 @@ def test_byte_determinism(tmp_path):
         "n_cells = 12", "h = 0.02", "t_end = 0.1",
         f"output_dir = {tmp_path / 'outA'}"]))
     assert main(["run", "--config", cfg_path]) == 0
-    first = {name: open(tmp_path / "outA" / name, "rb").read()
+    first = {name: (tmp_path / "outA" / name).read_bytes()
              for name in ("trace.csv", "report.json")}
     assert main(["run", "--config", cfg_path]) == 0
     for name, blob in first.items():
-        assert open(tmp_path / "outA" / name, "rb").read() == blob
+        assert (tmp_path / "outA" / name).read_bytes() == blob
 
     assert main(["ineq", "--config", cfg_path, "--trials", "2000",
                  "--seed", "1"]) == 0
-    blob = open(tmp_path / "outA" / "report.json", "rb").read()
+    blob = (tmp_path / "outA" / "report.json").read_bytes()
     assert main(["ineq", "--config", cfg_path, "--trials", "2000",
                  "--seed", "1"]) == 0
-    assert open(tmp_path / "outA" / "report.json", "rb").read() == blob
+    assert (tmp_path / "outA" / "report.json").read_bytes() == blob
 
 
 def test_csv_preset_via_config(tmp_path):
@@ -587,13 +590,82 @@ def test_csv_preset_via_config(tmp_path):
     assert cmd_run(cfg) == 0
 
 
-def test_seventeen_digit_floats(tmp_path):
-    from fracflow.serialize import dumps_json, fmt_float, write_csv
-    for x in (1.0 / 3.0, 1e-9, 0.1, 123456.789):
-        assert float(fmt_float(x)) == x
+def test_non_finite_values_are_refused(tmp_path):
+    from fracflow.serialize import dumps_json, write_csv
     for bad in (float("inf"), -float("inf"), float("nan"), np.float64("nan")):
         with pytest.raises(ValueError, match="non-finite"):
             dumps_json({"entries": [{"lhs": bad}]})
         with pytest.raises(ValueError, match="non-finite"):
             write_csv(tmp_path / "t.csv", ["a", "b"], [[1, 0.5], [2, bad]])
         assert not (tmp_path / "t.csv").exists()
+
+
+def bits(obj):
+    """``obj`` with every float replaced by its exact hex form (tuples as
+    lists), so ``==`` compares floats bit for bit."""
+    if isinstance(obj, float):
+        return float(obj).hex()
+    if isinstance(obj, dict):
+        return {k: bits(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [bits(v) for v in obj]
+    return obj
+
+
+def csv_columns(path):
+    """Each column of a written CSV by its header, as exact hex floats."""
+    rows = [r.split(",") for r in path.read_text().splitlines()]
+    return {c[0]: [float(x).hex() for x in c[1:]] for c in zip(*rows)}
+
+
+def test_outputs_read_back_exactly(tmp_path, monkeypatch):
+    # every float a command writes parses back to its in-memory source bit
+    # for bit, and report.json is the standard JSON encoder's own text
+    from fracflow.serialize import dumps_json, write_csv
+    trajs, reports, studies = [], [], []
+    write_report, study = cli._write_report, cli.verify.cauchy_refinement_study
+
+    def keep_flow(*args):
+        trajs.append(rothe.run_flow(*args))
+        return trajs[-1]
+
+    def keep_report(report, out_dir):
+        reports.append(report)
+        write_report(report, out_dir)
+
+    def keep_study(*args, **kwargs):
+        studies.append(study(*args, **kwargs))
+        return studies[-1]
+
+    monkeypatch.setattr(cli, "run_flow", keep_flow)
+    monkeypatch.setattr(cli, "_write_report", keep_report)
+    monkeypatch.setattr(cli.verify, "cauchy_refinement_study", keep_study)
+    over = dict(dim=2, omega_min="0,0", omega_max="1,1", n_cells=6, p=1.5,
+                t_end=0.06)
+    assert cmd_run(small_run_cfg(tmp_path, **over)) == 0
+    conv = small_run_cfg(tmp_path, output_dir=tmp_path / "conv", **over)
+    assert cmd_converge(conv, levels=3, gamma=1.0) == 0
+    (traj,), (run_report, conv_report), (entries,) = trajs, reports, studies
+
+    for out, report in ((tmp_path / "out", run_report),
+                        (tmp_path / "conv", conv_report)):
+        text = (out / "report.json").read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        assert bits(json.loads(text)) == bits(report.to_dict())
+
+    series = csv_columns(tmp_path / "out" / "trace.csv")
+    assert series["lq1_pow"] == bits(list(traj.lq_pow))
+    assert series["seminorm_p"] == bits(list(traj.seminorm))
+
+    detail = {e.name: e.detail for e in entries}
+    table = csv_columns(tmp_path / "conv" / "d_table.csv")
+    assert table["d_plus"] == bits(detail["CAUCHY-plus"]["d"])
+    assert table["d_minus"] == bits(detail["CAUCHY-minus"]["d"])
+    assert table["h_coarse"] == bits(detail["CAUCHY-plus"]["h"][:-1])
+    assert table["h_fine"] == bits(detail["CAUCHY-plus"]["h"][1:])
+
+    # the writers alone, on a subnormal, an integral float and a signed zero
+    xs = [1.0 / 3.0, 1e-9, 0.1, 123456.789, 2.0 ** -1074, 1e16, -0.0]
+    assert bits(json.loads(dumps_json(xs))) == bits(xs)
+    write_csv(tmp_path / "x.csv", ["x"], [[x] for x in xs])
+    assert csv_columns(tmp_path / "x.csv")["x"] == bits(xs)

@@ -31,6 +31,14 @@ def test_scalar_and_array_bounds_equal_numpy_default_rng(seed):
         assert got.shape == (2,) and got.tobytes() == want.tobytes()
         got = stream.uniform(-3.0, 5.0, size=7)
         assert got.tobytes() == oracle.uniform(-3.0, 5.0, size=7).tobytes()
+    # the Sobolev probes: a bump's array-bound center and scalar width,
+    # then 1024 values of noise, alternating 32 times
+    for _ in range(32):
+        got, want = stream.uniform(lo, hi), oracle.uniform(lo, hi)
+        assert got.tobytes() == want.tobytes()
+        assert stream.uniform(0.15, 0.45) == oracle.uniform(0.15, 0.45)
+        got = stream.uniform(-1.0, 1.0, size=1024)
+        assert got.tobytes() == oracle.uniform(-1.0, 1.0, size=1024).tobytes()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
