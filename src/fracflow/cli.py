@@ -161,10 +161,19 @@ def _meta(cfg: RunConfig, extra: dict | None = None) -> dict:
     return meta
 
 
-def _write_report(report: verify.VerificationReport, out_dir: str) -> None:
+def _write_report(report: verify.VerificationReport, out_dir: str) -> int:
+    """Write report.json and return the command's exit code."""
     text = dumps_json(report.to_dict())
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         fh.write(text)
+    return EXIT_OK if report.all_passed() else EXIT_CHECK_FAILED
+
+
+def _worst_of(entries, name: str, note: str) -> verify.CheckEntry:
+    """The first entry of least margin in a family, named for the family."""
+    worst = min(entries, key=lambda e: e.margin)
+    worst.name, worst.note = name, note
+    return worst
 
 
 def cmd_run(cfg: RunConfig) -> int:
@@ -209,8 +218,7 @@ def cmd_run(cfg: RunConfig) -> int:
         verify.chebyshev_level_sets(traj, cfg.ell),
         verify.check_initial_trend(traj),
     ])
-    _write_report(report, cfg.output_dir)
-    return EXIT_OK if report.all_passed() else EXIT_CHECK_FAILED
+    return _write_report(report, cfg.output_dir)
 
 
 def cmd_converge(cfg: RunConfig, levels: int, gamma: float) -> int:
@@ -235,10 +243,8 @@ def cmd_converge(cfg: RunConfig, levels: int, gamma: float) -> int:
     write_csv(os.path.join(cfg.output_dir, "d_table.csv"),
               ["k", "h_coarse", "h_fine", "d_plus", "d_minus"], rows)
     report = verify.VerificationReport(
-        meta=_meta(cfg, {"levels": levels, "gamma": gamma}))
-    report.add(entries)
-    _write_report(report, cfg.output_dir)
-    return EXIT_OK if report.all_passed() else EXIT_CHECK_FAILED
+        meta=_meta(cfg, {"levels": levels, "gamma": gamma}), entries=entries)
+    return _write_report(report, cfg.output_dir)
 
 
 def cmd_ineq(cfg: RunConfig, trials: int, seed: int) -> int:
@@ -271,16 +277,14 @@ def cmd_ineq(cfg: RunConfig, trials: int, seed: int) -> int:
             lhs=consts.c2, rhs=float(np.min(r2)), constant_used=consts.c2,
             tol=1e-9 * consts.c2))
 
-    def random_poincare():
-        vals = rng.uniform(-1.0, 1.0, size=domain.n_nodes)
-        return verify.check_poincare(
-            GridFunction(domain, vals[domain.interior_mask]), kernel, params)
+    def random_poincare(count):
+        for _ in range(count):
+            vals = rng.uniform(-1.0, 1.0, size=domain.n_nodes)
+            u = GridFunction(domain, vals[domain.interior_mask])
+            yield verify.check_poincare(u, kernel, params)
 
-    worst = min((random_poincare() for _ in range(100)),
-                key=lambda e: e.margin)
-    worst.name = "POINCARE-random"
-    worst.note = "worst of 100 seeded random functions"
-    report.add(worst)
+    report.add(_worst_of(random_poincare(100), "POINCARE-random",
+                         "worst of 100 seeded random functions"))
 
     if verify.spacetime_sum_fits(domain.n_nodes, cfg.t_grid):
         coords = domain.node_coords
@@ -303,14 +307,11 @@ def cmd_ineq(cfg: RunConfig, trials: int, seed: int) -> int:
             return verify.check_spacetime_sobolev_values(
                 vals, dvals, domain, t_total, cfg.s_prime, cfg.s_bar)
 
-        worst_st = min((random_spacetime() for _ in range(20)),
-                       key=lambda e: e.margin)
-        worst_st.name = "ST-SOBOLEV-synthetic"
-        worst_st.note = "worst of 20 synthetic space-time functions"
-        report.add(worst_st)
+        report.add(_worst_of((random_spacetime() for _ in range(20)),
+                             "ST-SOBOLEV-synthetic",
+                             "worst of 20 synthetic space-time functions"))
 
-    _write_report(report, cfg.output_dir)
-    return EXIT_OK if report.all_passed() else EXIT_CHECK_FAILED
+    return _write_report(report, cfg.output_dir)
 
 
 def main(argv=None) -> int:

@@ -18,10 +18,11 @@ stream with plain numpy and Python ints:
 
 An array of n outputs is one 128-bit affine map on uint64 halves: the
 state k steps ahead is ``s_k = A_k s_0 + C_k``, and each stream keeps the
-jump constants ``(A_k, C_k)``, k = 1..n, for the longest draw so far.  The
-table grows by doubling (``A_{m+j} = A_j A_m``, ``C_{m+j} = A_j C_m + C_j``),
-so n draws take log2(n) array rounds once, not n Python steps, and every
-later draw of at most n takes one.
+jump constants ``(A_k, C_k)``, k = 1..n, for the longest draw so far, up to
+``_MAX_JUMP`` = 4096 columns (128 KiB); a longer draw runs in chunks of that
+many.  The table grows by doubling (``A_{m+j} = A_j A_m``,
+``C_{m+j} = A_j C_m + C_j``), so n draws take log2(n) array rounds once, not
+n Python steps, and every later draw of at most n takes one.
 
 Callers import this module where they draw, so a command that draws nothing
 (``converge`` on bump data, say) never loads it.  Without a bytecode cache
@@ -41,6 +42,8 @@ _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# most jump columns a stream keeps: 4 x 4096 uint64, 128 KiB
+_MAX_JUMP = 4096
 
 # numpy's SeedSequence: pool size and hash constants
 _POOL = 4
@@ -126,8 +129,8 @@ class Stream:
         self._jump = np.array([[_MULT >> 64], [_MULT & _MASK64],
                                [inc >> 64], [inc & _MASK64]], dtype=np.uint64)
 
-    def _next64(self, n: int) -> np.ndarray:
-        """The next n 64-bit outputs."""
+    def _jumps(self, n: int) -> np.ndarray:
+        """The kept jump constants of k = 1..n, grown by doubling."""
         jump = self._jump
         while jump.shape[1] < n:
             m = jump.shape[1]
@@ -138,12 +141,19 @@ class Stream:
                    *_affine(a_hi, a_lo, c_m, c_hi, c_lo))
             jump = np.concatenate((jump, np.stack(new)), axis=1)
         self._jump = jump
-        # multiplication commutes: A_k s_0 is the array A_k times s_0
-        a_hi, a_lo, c_hi, c_lo = jump[:, :n]
-        hi, lo = _affine(a_hi, a_lo, self._state, c_hi, c_lo)
-        self._state = int(hi[-1]) << 64 | int(lo[-1])
-        x, rot = hi ^ lo, hi >> 58
-        return (x >> rot) | (x << ((64 - rot) & 63))
+        return jump[:, :n]
+
+    def _next64(self, n: int) -> np.ndarray:
+        """The next n 64-bit outputs, at most ``_MAX_JUMP`` per map."""
+        out = np.empty(n, dtype=np.uint64)
+        for start in range(0, n, _MAX_JUMP):
+            a_hi, a_lo, c_hi, c_lo = self._jumps(min(_MAX_JUMP, n - start))
+            # multiplication commutes: A_k s_0 is the array A_k times s_0
+            hi, lo = _affine(a_hi, a_lo, self._state, c_hi, c_lo)
+            self._state = int(hi[-1]) << 64 | int(lo[-1])
+            x, rot = hi ^ lo, hi >> 58
+            out[start:start + hi.size] = (x >> rot) | (x << ((64 - rot) & 63))
+        return out
 
     def _next32(self) -> int:
         if self._upper is not None:
@@ -163,8 +173,9 @@ class Stream:
         if not np.all(np.isfinite(span)):
             raise ValueError("uniform: high - low is not finite")
         shape = span.shape if size is None else (size,)
-        u = (self._next64(math.prod(shape)) >> 11) * 2.0 ** -53
-        out = low + span * u.reshape(shape)
+        top53 = self._next64(math.prod(shape))
+        top53 >>= 11            # in place: a long draw holds one array fewer
+        out = low + span * (top53 * 2.0 ** -53).reshape(shape)
         return float(out) if out.ndim == 0 else out
 
     def integers(self, low: int, high: int) -> int:

@@ -26,7 +26,7 @@ from .energy import (AlgConstants, sgn_power, lq_power_integral,
 from .rothe import RotheTrajectory, run_flow, reconstruct, truncate
 
 __all__ = [
-    "CheckEntry", "VerificationReport", "SobolevExponents", "sobolev_exponents",
+    "CheckEntry", "VerificationReport", "p_star",
     "check_energy_estimates", "check_time_derivative_bounds",
     "check_max_principle", "check_truncation_energy", "check_poincare",
     "spacetime_sum_fits", "spacetime_seminorm_w1", "check_spacetime_sobolev",
@@ -125,26 +125,10 @@ class VerificationReport:
                 "entries": [e.to_dict() for e in self.entries]}
 
 
-@dataclass(frozen=True)
-class SobolevExponents:
-    """Critical embedding exponents for (n, s, p); None when undefined."""
-
-    n: int
-    s: float
-    p: float
-    p_star: float | None
-    p_star_bar: float | None
-
-    @property
-    def p_star_defined(self) -> bool:
-        return self.p_star is not None
-
-
-def sobolev_exponents(n: int, s: float, p: float) -> SobolevExponents:
+def p_star(n: int, s: float, p: float) -> float | None:
+    """The fractional Sobolev exponent n p / (n - s p), None when s p >= n."""
     sp = s * p
-    p_star = n * p / (n - sp) if sp < n else None
-    p_star_bar = (n + 1) * p / (n + 1 - sp) if sp < n + 1 else None
-    return SobolevExponents(n=n, s=s, p=p, p_star=p_star, p_star_bar=p_star_bar)
+    return n * p / (n - sp) if sp < n else None
 
 
 def _step_sum(traj: RotheTrajectory, vals: np.ndarray, f) -> float:
@@ -267,8 +251,6 @@ def check_truncation_energy(traj: RotheTrajectory, ell: int) -> list:
     for sign, tag in (("+", "plus"), ("-", "minus")):
         tr = truncate(traj.u, sign, ell)
         sq = _step_sum(traj, tr, lambda tm, tp: (np.abs(tm - tp) / h) ** 2)
-        qp = _step_sum(traj, tr,
-                       lambda tm, tp: (np.abs(tm - tp) / h) ** (q + 1.0))
         name = f"TRUNC-{tag}-ell{ell}"
         if q >= 1.0:
             const = float(ell) ** (q - 1.0) / (2.0 * p * c2)
@@ -282,6 +264,8 @@ def check_truncation_energy(traj: RotheTrajectory, ell: int) -> list:
                     lhs=0.0, rhs=0.0, tol=tol,
                     skipped="requires h <= 1"))
                 continue
+            qp = _step_sum(traj, tr,
+                           lambda tm, tp: (np.abs(tm - tp) / h) ** (q + 1.0))
             const = 3.0 ** (1.0 - q) * float(ell) ** (1.0 - q) / (2.0 * p * c2)
             entries.append(CheckEntry(
                 name=name, ref="truncation-derivative-min-bound",
@@ -484,10 +468,8 @@ def cauchy_refinement_study(u0: GridFunction, kernel: KernelTable,
     s_prime = s_prime if s_prime is not None else params.s / 2.0
     if not (0.0 < s_prime < params.s):
         raise ValueError("s_prime must lie in (0, s)")
-    exps = sobolev_exponents(n, params.s, params.p)
-    bound = (n + 1.0) / (n + 1.0 - s_prime)
-    if exps.p_star_defined:
-        bound = min(bound, exps.p_star)
+    bound = min((n + 1.0) / (n + 1.0 - s_prime),
+                p_star(n, params.s, params.p) or math.inf)
     if gamma >= bound:
         raise ValueError(f"gamma must be below {bound!r} for these exponents")
 
@@ -532,10 +514,9 @@ def measure_sobolev_constant(kernel: KernelTable) -> float:
     than the probes themselves).
     """
     domain = kernel.domain
-    exps = sobolev_exponents(domain.dim, kernel.s, kernel.p)
-    if not exps.p_star_defined:
+    exponent = p_star(domain.dim, kernel.s, kernel.p)
+    if exponent is None:
         raise ValueError("embedding exponent undefined: need s*p < dim")
-    p_star = exps.p_star
     from .stream import Stream  # imported where drawn (see stream)
     rng = Stream(_SOBOLEV_SEED)
     coords = domain.node_coords
@@ -554,7 +535,7 @@ def measure_sobolev_constant(kernel: KernelTable) -> float:
         sem = gagliardo_seminorm_p(u, kernel)
         if sem <= 0.0:
             continue
-        norm = lq_power_integral(u, p_star) ** (1.0 / p_star)
+        norm = lq_power_integral(u, exponent) ** (1.0 / exponent)
         best = max(best, norm / sem ** (1.0 / kernel.p))
     return best
 
@@ -564,16 +545,15 @@ def chebyshev_level_sets(traj: RotheTrajectory, ell: float) -> CheckEntry:
     against the embedding bound (C_sob [u_0])^{p*} / ell^{p*} with a
     measured C_sob."""
     params, domain = traj.params, traj.domain
-    exps = sobolev_exponents(domain.dim, params.s, params.p)
-    if not exps.p_star_defined:
+    exponent = p_star(domain.dim, params.s, params.p)
+    if exponent is None:
         return CheckEntry(name="LEVELSET", ref="level-set-bound",
                           lhs=0.0, rhs=0.0,
                           skipped="p_star undefined (s*p >= dim)")
-    p_star = exps.p_star
     c_sob = measure_sobolev_constant(traj.kernel)
     lhs = domain.vol * float(np.sum(np.maximum(traj.u[-1], 0.0) >= ell))
-    rhs = ((c_sob * traj.seminorm[0] ** (1.0 / params.p)) ** p_star
-           / float(ell) ** p_star)
+    rhs = ((c_sob * traj.seminorm[0] ** (1.0 / params.p)) ** exponent
+           / float(ell) ** exponent)
     return CheckEntry(name="LEVELSET", ref="level-set-bound",
                       lhs=lhs, rhs=rhs, constant_used=c_sob,
                       tol=traj.tol_check,

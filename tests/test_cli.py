@@ -631,7 +631,7 @@ def test_outputs_read_back_exactly(tmp_path, monkeypatch):
 
     def keep_report(report, out_dir):
         reports.append(report)
-        write_report(report, out_dir)
+        return write_report(report, out_dir)
 
     def keep_study(*args, **kwargs):
         studies.append(study(*args, **kwargs))

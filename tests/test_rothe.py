@@ -122,13 +122,27 @@ def test_failed_line_search_raises_after_one_search(monkeypatch):
     assert len(calls) == 61
 
 
-@pytest.mark.parametrize("p,q", [(2.0, 1.0), (1.5, 0.5), (3.0, 2.0)])
-def test_gradient_fallback_converges(monkeypatch, p, q):
+_AT_32 = dict(n_cells=32, solver_max_iter=500)
+
+
+@pytest.mark.parametrize("p,q,size", [
+    pytest.param(2.0, 1.0, {}, id="2.0-1.0"),
+    pytest.param(1.5, 0.5, {}, id="1.5-0.5"),
+    pytest.param(3.0, 2.0, {}, id="3.0-2.0"),
+    pytest.param(2.0, 1.0, _AT_32, id="2.0-1.0-32cells"),
+    pytest.param(1.5, 0.5, _AT_32, id="1.5-0.5-32cells",
+                 marks=pytest.mark.xfail(
+                     strict=True, raises=NonConvergence,
+                     reason="ROADMAP items 4 and 12: the -g fallback stalls "
+                     "at (1.5, 0.5) from 32 cells on; 16 cells pass by luck")),
+    pytest.param(3.0, 2.0, _AT_32, id="3.0-2.0-32cells"),
+])
+def test_gradient_fallback_converges(monkeypatch, p, q, size):
     # when the Newton solve fails the step falls back to -g under the same
     # line search; force that on every iteration
     monkeypatch.setattr(_StepWorkspace, "newton_direction",
                         lambda self, x, g: None)
-    dom, params, kernel = make_problem(p=p, q=q)
+    dom, params, kernel = make_problem(p=p, q=q, **size)
     traj = run_flow(eval_preset(dom, "bump", 1.0), kernel, params)
     for diag in traj.diagnostics:
         assert diag.iterations > 0

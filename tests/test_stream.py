@@ -9,13 +9,17 @@ SEEDS = (0, 1, 1234, 2**32 + 5, 2**70)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_uniform_arrays_equal_numpy_default_rng(seed):
     # one stream drawn in calls of growing size, so every doubling length
-    # (1 to 2^17) and both a full and a partial last round are exercised
+    # (1 to 2^12) and both a full and a partial last round are exercised;
+    # draws longer than the 4096 kept jump columns run in chunks, whole and
+    # partial, the short draw after each starts where it ended, and the
+    # table grows no further
     oracle, stream = np.random.default_rng(seed), Stream(seed)
-    for size in (1, 2, 3, 257, 1024, 100000):
+    for size in (1, 2, 3, 257, 1024, 4097, 3, 100000, 3, 250001, 3):
         want = oracle.uniform(-1.0, 1.0, size=size)
         got = stream.uniform(-1.0, 1.0, size=size)
         assert got.dtype == np.float64 and got.shape == (size,)
         assert got.tobytes() == want.tobytes(), size
+    assert stream._jump.shape[1] == 4096
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -9,7 +9,7 @@ from fracflow import (FlowParams, GridFunction, assemble_kernel, build_grid,
 from fracflow import kernel as kernel_mod
 from fracflow import verify
 from fracflow.verify import (CheckEntry, VerificationReport,
-                             sobolev_exponents, _degenerate_weight)
+                             p_star, _degenerate_weight)
 from oracles import on_collar, st_seminorm_bruteforce, zero_function
 
 
@@ -47,14 +47,10 @@ def test_report_aggregation():
 
 
 def test_sobolev_exponents_gates():
-    e = sobolev_exponents(2, 0.4, 2.0)  # sp = 0.8 < 2
-    assert e.p_star == pytest.approx(2 * 2 / (2 - 0.8))
-    assert e.p_star_bar == pytest.approx(3 * 2 / (3 - 0.8))
-    assert e.p_star > e.p and e.p_star_bar > e.p
-    e = sobolev_exponents(1, 0.5, 2.0)  # sp = 1 >= 1
-    assert e.p_star is None and e.p_star_bar is not None
-    e = sobolev_exponents(1, 0.9, 3.0)  # sp = 2.7 >= 2
-    assert e.p_star is None and e.p_star_bar is None
+    assert p_star(2, 0.4, 2.0) == pytest.approx(2 * 2 / (2 - 0.8))  # sp < n
+    assert p_star(2, 0.4, 2.0) > 2.0
+    assert p_star(1, 0.5, 2.0) is None  # sp = 1 = n
+    assert p_star(1, 0.9, 3.0) is None  # sp = 2.7 > n
 
 
 def test_degenerate_weight_resolves_zero():
