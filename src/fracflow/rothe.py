@@ -69,17 +69,15 @@ class NonConvergence(RuntimeError):
     Usually a sign that the time step h or the tolerance is misconfigured.
     """
 
-    def __init__(self, iterations: int, grad_norm: float,
-                 step_index: int | None = None,
-                 diagnostics: StepDiagnostics | None = None):
-        self.iterations = iterations
-        self.grad_norm = grad_norm
-        self.step_index = step_index
+    def __init__(self, diagnostics: StepDiagnostics,
+                 step_index: int | None = None):
         self.diagnostics = diagnostics  # the failing step's history so far
+        self.step_index = step_index
         where = "" if step_index is None else f" at step {step_index}"
         super().__init__(
             f"step solver did not reach tolerance{where}: "
-            f"{iterations} iterations, grad inf-norm {grad_norm:.3e}")
+            f"{diagnostics.iterations} iterations, "
+            f"grad inf-norm {diagnostics.grad_norm:.3e}")
 
 
 @dataclass(frozen=True)
@@ -303,9 +301,11 @@ def _solve_step(ws: _StepWorkspace,
         return StepDiagnostics(iterations, gnorm, fallbacks, tau,
                                ws.linear_iters, backtracks, snaps)
 
-    for it in range(1, max_iter + 1):
+    for it in range(max_iter + 1):
         if gnorm <= tol_abs:
-            return x, diagnostics(it - 1)
+            return x, diagnostics(it)
+        if it == max_iter:
+            raise NonConvergence(diagnostics(it))
         d = ws.newton_direction(x, g)
         if d is None:
             fallbacks += 1
@@ -321,7 +321,7 @@ def _solve_step(ws: _StepWorkspace,
             t *= 0.5
             backtracks += 1
         else:
-            raise NonConvergence(it, gnorm, diagnostics=diagnostics(it))
+            raise NonConvergence(diagnostics(it + 1))
         snapped = _snap_clusters(x_try)
         if snapped is not None:
             g_snap = ws.gradient(snapped, vprev)
@@ -330,10 +330,6 @@ def _solve_step(ws: _StepWorkspace,
                 snaps += 1
         x, g = x_try, g_try
         gnorm = float(np.max(np.abs(g)))
-    diag = diagnostics(max_iter)
-    if gnorm <= tol_abs:
-        return x, diag
-    raise NonConvergence(max_iter, gnorm, diagnostics=diag)
 
 
 def minimize_step(u_prev: GridFunction, kernel: KernelTable,
@@ -435,8 +431,7 @@ def run_flow(u0: GridFunction, kernel: KernelTable,
         try:
             u[m], diag = _solve_step(ws, u[m - 1])
         except NonConvergence as err:
-            raise NonConvergence(err.iterations, err.grad_norm, step_index=m,
-                                 diagnostics=err.diagnostics) from None
+            raise NonConvergence(err.diagnostics, step_index=m) from None
         diags.append(diag)
     return RotheTrajectory(params=params, kernel=kernel, u=u,
                            diagnostics=tuple(diags), _u0_energies=energies)
@@ -445,15 +440,16 @@ def run_flow(u0: GridFunction, kernel: KernelTable,
 def reconstruct(traj: RotheTrajectory,
                 taus) -> tuple[np.ndarray, np.ndarray]:
     """The piecewise-linear interpolant of u_0 ... u_N at the times taus in
-    [0, t_end]: its values and its slopes, one row of interior values per
-    time.  Time t lies on the piece of step m = min(N, floor(t/h) + 1),
-    where the value is the mix of u_(m-1) and u_m and the slope is
-    (u_m - u_(m-1)) / h; at a knot time the value is that step itself."""
+    [0, max(t_end, N h)]: its values and its slopes, one row of interior
+    values per time.  Time t lies on the piece of step
+    m = min(N, floor(t/h) + 1), where the value is the mix of u_(m-1) and
+    u_m and the slope is (u_m - u_(m-1)) / h; at a knot time the value is
+    that step itself."""
     taus = np.asarray(taus, dtype=float)
     h, n, u = traj.params.h, traj.n_steps, traj.u
     t_max = max(traj.params.t_end, traj.t_final)
     if not np.all((taus >= 0.0) & (taus <= t_max)):     # nan included
-        raise ValueError(f"times outside [0, {traj.params.t_end}]")
+        raise ValueError(f"times outside [0, {t_max}]")
     m = np.minimum(n, np.floor(taus / h).astype(int) + 1)
     theta = ((taus - (m - 1) * h) / h)[:, None]
     values = theta * u[m] + (1.0 - theta) * u[m - 1]

@@ -1,8 +1,13 @@
+import ast
+import importlib
+import inspect
+import pkgutil
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import fracflow
 from fracflow import (FlowParams, GridFunction, assemble_kernel, build_grid,
                       eval_preset, gagliardo_seminorm_p, lq_power_integral,
                       reconstruct, run_flow)
@@ -38,9 +43,9 @@ def test_entry_pass_recomputable():
 
 
 def test_report_aggregation():
-    rep = VerificationReport(meta={"k": 1})
-    rep.add(CheckEntry(name="a", ref="r", lhs=0.0, rhs=1.0))
-    rep.add([CheckEntry(name="b", ref="r", lhs=2.0, rhs=1.0)])
+    rep = VerificationReport(meta={"k": 1}, entries=[
+        CheckEntry(name="a", ref="r", lhs=0.0, rhs=1.0),
+        CheckEntry(name="b", ref="r", lhs=2.0, rhs=1.0)])
     assert not rep.all_passed()
     d = rep.to_dict()
     assert [e["name"] for e in d["entries"]] == ["a", "b"]
@@ -372,13 +377,34 @@ def test_st_sobolev_on_trajectory():
 
 def test_st_sobolev_records_its_own_skip():
     # node_count^2 * t_grid^2 above 1e8: the check returns its skipped entry
-    # before sampling anything
+    # before any space-time sum
     dom, params, kernel, traj = bump_run()
     assert not verify.spacetime_sum_fits(dom.n_nodes, 400)
     e = verify.check_spacetime_sobolev(traj, 0.25, 0.4, 400)
     assert (e.name, e.ref, e.lhs, e.rhs) == (
         "ST-SOBOLEV", "spacetime-interpolation-bound", 0.0, 0.0)
     assert e.skipped == "space-time sum guard exceeded" and e.passed
+
+
+def test_only_the_space_time_sums_read_their_guard():
+    # the guard has one reader per reaction: the check records its skip
+    # (for run and ineq alike) and the seminorm refuses; no caller asks it
+    # a second time
+    readers = set()
+    for info in pkgutil.iter_modules(fracflow.__path__):
+        mod = importlib.import_module(f"fracflow.{info.name}")
+        stack = [(ast.parse(inspect.getsource(mod)), (info.name,))]
+        while stack:
+            node, where = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                where += (node.name,)
+            name = getattr(node, "id", getattr(node, "attr", None))
+            if (name == "spacetime_sum_fits"
+                    and isinstance(node.ctx, ast.Load)):
+                readers.add(".".join(where))
+            stack += [(child, where) for child in ast.iter_child_nodes(node)]
+    assert readers == {"verify.check_spacetime_sobolev_values",
+                       "verify.spacetime_seminorm_values"}
 
 
 def test_st_sobolev_sums_over_the_support(monkeypatch):
