@@ -276,15 +276,14 @@ def cmd_ineq(cfg: RunConfig, trials: int, seed: int) -> int:
                                 alpha)
             r1_maxes.append(np.max(r1))
             r2_mins.append(np.min(r2))
-        entries += [
-            verify.CheckEntry(
-                name=f"ALG1-alpha{alpha:g}", ref="power-difference-upper",
-                lhs=float(np.max(r1_maxes)), rhs=consts.c1,
-                constant_used=consts.c1, tol=1e-9 * consts.c1),
-            verify.CheckEntry(
-                name=f"ALG2-alpha{alpha:g}", ref="power-difference-lower",
-                lhs=consts.c2, rhs=float(np.min(r2_mins)),
-                constant_used=consts.c2, tol=1e-9 * consts.c2)]
+        entries.append(verify.CheckEntry(
+            name=f"ALG1-alpha{alpha:g}", ref="power-difference-upper",
+            lhs=float(np.max(r1_maxes)), rhs=consts.c1,
+            constant_used=consts.c1, tol=1e-9 * consts.c1))
+        entries.append(verify.CheckEntry(
+            name=f"ALG2-alpha{alpha:g}", ref="power-difference-lower",
+            lhs=consts.c2, rhs=float(np.min(r2_mins)),
+            constant_used=consts.c2, tol=1e-9 * consts.c2))
 
     def random_poincare(count):
         for _ in range(count):
@@ -295,29 +294,31 @@ def cmd_ineq(cfg: RunConfig, trials: int, seed: int) -> int:
     entries.append(_worst_of(random_poincare(100), "POINCARE-random",
                              "worst of 100 seeded random functions"))
 
-    coords = domain.node_coords
-    prof = np.ones(domain.n_nodes)
-    for d in range(domain.dim):
-        a, b = domain.collar_min[d], domain.collar_max[d]
-        xh = (coords[:, d] - a) / (b - a)
-        prof *= 4.0 * xh * (1.0 - xh)
-    t_total = cfg.t_end
-    taus = (np.arange(cfg.t_grid) + 0.5) * (t_total / cfg.t_grid)
+    def random_spacetime(count):
+        prof = np.ones(domain.n_nodes)
+        for d in range(domain.dim):
+            a, b = domain.collar_min[d], domain.collar_max[d]
+            xh = (domain.node_coords[:, d] - a) / (b - a)
+            prof *= 4.0 * xh * (1.0 - xh)
+        t_total = cfg.t_end
+        taus = (np.arange(cfg.t_grid) + 0.5) * (t_total / cfg.t_grid)
+        for _ in range(count):
+            a, b = rng.uniform(0.2, 1.0), rng.uniform(-1.0, 1.0)
+            omega = 2.0 * math.pi * rng.integers(1, 4) / t_total
+            phase = rng.uniform(0.0, 2.0 * math.pi)
+            vals = np.stack([prof * (a + b * math.sin(omega * t + phase))
+                             for t in taus])
+            dvals = np.stack([prof * (b * omega * math.cos(omega * t + phase))
+                              for t in taus])
+            yield verify.check_spacetime_sobolev_values(
+                vals, dvals, domain, t_total, cfg.s_prime, cfg.s_bar)
 
-    def random_spacetime():
-        a, b = rng.uniform(0.2, 1.0), rng.uniform(-1.0, 1.0)
-        omega = 2.0 * math.pi * rng.integers(1, 4) / t_total
-        phase = rng.uniform(0.0, 2.0 * math.pi)
-        vals = np.stack([prof * (a + b * math.sin(omega * t + phase))
-                         for t in taus])
-        dvals = np.stack([prof * (b * omega * math.cos(omega * t + phase))
-                          for t in taus])
-        return verify.check_spacetime_sobolev_values(
-            vals, dvals, domain, t_total, cfg.s_prime, cfg.s_bar)
-
-    entries.append(_worst_of((random_spacetime() for _ in range(20)),
-                             "ST-SOBOLEV-synthetic",
-                             "worst of 20 synthetic space-time functions"))
+    # past the space-time guard the family is skipped before any draw
+    entries.append(
+        verify._spacetime_skip(domain.n_nodes, cfg.t_grid,
+                               "ST-SOBOLEV-synthetic")
+        or _worst_of(random_spacetime(20), "ST-SOBOLEV-synthetic",
+                     "worst of 20 synthetic space-time functions"))
     return _write_report(verify.VerificationReport(
         meta=_meta(cfg, {"trials": trials, "ineq_seed": seed}),
         entries=entries), cfg.output_dir)

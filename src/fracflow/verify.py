@@ -311,6 +311,22 @@ def spacetime_sum_fits(n_nodes: int, t_grid: int) -> bool:
     return n_nodes ** 2 * t_grid ** 2 <= 10 ** 8
 
 
+def _require_spacetime_fits(n_nodes: int, t_grid: int) -> None:
+    if not spacetime_sum_fits(n_nodes, t_grid):
+        raise ValueError("space-time sum too large: node_count^2 * t_grid^2 "
+                         "must not exceed 1e8")
+
+
+def _spacetime_skip(n_nodes: int, t_grid: int,
+                    name: str = "ST-SOBOLEV") -> CheckEntry | None:
+    """The skipped space-time entry when the space-time sum would exceed its
+    guard, else None: decided from the shapes, before anything is sampled."""
+    if spacetime_sum_fits(n_nodes, t_grid):
+        return None
+    return CheckEntry(name=name, ref="spacetime-interpolation-bound", lhs=0.0,
+                      rhs=0.0, skipped="space-time sum guard exceeded")
+
+
 def _slab_pair_sums(vals: np.ndarray, domain: GridDomain, expo: float,
                     lag: int, dist: float) -> float:
     """sum over the slab pairs (k, k + lag) of the W^{.,1} pair sum of
@@ -348,9 +364,7 @@ def spacetime_seminorm_values(vals: np.ndarray, domain: GridDomain,
     if not (0.0 < s_prime < 1.0):
         raise ValueError("s_prime must lie in (0,1)")
     n_t, n_nodes = vals.shape
-    if not spacetime_sum_fits(n_nodes, n_t):
-        raise ValueError("space-time sum too large: node_count^2 * t_grid^2 "
-                         "must not exceed 1e8")
+    _require_spacetime_fits(n_nodes, n_t)
     total = 0.0
     for lag in range(n_t):
         part = _slab_pair_sums(vals, domain, domain.dim + 1 + s_prime, lag,
@@ -362,8 +376,10 @@ def spacetime_seminorm_values(vals: np.ndarray, domain: GridDomain,
 def _sample_lin(traj: RotheTrajectory, t_grid: int):
     """Values and slopes of the piecewise-linear interpolant at the
     midpoints of t_grid slabs, on every collar node, which is what the
-    space-time sums take."""
+    space-time sums take; the size guard of those sums runs first, so an
+    oversized grid samples nothing."""
     domain = traj.domain
+    _require_spacetime_fits(domain.n_nodes, t_grid)
     dt = traj.params.t_end / t_grid
     taus = (np.arange(t_grid) + 0.5) * dt
     values, slopes = reconstruct(traj, taus)
@@ -386,15 +402,9 @@ def check_spacetime_sobolev_values(vals: np.ndarray, dvals: np.ndarray,
                                    domain: GridDomain, t_total: float,
                                    s_prime: float, s_bar: float,
                                    tol: float = 0.0) -> CheckEntry:
-    """Two sides of the space-time interpolation bound for sampled values;
-    skipped, before any sum, when the work of the space-time sum would
-    exceed its guard (``spacetime_sum_fits``)."""
+    """Two sides of the space-time interpolation bound for sampled values."""
     if not (0.0 < s_prime < s_bar < 1.0):
         raise ValueError("need 0 < s_prime < s_bar < 1")
-    if not spacetime_sum_fits(domain.n_nodes, vals.shape[0]):
-        return CheckEntry(name="ST-SOBOLEV",
-                          ref="spacetime-interpolation-bound", lhs=0.0,
-                          rhs=0.0, skipped="space-time sum guard exceeded")
     dt = t_total / vals.shape[0]
     lhs = spacetime_seminorm_values(vals, domain, dt, s_prime)
     l1_dt = dt * domain.vol * float(np.sum(np.abs(dvals)))
@@ -413,8 +423,12 @@ def check_spacetime_sobolev_values(vals: np.ndarray, dvals: np.ndarray,
 
 def check_spacetime_sobolev(traj: RotheTrajectory, s_prime: float,
                             s_bar: float, t_grid: int) -> CheckEntry:
-    """Space-time interpolation bound for the linear-in-time
-    reconstruction."""
+    """Space-time interpolation bound for the linear-in-time reconstruction;
+    skipped when the work of the space-time sum would exceed its guard
+    (``spacetime_sum_fits``)."""
+    skip = _spacetime_skip(traj.domain.n_nodes, t_grid)
+    if skip is not None:
+        return skip
     vals, dvals, _ = _sample_lin(traj, t_grid)
     return check_spacetime_sobolev_values(
         vals, dvals, traj.domain, traj.params.t_end, s_prime, s_bar,

@@ -2,18 +2,41 @@
 
 None of this is reached by a ``fracflow`` command: it builds test data,
 evaluates a quantity the solver never needs (the step objective, whose
-gradient the solver drives to zero), or is the slow reference version of a
-solver or kernel routine.
+gradient the solver drives to zero), is the slow reference version of a
+solver or kernel routine, or reads fracflow's own source.
 """
 
+import ast
 import functools
+import importlib
+import inspect
 import math
+import pkgutil
 
 import numpy as np
 
+import fracflow
 from fracflow import GridFunction, scan_alg_constants
 from fracflow.energy import _self_pair_sum, sgn_power
 from fracflow.kernel import _node_set_weights, _offset_weights
+
+
+def readers_of(name):
+    """The functions and methods of fracflow, as ``module.qualname``, whose
+    source loads ``name``, as a plain name or as an attribute."""
+    readers = set()
+    for info in pkgutil.iter_modules(fracflow.__path__):
+        mod = importlib.import_module(f"fracflow.{info.name}")
+        stack = [(ast.parse(inspect.getsource(mod)), (info.name,))]
+        while stack:
+            node, where = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                where += (node.name,)
+            if (getattr(node, "id", getattr(node, "attr", None)) == name
+                    and isinstance(node.ctx, ast.Load)):
+                readers.add(".".join(where))
+            stack += [(child, where) for child in ast.iter_child_nodes(node)]
+    return readers
 
 
 def zero_function(domain):

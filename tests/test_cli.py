@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
@@ -337,15 +338,24 @@ def test_cmd_ineq_passes_and_reports(tmp_path):
     names = [e["name"] for e in report["entries"]]
     assert "ALG1-alpha1.5" in names and "ALG2-alpha4" in names
     assert "POINCARE-random" in names and "ST-SOBOLEV-synthetic" in names
-    # past the space-time guard (32^2 nodes^2 * 400^2 slabs^2 > 1e8) the
-    # synthetic check records its skip, as a run's ST-SOBOLEV does
-    cfg = small_run_cfg(tmp_path, n_cells=16, collar_factor=2, t_grid=400,
+    # past the space-time guard (32^2 nodes^2 * 20000^2 slabs^2 > 1e8) the
+    # synthetic check records its skip, as a run's ST-SOBOLEV does, before
+    # any draw: not even one (t_grid, n_nodes) array is allocated
+    cfg = small_run_cfg(tmp_path, n_cells=16, collar_factor=2, t_grid=20000,
                         output_dir=tmp_path / "past_guard")
-    assert cmd_ineq(cfg, trials=200, seed=5) == 0
+    tracemalloc.start()
+    try:
+        assert cmd_ineq(cfg, trials=200, seed=5) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * cfg.t_grid * 32
     report = json.loads(Path(cfg.output_dir, "report.json").read_text())
-    entries = {e["name"]: e for e in report["entries"]}
-    assert (entries["ST-SOBOLEV-synthetic"]["skipped"]
-            == "space-time sum guard exceeded")
+    assert report["entries"][-1] == {
+        "name": "ST-SOBOLEV-synthetic",
+        "paper_ref": "spacetime-interpolation-bound", "lhs": 0.0, "rhs": 0.0,
+        "constant_used": None, "margin": 0.0, "pass": True, "tol": 0.0,
+        "skipped": "space-time sum guard exceeded"}
 
 
 def replace_everywhere(monkeypatch, fn, replacement):

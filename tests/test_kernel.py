@@ -1,4 +1,3 @@
-import ast
 import importlib
 import inspect
 import math
@@ -18,7 +17,7 @@ from fracflow import kernel as kernel_mod
 from fracflow import verify
 from fracflow.energy import _data_energies
 from fracflow.kernel import _BLOCK_BYTES, _node_set_weights, _offset_weights
-from oracles import dense_interior, pair_weights
+from oracles import dense_interior, pair_weights, readers_of
 
 
 def params_with(s=0.5, p=2.0, q=1.0, h=0.01, t_end=0.1, **kw):
@@ -448,19 +447,8 @@ def test_no_function_takes_s_or_p_beside_a_kernel():
 def test_only_the_tolerance_rule_reads_solver_tol():
     # the run's tolerances are derived in one place: no other function or
     # method forms a second copy of the rule from solver_tol
-    readers = set()
-    for info in pkgutil.iter_modules(fracflow.__path__):
-        mod = importlib.import_module(f"fracflow.{info.name}")
-        stack = [(ast.parse(inspect.getsource(mod)), (info.name,))]
-        while stack:
-            node, where = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                where += (node.name,)
-            if (isinstance(node, ast.Attribute) and node.attr == "solver_tol"
-                    and isinstance(node.ctx, ast.Load)):
-                readers.add(".".join(where))
-            stack += [(child, where) for child in ast.iter_child_nodes(node)]
-    assert readers == {"energy._tolerances", "kernel.FlowParams.__post_init__"}
+    assert readers_of("solver_tol") == {
+        "energy._tolerances", "kernel.FlowParams.__post_init__"}
 
 
 def test_require_match_guards_mismatch():

@@ -1,13 +1,8 @@
-import ast
-import importlib
-import inspect
-import pkgutil
 import tracemalloc
 
 import numpy as np
 import pytest
 
-import fracflow
 from fracflow import (FlowParams, GridFunction, assemble_kernel, build_grid,
                       eval_preset, gagliardo_seminorm_p, lq_power_integral,
                       reconstruct, run_flow)
@@ -15,7 +10,8 @@ from fracflow import kernel as kernel_mod
 from fracflow import verify
 from fracflow.verify import (CheckEntry, VerificationReport,
                              p_star, _degenerate_weight)
-from oracles import on_collar, st_seminorm_bruteforce, zero_function
+from oracles import (on_collar, readers_of, st_seminorm_bruteforce,
+                     zero_function)
 
 
 def make_problem(n_cells=16, dim=1, s=0.5, p=2.0, q=1.0, h=0.01, t_end=0.1, **kw):
@@ -349,9 +345,16 @@ def test_streamed_st_sums_match_bruteforce_across_row_blocks(monkeypatch):
 
 
 def test_st_seminorm_guard():
+    # refused from the shapes, before one (t_grid, n_nodes) array is sampled
     dom, params, kernel, traj = bump_run(n_cells=4)
-    with pytest.raises(ValueError):
-        verify.spacetime_seminorm_w1(traj, 0.25, 10 ** 5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="space-time sum too large"):
+            verify.spacetime_seminorm_w1(traj, 0.25, 10 ** 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 10 ** 5 * dom.n_nodes
 
 
 def test_st_sobolev_zero_and_time_constant():
@@ -377,34 +380,28 @@ def test_st_sobolev_on_trajectory():
 
 def test_st_sobolev_records_its_own_skip():
     # node_count^2 * t_grid^2 above 1e8: the check returns its skipped entry
-    # before any space-time sum
+    # before sampling anything, so not even one (t_grid, n_nodes) array is
+    # allocated
     dom, params, kernel, traj = bump_run()
-    assert not verify.spacetime_sum_fits(dom.n_nodes, 400)
-    e = verify.check_spacetime_sobolev(traj, 0.25, 0.4, 400)
+    t_grid = 20000
+    assert not verify.spacetime_sum_fits(dom.n_nodes, t_grid)
+    tracemalloc.start()
+    try:
+        e = verify.check_spacetime_sobolev(traj, 0.25, 0.4, t_grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert (e.name, e.ref, e.lhs, e.rhs) == (
         "ST-SOBOLEV", "spacetime-interpolation-bound", 0.0, 0.0)
     assert e.skipped == "space-time sum guard exceeded" and e.passed
+    assert peak < 8 * t_grid * dom.n_nodes
 
 
 def test_only_the_space_time_sums_read_their_guard():
-    # the guard has one reader per reaction: the check records its skip
-    # (for run and ineq alike) and the seminorm refuses; no caller asks it
-    # a second time
-    readers = set()
-    for info in pkgutil.iter_modules(fracflow.__path__):
-        mod = importlib.import_module(f"fracflow.{info.name}")
-        stack = [(ast.parse(inspect.getsource(mod)), (info.name,))]
-        while stack:
-            node, where = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                where += (node.name,)
-            name = getattr(node, "id", getattr(node, "attr", None))
-            if (name == "spacetime_sum_fits"
-                    and isinstance(node.ctx, ast.Load)):
-                readers.add(".".join(where))
-            stack += [(child, where) for child in ast.iter_child_nodes(node)]
-    assert readers == {"verify.check_spacetime_sobolev_values",
-                       "verify.spacetime_seminorm_values"}
+    # the guard has one reader per reaction: the skip (asked by run's and
+    # ineq's space-time checks before they sample) and the refusal
+    assert readers_of("spacetime_sum_fits") == {
+        "verify._spacetime_skip", "verify._require_spacetime_fits"}
 
 
 def test_st_sobolev_sums_over_the_support(monkeypatch):
