@@ -159,10 +159,15 @@ def _tail_weights(domain: GridDomain, params: FlowParams) -> np.ndarray:
     return t
 
 
-# One row block of gathered weights to every node (float64), and as much
-# again for its gather keys (intp); the offset table itself is (2m-1)^dim
-# doubles.  The space-time sums hold one block at a time (32 rows on
-# a 1024-node grid), and no table of the whole support.
+# The one memory budget of the row blocks.  A block has as many rows as
+# this many bytes of weights (float64) to every node would take.  It holds
+# its weights to the node set, one chunk of its weights to the nodes
+# outside the set with their gather keys (intp), and, in the space-time
+# sums, the pair terms of a stack of slab pairs; the chunk and the pair
+# terms each stay within this budget.  On a 1024-node 2D grid with a
+# 256-node support a block is 32 rows: 64 KiB of weights to the set, rest
+# chunks of 21 rows (126 KiB of weights, as much again in keys) and
+# 256 KiB of pair terms.  The offset table is (2m-1)^dim doubles.
 _BLOCK_BYTES = 256 << 10
 
 
@@ -220,22 +225,33 @@ def _row_blocks(domain: GridDomain, nodes: np.ndarray, table: np.ndarray,
     lo + 1, ..., with block their weights against the set and outside each
     one's summed weight to every node outside it.  The weight of a pair
     depends only on its lattice offset, so each block is gathered from the
-    offset table ``table`` of ``_offset_weights``; a block holds about
-    ``_BLOCK_BYTES`` of weights to every node, and no row of a node outside
-    the set is formed.  Given ``out`` (set size squared), each block is
-    gathered in place into its rows; otherwise into one reused buffer, so a
-    block is valid only until the next one is yielded."""
+    offset table ``table`` of ``_offset_weights``; a block has as many rows
+    as ``_BLOCK_BYTES`` of weights to every node would, and no row of a
+    node outside the set is formed.  Its weights to the nodes outside the
+    set are gathered in row chunks whose keys and weights together stay
+    within ``_BLOCK_BYTES``, and each chunk is summed before the next is
+    gathered: a row's sum runs over the same contiguous values whatever
+    the chunk, so ``outside`` is the same bit for bit at any chunk size.
+    Given ``out`` (set size squared), each block is gathered in place into
+    its rows; otherwise into one reused buffer, so a block is valid only
+    until the next one is yielded."""
     a, b = _lattice_keys(domain)
     rows = np.flatnonzero(nodes)
     cols, rest = b[rows], b[~nodes]
     per_block = max(1, _BLOCK_BYTES // (8 * domain.n_nodes))
+    # a key (intp) and a weight (float64) per pair: 16 bytes
+    per_chunk = max(1, _BLOCK_BYTES // (16 * max(1, rest.size)))
     buf = (np.empty((min(per_block, rows.size), rows.size)) if out is None
            else None)
     for lo in range(0, rows.size, per_block):
         part = a[rows[lo:lo + per_block]]
         block = buf[:part.size] if out is None else out[lo:lo + part.size]
         _gather(table, part, cols, out=block)
-        yield lo, block, _gather(table, part, rest).sum(axis=1)
+        outside = np.empty(part.size)
+        for k in range(0, part.size, per_chunk):
+            _gather(table, part[k:k + per_chunk], rest).sum(
+                axis=1, out=outside[k:k + per_chunk])
+        yield lo, block, outside
 
 
 def _node_set_weights(domain: GridDomain, nodes: np.ndarray,

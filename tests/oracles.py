@@ -3,7 +3,8 @@
 None of this is reached by a ``fracflow`` command: it builds test data,
 evaluates a quantity the solver never needs (the step objective, whose
 gradient the solver drives to zero), is the slow reference version of a
-solver or kernel routine, or reads fracflow's own source.
+solver or kernel routine, reads fracflow's own source, or measures the
+memory a call holds.
 """
 
 import ast
@@ -12,6 +13,7 @@ import importlib
 import inspect
 import math
 import pkgutil
+import tracemalloc
 
 import numpy as np
 
@@ -37,6 +39,15 @@ def readers_of(name):
                 readers.add(".".join(where))
             stack += [(child, where) for child in ast.iter_child_nodes(node)]
     return readers
+
+
+def traced_peak(fn):
+    """fn() and the peak of the memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def zero_function(domain):

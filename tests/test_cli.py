@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
@@ -15,6 +14,7 @@ import pytest
 from fracflow import cli, rothe
 from fracflow.cli import (ConfigError, RunConfig, parse_config, cmd_run,
                           cmd_converge, cmd_ineq, main)
+from oracles import traced_peak
 
 
 def write_cfg(tmp_path, text, name="cfg.txt"):
@@ -343,13 +343,8 @@ def test_cmd_ineq_passes_and_reports(tmp_path):
     # any draw: not even one (t_grid, n_nodes) array is allocated
     cfg = small_run_cfg(tmp_path, n_cells=16, collar_factor=2, t_grid=20000,
                         output_dir=tmp_path / "past_guard")
-    tracemalloc.start()
-    try:
-        assert cmd_ineq(cfg, trials=200, seed=5) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * cfg.t_grid * 32
+    code, peak = traced_peak(lambda: cmd_ineq(cfg, trials=200, seed=5))
+    assert code == 0 and peak < 8 * cfg.t_grid * 32
     report = json.loads(Path(cfg.output_dir, "report.json").read_text())
     assert report["entries"][-1] == {
         "name": "ST-SOBOLEV-synthetic",

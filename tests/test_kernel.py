@@ -2,7 +2,6 @@ import importlib
 import inspect
 import math
 import pkgutil
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from fracflow import kernel as kernel_mod
 from fracflow import verify
 from fracflow.energy import _data_energies
 from fracflow.kernel import _BLOCK_BYTES, _node_set_weights, _offset_weights
-from oracles import dense_interior, pair_weights, readers_of
+from oracles import dense_interior, pair_weights, readers_of, traced_peak
 
 
 def params_with(s=0.5, p=2.0, q=1.0, h=0.01, t_end=0.1, **kw):
@@ -165,10 +164,12 @@ def test_interior_rows_match_the_collar_table(monkeypatch, dim, n_cells,
     # the interior block, boundary weights and tails are exactly the slices
     # of the full table.  Assembly builds one offset table; at p = 2 it
     # gathers nothing and holds no interior block, otherwise it gathers the
-    # interior rows in three or more row blocks, once
+    # interior rows in three or more row blocks, once, and each block's
+    # weights to the exterior in row chunks that fit the block budget with
+    # their keys
     dom = build_grid(dim, 0.0, 1.0, n_cells, collar)
-    monkeypatch.setattr(kernel_mod, "_BLOCK_BYTES",
-                        8 * dom.n_nodes * (dom.n_interior // 3))
+    budget = 8 * dom.n_nodes * (dom.n_interior // 3)
+    monkeypatch.setattr(kernel_mod, "_BLOCK_BYTES", budget)
     tables, gathers = [], []
     offset_weights, gather = kernel_mod._offset_weights, kernel_mod._gather
 
@@ -204,8 +205,14 @@ def test_interior_rows_match_the_collar_table(monkeypatch, dim, n_cells,
             assert len(blocks) >= 3
             assert sum(rows for rows, _ in blocks) == dom.n_interior
             assert {cols for _, cols in blocks} == {dom.n_interior}
-            assert [(rows, n_rest) for rows, _ in blocks] == [
-                (rows, cols) for inner, rows, cols in gathers if not inner]
+            chunks = []     # the exterior chunks' rows, block by block
+            for inner, rows, cols in gathers:
+                if inner:
+                    chunks.append([])
+                else:
+                    assert cols == n_rest and 16 * rows * cols <= budget
+                    chunks[-1].append(rows)
+            assert [sum(c) for c in chunks] == [rows for rows, _ in blocks]
         w = k.weights
         assert w is k.weights and not w.flags.writeable
         assert w.shape == (dom.n_nodes, dom.n_nodes)
@@ -214,6 +221,37 @@ def test_interior_rows_match_the_collar_table(monkeypatch, dim, n_cells,
         assert np.array_equal(k.tail, tails)
         assert np.array_equal(
             boundary, w[np.ix_(mask, ~mask)].sum(axis=1) + tails[mask])
+
+
+@pytest.mark.parametrize("dim,n_cells,collar", [(1, 16, 2.0)] + GRIDS)
+def test_boundary_is_the_same_at_any_chunk_size(monkeypatch, dim, n_cells,
+                                                collar):
+    # a block budget of one exterior row with its keys gathers the weights
+    # to the exterior one row at a time, and boundary is still the collar
+    # table's row sums bit for bit: each row is summed over the same
+    # contiguous values whatever the chunk.  ROADMAP item 4's 16-cell
+    # (1.5, 0.5) fallback run, on the first grid, turns on a one-ulp change
+    # of boundary
+    dom = build_grid(dim, 0.0, 1.0, n_cells, collar)
+    mask = dom.interior_mask
+    n_rest = dom.n_nodes - dom.n_interior
+    params = params_with(p=1.5, q=0.5)
+    default = assemble_kernel(dom, params).boundary
+    monkeypatch.setattr(kernel_mod, "_BLOCK_BYTES", 16 * n_rest)
+    chunks, gather = [], kernel_mod._gather
+
+    def spy_gather(table, a, b, out=None):
+        if out is None:
+            chunks.append(a.size)
+        return gather(table, a, b, out)
+
+    monkeypatch.setattr(kernel_mod, "_gather", spy_gather)
+    k = assemble_kernel(dom, params)
+    assert chunks == [1] * dom.n_interior
+    assert np.array_equal(k.boundary, default)
+    assert np.array_equal(
+        k.boundary,
+        k.weights[np.ix_(mask, ~mask)].sum(axis=1) + k.tail[mask])
 
 
 @pytest.mark.parametrize("dim,n_cells,p", [(1, 16, 2.0), (1, 16, 1.5),
@@ -318,23 +356,17 @@ def test_assembly_never_holds_the_collar_table():
     # converge-2d's grid: the full table would be 2304^2 doubles (40.5 MiB).
     # At p = 2 assembly and a whole run hold no (n, n) array: the interior
     # block alone would be 8 MiB.  For other p, assembly holds that block
-    # and, for one row block of 14 rows, the gathered weights to the 1280
-    # exterior nodes and their keys (140 KiB each): 8.4 MiB in all; the
-    # offset table is 9025 doubles
+    # and, for one chunk of 12 rows of a 14-row block, the gathered weights
+    # to the 1280 exterior nodes and their keys (120 KiB each): 8.4 MiB in
+    # all; the offset table is 9025 doubles
     dom = build_grid(2, 0.0, 1.0, 32, 1.5)
     assert (dom.n_nodes, dom.n_interior) == (2304, 1024)
     u0 = eval_preset(dom, "bump", 1.0)
     params = params_with(t_end=0.02)
     run_flow(u0, assemble_kernel(dom, params), params)  # loads numpy.fft
-    tracemalloc.start()
-    try:
-        run_flow(u0, assemble_kernel(dom, params), params)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        assemble_kernel(dom, params_with(p=2.5))
-        peak_gather = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(
+        lambda: run_flow(u0, assemble_kernel(dom, params), params))[1]
+    peak_gather = traced_peak(lambda: assemble_kernel(dom, params_with(p=2.5)))[1]
     assert peak < 2 ** 20 < 8 * dom.n_interior ** 2
     assert peak_gather < 9 * 2 ** 20 < 8 * dom.n_nodes ** 2
 

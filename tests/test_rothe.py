@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -13,7 +11,8 @@ from fracflow import rothe
 from fracflow.rothe import (NonFiniteData, _StepWorkspace, _ray_start,
                             _snap_clusters, _solve_step)
 from oracles import (dense_interior, interior_step_objective,
-                     snap_clusters_loop, step_objective, zero_function)
+                     snap_clusters_loop, step_objective, traced_peak,
+                     zero_function)
 
 
 def make_problem(n_cells=16, s=0.5, p=2.0, q=1.0, h=0.01, t_end=0.1, **kw):
@@ -231,13 +230,8 @@ def test_p2_step_forms_no_pair_matrix():
         kernel = assemble_kernel(dom, params)
         tol_abs = _tolerances(_data_energies(u_prev, kernel, params),
                               params)[1]
-        tracemalloc.start()
-        try:
-            ws = _StepWorkspace(kernel, params, tol_abs)
-            _, diag = _solve_step(ws, u_prev.values)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (_, diag), peak = traced_peak(lambda: _solve_step(
+            _StepWorkspace(kernel, params, tol_abs), u_prev.values))
         assert diag.iterations > 1 and diag.linear_iters > 0
         assert (peak < n * n * 8) == (p == 2.0), (p, peak, n * n * 8)
 

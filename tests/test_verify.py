@@ -1,4 +1,4 @@
-import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from fracflow import verify
 from fracflow.verify import (CheckEntry, VerificationReport,
                              p_star, _degenerate_weight)
 from oracles import (on_collar, readers_of, st_seminorm_bruteforce,
-                     zero_function)
+                     traced_peak, zero_function)
 
 
 def make_problem(n_cells=16, dim=1, s=0.5, p=2.0, q=1.0, h=0.01, t_end=0.1, **kw):
@@ -347,14 +347,11 @@ def test_streamed_st_sums_match_bruteforce_across_row_blocks(monkeypatch):
 def test_st_seminorm_guard():
     # refused from the shapes, before one (t_grid, n_nodes) array is sampled
     dom, params, kernel, traj = bump_run(n_cells=4)
-    tracemalloc.start()
-    try:
+    def refused():
         with pytest.raises(ValueError, match="space-time sum too large"):
             verify.spacetime_seminorm_w1(traj, 0.25, 10 ** 5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 10 ** 5 * dom.n_nodes
+
+    assert traced_peak(refused)[1] < 8 * 10 ** 5 * dom.n_nodes
 
 
 def test_st_sobolev_zero_and_time_constant():
@@ -385,12 +382,8 @@ def test_st_sobolev_records_its_own_skip():
     dom, params, kernel, traj = bump_run()
     t_grid = 20000
     assert not verify.spacetime_sum_fits(dom.n_nodes, t_grid)
-    tracemalloc.start()
-    try:
-        e = verify.check_spacetime_sobolev(traj, 0.25, 0.4, t_grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    e, peak = traced_peak(
+        lambda: verify.check_spacetime_sobolev(traj, 0.25, 0.4, t_grid))
     assert (e.name, e.ref, e.lhs, e.rhs) == (
         "ST-SOBOLEV", "spacetime-interpolation-bound", 0.0, 0.0)
     assert e.skipped == "space-time sum guard exceeded" and e.passed
@@ -409,9 +402,10 @@ def test_st_sobolev_sums_over_the_support(monkeypatch):
     # one row block of the data's support (here the interior) at a time:
     # each lag and the spatial term build one offset table, every support
     # node is a row key once per table, no node outside the support is one,
-    # no block has more rows than the block budget gives, and the pair terms
-    # of one pair sum, a stack of slab pairs, are no more than a block's
-    # weights to every node
+    # no block has more rows than the block budget gives, its weights to the
+    # rest come in row chunks within the budget with their keys, and the
+    # pair terms of one pair sum, a stack of slab pairs, are no more than a
+    # block's weights to every node
     dom, params, kernel, traj = bump_run(dim=2, n_cells=4, h=0.02, t_end=0.1)
     per_block = 5
     monkeypatch.setattr(kernel_mod, "_BLOCK_BYTES", 8 * dom.n_nodes * per_block)
@@ -424,7 +418,7 @@ def test_st_sobolev_sums_over_the_support(monkeypatch):
         return offset_weights(*args, **kwargs)
 
     def spy_gather(table, a, b, out=None):
-        gathers.append((a.copy(), b.size))
+        gathers.append((out is not None, a.copy(), b.size))
         return gather(table, a, b, out)
 
     def spy_sum(a, b, block, boundary, r, buf=None, rows=slice(None)):
@@ -442,13 +436,22 @@ def test_st_sobolev_sums_over_the_support(monkeypatch):
     assert n_rest > 0 and n_support > 2 * per_block
     assert len(offsets) == t_grid + 1
     n_blocks = -(-n_support // per_block)
-    assert len(gathers) == 2 * n_blocks * (t_grid + 1)
     # each block gathers its rows against the support, then the same rows
-    # against the nodes outside it
-    inner, outer = gathers[::2], gathers[1::2]
+    # against the nodes outside it, a chunk at a time
+    inner, outer = [], []
+    for is_inner, a, cols in gathers:
+        if is_inner:
+            inner.append((a, cols))
+            outer.append([])
+        else:
+            assert cols == n_rest
+            assert 16 * a.size * cols <= kernel_mod._BLOCK_BYTES
+            outer[-1].append(a)
+    assert len(inner) == n_blocks * (t_grid + 1)
     assert [cols for _, cols in inner] == [n_support] * len(inner)
-    assert [cols for _, cols in outer] == [n_rest] * len(outer)
-    assert all(np.array_equal(a, b) for (a, _), (b, _) in zip(inner, outer))
+    assert all(np.array_equal(a, np.concatenate(chunks))
+               for (a, _), chunks in zip(inner, outer))
+    assert max(len(chunks) for chunks in outer) > 1
     row_keys = kernel_mod._lattice_keys(dom)[0]
     for table in range(t_grid + 1):
         keys = [a for a, _ in inner[table * n_blocks:(table + 1) * n_blocks]]
@@ -475,15 +478,26 @@ def test_st_sobolev_working_set_is_bounded():
     rng = np.random.default_rng(9)
     vals = rng.uniform(0.2, 1.0, (8, dom.n_nodes))
     dvals = rng.uniform(-1.0, 1.0, (8, dom.n_nodes))
-    tracemalloc.start()
-    try:
-        e = verify.check_spacetime_sobolev_values(vals, dvals, dom, 0.1,
-                                                  0.25, 0.4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    e, peak = traced_peak(lambda: verify.check_spacetime_sobolev_values(
+        vals, dvals, dom, 0.1, 0.25, 0.4))
     assert e.passed and e.lhs > 0.0
     assert peak < 4 * 2 ** 20 < 8 * dom.n_nodes ** 2
+
+
+def test_st_sobolev_on_run_2d_holds_one_block_at_a_time():
+    # run-2d's trajectory: 2D, 16 cells, collar 2, bump data, t_grid = 8.
+    # Besides the sampled values and slopes on the 1024 collar nodes, the
+    # check holds one row block of the 256-node support at a time: its
+    # weights to the support, one chunk of its weights to the rest with
+    # their keys, and the pair terms, each within the block budget
+    dom, params, kernel, traj = bump_run(dim=2, n_cells=16)
+    assert (dom.n_nodes, dom.n_interior) == (1024, 256)
+    t_grid = 8
+    samples = 2 * 8 * t_grid * dom.n_nodes
+    e, peak = traced_peak(
+        lambda: verify.check_spacetime_sobolev(traj, 0.25, 0.4, t_grid))
+    assert e.passed and e.lhs > 0.0
+    assert peak < samples + 3 * kernel_mod._BLOCK_BYTES
 
 
 def test_initial_trend_is_informational():
@@ -495,6 +509,27 @@ def test_initial_trend_is_informational():
 
 
 # --- refinement study and level sets -----------------------------------------
+
+def test_cauchy_study_holds_one_level_at_a_time():
+    # converge-2d's config: 2D, 32 cells, collar 1.5, bump data, h = 0.01,
+    # t_end = 0.02, three levels.  The study holds one level's run and
+    # sampling, the previous level's samples and two more arrays of their
+    # shape: no trajectory outlives its sampling, and no level's positive
+    # or negative part is kept
+    dom = build_grid(2, 0.0, 1.0, 32, 1.5)
+    params = FlowParams(s=0.5, p=2.0, q=1.0, h=0.01, t_end=0.02)
+    kernel = assemble_kernel(dom, params)
+    u0 = eval_preset(dom, "bump", 1.0)
+    finest = replace(params, h=params.h / 4)
+    taus = (np.arange(8) + 0.5) * finest.h
+    run_flow(u0, kernel, finest)        # loads numpy.fft
+    (values, _), one_level = traced_peak(
+        lambda: reconstruct(run_flow(u0, kernel, finest), taus))
+    entries, peak = traced_peak(lambda: verify.cauchy_refinement_study(
+        u0, kernel, params, levels=3, gamma=1.0, s_prime=0.25))
+    assert [e.passed for e in entries] == [True, True]
+    assert peak < one_level + 3 * values.nbytes
+
 
 def test_cauchy_zero_data_vacuous():
     dom, params, kernel = make_problem(h=0.04, t_end=0.2)
