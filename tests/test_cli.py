@@ -184,6 +184,28 @@ def test_failed_run_leaves_no_output_dir(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_failed_newton_solve_ends_the_step(tmp_path, capsys, monkeypatch):
+    # the clamped Newton model is positive definite, so only roundoff can
+    # fail its solve; then the step ends at once, with no other direction
+    # tried, and a run exits 3 naming that cause
+    monkeypatch.setattr(rothe._StepWorkspace, "newton_direction",
+                        lambda self, x, g: None)
+    out = tmp_path / "out"
+    cfg_path = write_cfg(tmp_path, "\n".join([
+        "n_cells = 16", "p = 1.5", "q = 0.5", "t_end = 0.1",
+        f"output_dir = {out}"]))
+    _, params, u0, kernel = cli._build_problem(parse_config(cfg_path))
+    with pytest.raises(rothe.NonConvergence) as err:
+        rothe.run_flow(u0, kernel, params)
+    assert err.value.step_index == 1
+    assert err.value.diagnostics.iterations == 0
+    assert err.value.cause == "Newton solve failed"
+    assert "at step 1 (Newton solve failed): 0 iterations" in str(err.value)
+    assert main(["run", "--config", cfg_path]) == 3
+    assert "at step 1 (Newton solve failed)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cmd_run_check_failure_exit_code(tmp_path, monkeypatch):
     cfg = small_run_cfg(tmp_path)
     failing = cli.verify.CheckEntry(name="MAX", ref="sup-norm-bound",

@@ -229,9 +229,8 @@ def test_boundary_is_the_same_at_any_chunk_size(monkeypatch, dim, n_cells,
     # a block budget of one exterior row with its keys gathers the weights
     # to the exterior one row at a time, and boundary is still the collar
     # table's row sums bit for bit: each row is summed over the same
-    # contiguous values whatever the chunk.  ROADMAP item 4's 16-cell
-    # (1.5, 0.5) fallback run, on the first grid, turns on a one-ulp change
-    # of boundary
+    # contiguous values whatever the chunk, so a rerun is byte-identical
+    # whatever block budget it assembles with
     dom = build_grid(dim, 0.0, 1.0, n_cells, collar)
     mask = dom.interior_mask
     n_rest = dom.n_nodes - dom.n_interior
