@@ -13,10 +13,11 @@ table, and the interior nodes form a box, so the interior block is Toeplitz
 in 1D and block-Toeplitz in 2D and its product with a vector is a circulant
 product of twice the size per axis, one real FFT pair against a spectrum
 computed once; the block itself is never formed.  For other p the interior
-block and the boundary weights are gathered from the offset table by index,
-rows x nodes work, one row block at a time (``_row_blocks``); the space-time
-sums of ``verify`` consume the same row blocks as they come and keep none.
-The table over all collar-node pairs is built only on request, as the test
+block is gathered by index, one row block at a time (``_row_blocks``), and
+a node's weight to the exterior is its window sum less its row sum in the
+block: an exterior node adds no gather work.  The space-time sums of
+``verify`` consume the same row blocks as they come and keep none.  The
+table over all collar-node pairs is built only on request, as the test
 oracle.  The principal value is realized by dropping the diagonal (the
 within-cell difference of a nodal function is zero, which is the discrete
 counterpart of the symmetric cancellation).  The region beyond the collar
@@ -82,8 +83,8 @@ class KernelTable:
     With weights[i, j] = vol^2 * |x_i - x_j|^(-(n+sp)) for i != j and 0 on
     the diagonal: interior is the interior block of weights; tail[i] = vol *
     integral of the kernel over the region beyond the collar box (closed
-    radial form); boundary[i] = tail[i] + sum_{j exterior} weights[i, j] is
-    what acts on |u_i| of a zero-exterior u; degree[i] = boundary[i] +
+    radial form); boundary[i] = tail[i] + sum_{j exterior} weights[i, j], to
+    roundoff, acts on |u_i| of a zero-exterior u; degree[i] = boundary[i] +
     sum_j interior[i, j] is node i's total weight, so that at p = 2 the pair
     operator is the graph Laplacian diag(degree) - interior, applied through
     ``apply_interior``.  A table holds what its p computes with and None in
@@ -161,13 +162,12 @@ def _tail_weights(domain: GridDomain, params: FlowParams) -> np.ndarray:
 
 # The one memory budget of the row blocks.  A block has as many rows as
 # this many bytes of weights (float64) to every node would take.  It holds
-# its weights to the node set, one chunk of its weights to the nodes
-# outside the set with their gather keys (intp), and, in the space-time
-# sums, the pair terms of a stack of slab pairs; the chunk and the pair
-# terms each stay within this budget.  On a 1024-node 2D grid with a
-# 256-node support a block is 32 rows: 64 KiB of weights to the set, rest
-# chunks of 21 rows (126 KiB of weights, as much again in keys) and
-# 256 KiB of pair terms.  The offset table is (2m-1)^dim doubles.
+# its weights to the node set with their gather keys (intp, as many bytes)
+# and, in the space-time sums, the pair terms of a stack of slab pairs,
+# which stay within this budget.  On a 1024-node 2D grid with a 256-node
+# support a block is 32 rows: 64 KiB of weights to the set, as much again
+# in keys, and 256 KiB of pair terms.  The offset table is (2m-1)^dim
+# doubles and its window sums m^dim.
 _BLOCK_BYTES = 256 << 10
 
 
@@ -226,32 +226,28 @@ def _row_blocks(domain: GridDomain, nodes: np.ndarray, table: np.ndarray,
     one's summed weight to every node outside it.  The weight of a pair
     depends only on its lattice offset, so each block is gathered from the
     offset table ``table`` of ``_offset_weights``; a block has as many rows
-    as ``_BLOCK_BYTES`` of weights to every node would, and no row of a
-    node outside the set is formed.  Its weights to the nodes outside the
-    set are gathered in row chunks whose keys and weights together stay
-    within ``_BLOCK_BYTES``, and each chunk is summed before the next is
-    gathered: a row's sum runs over the same contiguous values whatever
-    the chunk, so ``outside`` is the same bit for bit at any chunk size.
+    as ``_BLOCK_BYTES`` of weights to every node would, and no weight to or
+    from a node outside the set is gathered.  A row's outside weight is its
+    total weight to every node (``_window_sums``) less its row sum in the
+    block, clamped at 0: the sum of its weights to the nodes outside, to
+    roundoff relative to that total.  Each row sums its own contiguous
+    values, so ``outside`` is the same bit for bit at any block size.
     Given ``out`` (set size squared), each block is gathered in place into
     its rows; otherwise into one reused buffer, so a block is valid only
     until the next one is yielded."""
     a, b = _lattice_keys(domain)
     rows = np.flatnonzero(nodes)
-    cols, rest = b[rows], b[~nodes]
+    cols = b[rows]
+    total = _window_sums(domain, table)[rows]
     per_block = max(1, _BLOCK_BYTES // (8 * domain.n_nodes))
-    # a key (intp) and a weight (float64) per pair: 16 bytes
-    per_chunk = max(1, _BLOCK_BYTES // (16 * max(1, rest.size)))
     buf = (np.empty((min(per_block, rows.size), rows.size)) if out is None
            else None)
     for lo in range(0, rows.size, per_block):
         part = a[rows[lo:lo + per_block]]
         block = buf[:part.size] if out is None else out[lo:lo + part.size]
         _gather(table, part, cols, out=block)
-        outside = np.empty(part.size)
-        for k in range(0, part.size, per_chunk):
-            _gather(table, part[k:k + per_chunk], rest).sum(
-                axis=1, out=outside[k:k + per_chunk])
-        yield lo, block, outside
+        outside = total[lo:lo + part.size] - block.sum(axis=1)
+        yield lo, block, np.maximum(outside, 0.0, out=outside)
 
 
 def _node_set_weights(domain: GridDomain, nodes: np.ndarray,

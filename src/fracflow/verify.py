@@ -304,10 +304,10 @@ def check_poincare(u: GridFunction, kernel: KernelTable,
 
 
 def spacetime_sum_fits(n_nodes: int, t_grid: int) -> bool:
-    """Whether the space-time sum's work, node_count^2 * t_grid^2 pair
-    terms, is at most 1e8.  The guard bounds work, not memory: the sums
-    stream their weights one row block at a time, so what they hold does
-    not grow with the square of the data's support."""
+    """Whether node_count^2 * t_grid^2 is at most 1e8.  The guard bounds
+    work, not memory: the space-time sums cost support^2 pair terms per
+    slab pair and one O((2m-1)^dim) window sum per offset table, and stream
+    their weights one row block at a time."""
     return n_nodes ** 2 * t_grid ** 2 <= 10 ** 8
 
 
@@ -337,7 +337,7 @@ def _slab_pair_sums(vals: np.ndarray, domain: GridDomain, expo: float,
     next is gathered.  A block takes as many slab pairs per pair sum as
     keep their pair terms within its weights to every node, so a small
     support pays few calls per block.  What is held at once is one block's
-    weights to the support, one chunk of its weights to the rest (see
+    weights to the support with their gather keys (see
     ``kernel._row_blocks``) and the pair terms, formed in one buffer per
     call, sized by the first block, the largest."""
     support = vals.any(axis=0)

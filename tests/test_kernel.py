@@ -15,7 +15,8 @@ from fracflow.grid import GridFunction
 from fracflow import kernel as kernel_mod
 from fracflow import verify
 from fracflow.energy import _data_energies
-from fracflow.kernel import _BLOCK_BYTES, _node_set_weights, _offset_weights
+from fracflow.kernel import (_BLOCK_BYTES, _node_set_weights,
+                             _offset_weights, _window_sums)
 from oracles import dense_interior, pair_weights, readers_of, traced_peak
 
 
@@ -88,6 +89,36 @@ def assert_within(got, want, bound):
     assert rel.max(initial=0.0) <= bound * eps
 
 
+def window_error_bound(dom):
+    """Gap, in units of eps times a node's total weight W (its weight to
+    every node), allowed between a sum of that node's weights formed from
+    the window sums of the offset table and the same sum added up term by
+    term, both from the same weights.
+
+    ``_window_sums`` works one axis at a time: cumulative sums of at most
+    2m - 1 positive terms (m nodes per axis), each within (2m - 2) u of its
+    exact value, u = eps/2, and a window is the difference of two of them.
+    Along an axis the weights are symmetric and decrease away from offset 0,
+    and every window holds offset 0, so the terms outside a window add up
+    to no more than those inside it: the two cumulative sums are at most
+    twice the axis total, four times the window.  With the rounding of the
+    difference an axis adds at most (4 (2m - 2) + 1) u < 4m eps relative to
+    W, the remainder covering second-order terms, and the second axis of a
+    2D table adds as much again.  A row's sum over the set and the oracle's
+    term-by-term sum each add at most n - 1 roundings of u relative to W,
+    for n nodes, whatever their order; the difference W - (row sum) and its
+    clamp at 0 add u at most."""
+    return dom.dim * 4 * dom.shape[0] + dom.n_nodes
+
+
+def assert_sums_within(got, want, total, bound):
+    """Weight sums ``got`` are never negative and within ``bound`` eps of
+    ``want``, relative to each row's total weight ``total``."""
+    eps = np.finfo(float).eps
+    assert np.all(got >= 0.0)
+    assert np.all(np.abs(got - want) <= bound * eps * total)
+
+
 def test_weights_match_whole_table_formula_across_row_blocks():
     # 1296 nodes: the table is gathered in row blocks of 25 rows, the last
     # one short.  dx = 1.5/36 is not a dyadic number, so the formula's rounded
@@ -107,7 +138,9 @@ def test_weights_match_whole_table_formula_across_row_blocks():
     assert_within(k.weights, expect, lattice_error_bound(dom, expo))
     # a node subset is the same rows and columns of the whole table, at lag
     # 0 (self pairs inside a row block) and at lag > 0; the random subset
-    # spans many blocks
+    # spans many blocks.  The outside weights are window sums less row sums,
+    # within the derived bound of the whole table's row sums over the nodes
+    # outside
     rng = np.random.default_rng(3)
     some = rng.uniform(size=dom.n_nodes) < 0.7
     assert some.sum() > _BLOCK_BYTES // (8 * dom.n_nodes)
@@ -117,8 +150,10 @@ def test_weights_match_whole_table_formula_across_row_blocks():
                            (0.3, node_set_weights(dom, every, expo, 0.3)[0])):
             block, outside = node_set_weights(dom, nodes, expo, lag)
             assert np.array_equal(block, whole[np.ix_(nodes, nodes)])
-            assert np.array_equal(outside,
-                                  whole[np.ix_(nodes, ~nodes)].sum(axis=1))
+            assert_sums_within(outside,
+                               whole[np.ix_(nodes, ~nodes)].sum(axis=1),
+                               whole[nodes].sum(axis=1),
+                               window_error_bound(dom))
 
 
 @pytest.mark.parametrize("dim,n_cells,collar,dyadic", [
@@ -129,7 +164,8 @@ def test_lattice_tables_match_the_coordinate_oracle(dim, n_cells, collar,
     # the offset-table gather against the weights of coordinate differences,
     # on the interior (a run's support), a random subset, and every node
     # (the synthetic support of ineq, with no node outside).  On a grid
-    # whose coordinates are exact the two agree bit for bit
+    # whose coordinates are exact the blocks agree bit for bit; the outside
+    # weights, window sums less row sums, agree within the window bound
     dom = build_grid(dim, 0.0, 1.0, n_cells, collar)
     rng = np.random.default_rng(5)
     supports = (dom.interior_mask, rng.uniform(size=dom.n_nodes) < 0.5,
@@ -146,13 +182,64 @@ def test_lattice_tables_match_the_coordinate_oracle(dim, n_cells, collar,
                 want_outside = w[np.ix_(every, ~nodes)].sum(axis=1)
                 if dyadic:
                     assert np.array_equal(block, want_block)
-                    assert np.array_equal(outside, want_outside)
+                    sums_bound = window_error_bound(dom)
                 else:
                     assert_within(block, want_block, bound)
-                    # sums of positive terms: each reordered partial sum
-                    # adds at most u per term
-                    assert_within(outside, want_outside,
-                                  bound + dom.n_nodes)
+                    # each term is off by its lattice bound at most
+                    sums_bound = window_error_bound(dom) + bound
+                assert_sums_within(outside, want_outside, w.sum(axis=1),
+                                   sums_bound)
+
+
+@pytest.mark.parametrize("dim,n_cells,collar,dyadic", [
+    (1, 64, 2.0, True), (2, 16, 2.0, True), (1, 50, 1.7, False),
+    (2, 10, 2.0, False)])
+def test_window_sums_match_the_brute_force_row_sums(dim, n_cells, collar,
+                                                    dyadic):
+    # each node's window sum of the offset table is its total weight to
+    # every node: the row sum of the weights of coordinate differences,
+    # within the window bound (plus each term's lattice bound where the
+    # coordinates are not exact).  At lag > 0 the offset-0 term, the node's
+    # pair with itself in another slab, is part of the total, and leaving
+    # it out would fall far outside the bound
+    dom = build_grid(dim, 0.0, 1.0, n_cells, collar)
+    eps = np.finfo(float).eps
+    for expo in (dim + 0.75, dim + 1.9):
+        bound = window_error_bound(dom)
+        if not dyadic:
+            bound += lattice_error_bound(dom, expo)
+        for lag in (0.0, 0.3):
+            got = _window_sums(dom, _offset_weights(dom, expo, lag))
+            want = pair_weights(dom.node_coords, dom.vol, expo,
+                                lag).sum(axis=1)
+            assert_sums_within(got, want, want, bound)
+            if lag:
+                self_term = dom.vol ** 2 * lag ** -expo
+                assert np.all(self_term > bound * eps * want)
+
+
+@pytest.mark.parametrize("dim,n_cells,collar", [(1, 16, 2.0), (1, 64, 2.0),
+                                                (2, 16, 2.0), (2, 7, 1.37)])
+def test_no_outside_weight_is_negative(dim, n_cells, collar):
+    # an outside weight is a window sum less a row sum, clamped at 0.  On a
+    # set of every node (ineq's synthetic space-time support and the collar
+    # table ``KernelTable.weights``) nothing is outside, and the two sums
+    # agree to roundoff, either way: each outside weight is 0 or within the
+    # window bound of it, never below.  On the interior and a random set
+    # the outside weights are positive
+    dom = build_grid(dim, 0.0, 1.0, n_cells, collar)
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(7)
+    every = np.ones(dom.n_nodes, dtype=bool)
+    some = rng.uniform(size=dom.n_nodes) < 0.5
+    for expo in (dim + 0.75, dim + 1.9):
+        for lag in (0.0, 0.3):
+            block, outside = node_set_weights(dom, every, expo, lag)
+            total = block.sum(axis=1)
+            assert np.all(outside >= 0.0)
+            assert np.all(outside <= window_error_bound(dom) * eps * total)
+            for nodes in (dom.interior_mask, some):
+                assert np.all(node_set_weights(dom, nodes, expo, lag)[1] > 0.0)
 
 
 GRIDS = [(1, 64, 2.0), (2, 16, 2.0), (2, 7, 1.37), (2, 32, 1.5)]
@@ -161,12 +248,13 @@ GRIDS = [(1, 64, 2.0), (2, 16, 2.0), (2, 7, 1.37), (2, 32, 1.5)]
 @pytest.mark.parametrize("dim,n_cells,collar", GRIDS)
 def test_interior_rows_match_the_collar_table(monkeypatch, dim, n_cells,
                                               collar):
-    # the interior block, boundary weights and tails are exactly the slices
-    # of the full table.  Assembly builds one offset table; at p = 2 it
-    # gathers nothing and holds no interior block, otherwise it gathers the
-    # interior rows in three or more row blocks, once, and each block's
-    # weights to the exterior in row chunks that fit the block budget with
-    # their keys
+    # the interior block and tails are exactly the slices of the full
+    # table, and the boundary weights its exterior row sums plus the tails
+    # within the window bound (the tail adds one rounding relative to the
+    # row's total).  Assembly builds one offset table; at p = 2 it gathers
+    # nothing and holds no interior block, otherwise it gathers the
+    # interior rows in three or more row blocks, once, each against the
+    # interior columns only: no weight to an exterior node is gathered
     dom = build_grid(dim, 0.0, 1.0, n_cells, collar)
     budget = 8 * dom.n_nodes * (dom.n_interior // 3)
     monkeypatch.setattr(kernel_mod, "_BLOCK_BYTES", budget)
@@ -178,14 +266,13 @@ def test_interior_rows_match_the_collar_table(monkeypatch, dim, n_cells,
         return offset_weights(*args, **kwargs)
 
     def spy_gather(table, a, b, out=None):
-        # the interior block is gathered in place, the exterior row sums not
-        gathers.append((out is not None, a.size, b.size))
+        gathers.append((out is not None, a.size, b.copy()))
         return gather(table, a, b, out)
 
     monkeypatch.setattr(kernel_mod, "_offset_weights", spy_table)
     monkeypatch.setattr(kernel_mod, "_gather", spy_gather)
     mask = dom.interior_mask
-    n_rest = dom.n_nodes - dom.n_interior
+    interior_cols = kernel_mod._lattice_keys(dom)[1][mask]
     for s, p in ((0.5, 2.0), (0.3, 2.5)):
         params = params_with(s=s, p=p)
         tables.clear()
@@ -201,56 +288,49 @@ def test_interior_rows_match_the_collar_table(monkeypatch, dim, n_cells,
             interior, boundary = k.interior, k.boundary
             assert not interior.flags.writeable
             assert not boundary.flags.writeable
-            blocks = [(rows, cols) for inner, rows, cols in gathers if inner]
-            assert len(blocks) >= 3
-            assert sum(rows for rows, _ in blocks) == dom.n_interior
-            assert {cols for _, cols in blocks} == {dom.n_interior}
-            chunks = []     # the exterior chunks' rows, block by block
-            for inner, rows, cols in gathers:
-                if inner:
-                    chunks.append([])
-                else:
-                    assert cols == n_rest and 16 * rows * cols <= budget
-                    chunks[-1].append(rows)
-            assert [sum(c) for c in chunks] == [rows for rows, _ in blocks]
+            assert len(gathers) >= 3
+            assert all(inner and np.array_equal(cols, interior_cols)
+                       for inner, _, cols in gathers)
+            assert sum(rows for _, rows, _ in gathers) == dom.n_interior
         w = k.weights
         assert w is k.weights and not w.flags.writeable
         assert w.shape == (dom.n_nodes, dom.n_nodes)
         assert np.array_equal(interior, w[np.ix_(mask, mask)])
         tails = kernel_mod._tail_weights(dom, params)
         assert np.array_equal(k.tail, tails)
-        assert np.array_equal(
-            boundary, w[np.ix_(mask, ~mask)].sum(axis=1) + tails[mask])
+        assert_sums_within(
+            boundary, w[np.ix_(mask, ~mask)].sum(axis=1) + tails[mask],
+            w[mask].sum(axis=1) + tails[mask], window_error_bound(dom) + 1)
 
 
 @pytest.mark.parametrize("dim,n_cells,collar", [(1, 16, 2.0)] + GRIDS)
-def test_boundary_is_the_same_at_any_chunk_size(monkeypatch, dim, n_cells,
+def test_boundary_is_the_same_at_any_block_size(monkeypatch, dim, n_cells,
                                                 collar):
-    # a block budget of one exterior row with its keys gathers the weights
-    # to the exterior one row at a time, and boundary is still the collar
-    # table's row sums bit for bit: each row is summed over the same
-    # contiguous values whatever the chunk, so a rerun is byte-identical
-    # whatever block budget it assembles with
+    # a block budget of one row gathers the interior block one row at a
+    # time, and boundary is still the default budget's bit for bit: each
+    # row sums its own contiguous values whatever the block, so a rerun is
+    # byte-identical whatever block budget it assembles with.  It is the
+    # collar table's exterior row sums plus the tails within the window
+    # bound
     dom = build_grid(dim, 0.0, 1.0, n_cells, collar)
     mask = dom.interior_mask
-    n_rest = dom.n_nodes - dom.n_interior
     params = params_with(p=1.5, q=0.5)
     default = assemble_kernel(dom, params).boundary
-    monkeypatch.setattr(kernel_mod, "_BLOCK_BYTES", 16 * n_rest)
-    chunks, gather = [], kernel_mod._gather
+    monkeypatch.setattr(kernel_mod, "_BLOCK_BYTES", 8 * dom.n_nodes)
+    rows, gather = [], kernel_mod._gather
 
     def spy_gather(table, a, b, out=None):
-        if out is None:
-            chunks.append(a.size)
+        rows.append(a.size)
         return gather(table, a, b, out)
 
     monkeypatch.setattr(kernel_mod, "_gather", spy_gather)
     k = assemble_kernel(dom, params)
-    assert chunks == [1] * dom.n_interior
+    assert rows == [1] * dom.n_interior
     assert np.array_equal(k.boundary, default)
-    assert np.array_equal(
-        k.boundary,
-        k.weights[np.ix_(mask, ~mask)].sum(axis=1) + k.tail[mask])
+    w = k.weights
+    assert_sums_within(
+        k.boundary, w[np.ix_(mask, ~mask)].sum(axis=1) + k.tail[mask],
+        w[mask].sum(axis=1) + k.tail[mask], window_error_bound(dom) + 1)
 
 
 @pytest.mark.parametrize("dim,n_cells,p", [(1, 16, 2.0), (1, 16, 1.5),
@@ -355,9 +435,9 @@ def test_assembly_never_holds_the_collar_table():
     # converge-2d's grid: the full table would be 2304^2 doubles (40.5 MiB).
     # At p = 2 assembly and a whole run hold no (n, n) array: the interior
     # block alone would be 8 MiB.  For other p, assembly holds that block
-    # and, for one chunk of 12 rows of a 14-row block, the gathered weights
-    # to the 1280 exterior nodes and their keys (120 KiB each): 8.4 MiB in
-    # all; the offset table is 9025 doubles
+    # and, for one 14-row block, its gather keys (112 KiB) with numpy's
+    # iteration buffers: 8.4 MiB in all; nothing is gathered for the 1280
+    # exterior nodes, and the offset table is 9025 doubles
     dom = build_grid(2, 0.0, 1.0, 32, 1.5)
     assert (dom.n_nodes, dom.n_interior) == (2304, 1024)
     u0 = eval_preset(dom, "bump", 1.0)
