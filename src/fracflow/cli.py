@@ -16,7 +16,7 @@ from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
-from .grid import build_grid, eval_preset, GridFunction
+from .grid import build_grid, eval_preset, GridFunction, _bump_profile
 from .kernel import FlowParams, assemble_kernel
 from .energy import alg_ratios
 from .rothe import NonConvergence, run_flow
@@ -295,11 +295,7 @@ def cmd_ineq(cfg: RunConfig, trials: int, seed: int) -> int:
                              "worst of 100 seeded random functions"))
 
     def random_spacetime(count):
-        prof = np.ones(domain.n_nodes)
-        for d in range(domain.dim):
-            a, b = domain.collar_min[d], domain.collar_max[d]
-            xh = (domain.node_coords[:, d] - a) / (b - a)
-            prof *= 4.0 * xh * (1.0 - xh)
+        prof = _bump_profile(domain, domain.collar_min, domain.collar_max)
         t_total = cfg.t_end
         taus = (np.arange(cfg.t_grid) + 0.5) * (t_total / cfg.t_grid)
         for _ in range(count):

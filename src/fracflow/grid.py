@@ -156,12 +156,12 @@ class GridFunction:
         return float(np.max(np.abs(self.values)))
 
 
-def _bump_profile(domain: GridDomain) -> np.ndarray:
-    """Polynomial bump, 1 at the center of Omega and 0 on its boundary."""
+def _bump_profile(domain: GridDomain, lo: tuple, hi: tuple) -> np.ndarray:
+    """Polynomial bump on every node, 1 at the center of the box (lo, hi)
+    and 0 on its boundary."""
     prof = np.ones(domain.n_nodes)
     for d in range(domain.dim):
-        a, b = domain.omega_min[d], domain.omega_max[d]
-        xhat = (domain.node_coords[:, d] - a) / (b - a)
+        xhat = (domain.node_coords[:, d] - lo[d]) / (hi[d] - lo[d])
         prof = prof * 4.0 * xhat * (1.0 - xhat)
     return prof
 
@@ -185,7 +185,8 @@ def eval_preset(domain: GridDomain, preset: str, amplitude: float,
         raise ValueError("amplitude must be finite")
     n = domain.n_nodes
     if preset == "bump":
-        vals = amplitude * _bump_profile(domain)
+        vals = amplitude * _bump_profile(domain, domain.omega_min,
+                                         domain.omega_max)
     elif preset == "step":
         vals = np.full(n, float(amplitude))
         for d in range(domain.dim):

@@ -12,11 +12,13 @@ operator is linear: each node's total weight is a window sum of the offset
 table, and the interior nodes form a box, so the interior block is Toeplitz
 in 1D and block-Toeplitz in 2D and its product with a vector is a circulant
 product of twice the size per axis, one real FFT pair against a spectrum
-computed once; the block itself is never formed.  For other p the interior
-block is gathered by index, one row block at a time (``_row_blocks``), and
-a node's weight to the exterior is its window sum less its row sum in the
-block: an exterior node adds no gather work.  The space-time sums of
-``verify`` consume the same row blocks as they come and keep none.  The
+computed once; the block itself is never formed.  The weights among the
+nodes of any box are windows of the offset table, one per node
+(``_box_weights``, a view that copies nothing).  For other p the interior
+block is one copy of the interior's view, and a node's weight to the
+exterior is its window sum less its row sum in the block: an exterior node
+adds no work.  The space-time sums of ``verify`` copy the box of their
+support one row block at a time (``_row_blocks``) and keep none.  The
 table over all collar-node pairs is built only on request, as the test
 oracle.  The principal value is realized by dropping the diagonal (the
 within-cell difference of a nodal function is zero, which is the discrete
@@ -160,14 +162,13 @@ def _tail_weights(domain: GridDomain, params: FlowParams) -> np.ndarray:
     return t
 
 
-# The one memory budget of the row blocks.  A block has as many rows as
-# this many bytes of weights (float64) to every node would take.  It holds
-# its weights to the node set with their gather keys (intp, as many bytes)
-# and, in the space-time sums, the pair terms of a stack of slab pairs,
-# which stay within this budget.  On a 1024-node 2D grid with a 256-node
-# support a block is 32 rows: 64 KiB of weights to the set, as much again
-# in keys, and 256 KiB of pair terms.  The offset table is (2m-1)^dim
-# doubles and its window sums m^dim.
+# The one memory budget of the row blocks.  A block has at most as many
+# rows as this many bytes of weights (float64) to every node would take.
+# It holds its weights to the box and, in the space-time sums, the pair
+# terms of a stack of slab pairs, which stay within this budget.  On a
+# 1024-node 2D grid with a 256-node box a block is 32 rows: 64 KiB of
+# weights to the box and 256 KiB of pair terms.  The offset table is
+# (2m-1)^dim doubles and its window sums m^dim.
 _BLOCK_BYTES = 256 << 10
 
 
@@ -192,74 +193,69 @@ def _offset_weights(domain: GridDomain, expo: float,
     return w
 
 
-def _lattice_keys(domain: GridDomain) -> tuple[np.ndarray, np.ndarray]:
-    """Row keys a and column keys b with a[i] + b[j] the position of the
-    offset from node j to node i in ``_offset_weights``.  They are intp,
-    the index type ``np.take`` works in: keys of any other type would be
-    copied to it, one more row block of 8-byte integers."""
+def _box_weights(domain: GridDomain, nodes: np.ndarray, table: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pair weights among the nodes of the smallest lattice box holding the
+    nonempty boolean set ``nodes``, the box's mask over every node, and
+    each box node's total weight (``_window_sums``).  A pair's weight
+    depends only on its offset, so on a box of k nodes per axis row i is
+    the window at i of the offsets 1-k .. k-1 of ``table``, flipped: the
+    weights are a read-only view of shape box + box, nothing copied."""
     m = domain.shape[0]
-    node = np.arange(domain.n_nodes)
-    a = np.zeros(domain.n_nodes, dtype=np.intp)
-    b = np.zeros(domain.n_nodes, dtype=np.intp)
-    stride = 1
-    for d in range(domain.dim):
-        idx = node // m ** d % m
-        a += (idx + m - 1) * stride
-        b -= idx * stride
-        stride *= 2 * m - 1
-    return a, b
+    span = tuple(slice(i.min(), i.max() + 1)
+                 for i in np.nonzero(nodes.reshape(domain.shape)))
+    box = tuple(s.stop - s.start for s in span)
+    crop = table.reshape((2 * m - 1,) * domain.dim)[
+        tuple(slice(m - k, m + k - 1) for k in box)]
+    view = np.flip(np.lib.stride_tricks.sliding_window_view(crop, box),
+                   axis=tuple(range(domain.dim, 2 * domain.dim)))
+    mask = np.zeros(domain.n_nodes, dtype=bool)
+    mask.reshape(domain.shape)[span] = True
+    return view, mask, _window_sums(domain, table)[mask]
 
 
-def _gather(table: np.ndarray, a: np.ndarray, b: np.ndarray,
-            out: np.ndarray | None = None) -> np.ndarray:
-    """table[a_i + b_j] for every (i, j): one row block of pair weights."""
-    # mode="clip" lets take write into ``out`` without a buffer; every key
-    # is in range, so nothing is clipped
-    return np.take(table, np.add.outer(a, b), out=out, mode="clip")
+def _outside_weights(total: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Each row's weight to every node outside the box: its total less its
+    row sum in ``block``, clamped at 0, that sum to roundoff relative to
+    the total.  A row sums its own contiguous values, so the result is the
+    same bit for bit whatever rows ``block`` holds."""
+    outside = total - block.sum(axis=1)
+    return np.maximum(outside, 0.0, out=outside)
 
 
-def _row_blocks(domain: GridDomain, nodes: np.ndarray, table: np.ndarray,
-                out: np.ndarray | None = None):
-    """Pair weights among the nodes of the boolean set ``nodes``, one row
-    block at a time: yields (lo, block, outside) for the set's rows lo,
-    lo + 1, ..., with block their weights against the set and outside each
-    one's summed weight to every node outside it.  The weight of a pair
-    depends only on its lattice offset, so each block is gathered from the
-    offset table ``table`` of ``_offset_weights``; a block has as many rows
-    as ``_BLOCK_BYTES`` of weights to every node would, and no weight to or
-    from a node outside the set is gathered.  A row's outside weight is its
-    total weight to every node (``_window_sums``) less its row sum in the
-    block, clamped at 0: the sum of its weights to the nodes outside, to
-    roundoff relative to that total.  Each row sums its own contiguous
-    values, so ``outside`` is the same bit for bit at any block size.
-    Given ``out`` (set size squared), each block is gathered in place into
-    its rows; otherwise into one reused buffer, so a block is valid only
-    until the next one is yielded."""
-    a, b = _lattice_keys(domain)
-    rows = np.flatnonzero(nodes)
-    cols = b[rows]
-    total = _window_sums(domain, table)[rows]
-    per_block = max(1, _BLOCK_BYTES // (8 * domain.n_nodes))
-    buf = (np.empty((min(per_block, rows.size), rows.size)) if out is None
-           else None)
-    for lo in range(0, rows.size, per_block):
-        part = a[rows[lo:lo + per_block]]
-        block = buf[:part.size] if out is None else out[lo:lo + part.size]
-        _gather(table, part, cols, out=block)
-        outside = total[lo:lo + part.size] - block.sum(axis=1)
-        yield lo, block, np.maximum(outside, 0.0, out=outside)
+def _row_blocks(view: np.ndarray, total: np.ndarray, n_nodes: int):
+    """The box weights ``view`` and totals ``total`` of ``_box_weights``
+    one row block at a time: yields (lo, block, outside) for the box's rows
+    lo, lo + 1, ..., with block their weights to the box and outside their
+    ``_outside_weights``.  A line is a run of box nodes along the last
+    axis: the whole box in 1D, one row of it in 2D.  A block has at most
+    as many rows as ``_BLOCK_BYTES`` of weights to all ``n_nodes`` nodes
+    would; it is whole lines when one line fits in that, otherwise
+    consecutive nodes of one line.  Each block is copied into one reused
+    buffer, so it is valid only until the next one is yielded."""
+    box = view.shape[:view.ndim // 2]
+    line = box[-1]
+    per_block = max(1, _BLOCK_BYTES // (8 * n_nodes))
+    per, width = max(1, per_block // line), min(per_block, line)
+    lines = view.reshape((-1, line) + box)  # a view: (lines, line) + box
+    buf = np.empty((min(per * width, total.size), total.size))
+    for first in range(0, len(lines), per):
+        for c in range(0, line, width):
+            part = lines[first:first + per, c:c + width]
+            block = buf[:part.shape[0] * part.shape[1]]
+            block.reshape(part.shape)[...] = part
+            lo = first * line + c
+            yield lo, block, _outside_weights(total[lo:lo + len(block)], block)
 
 
 def _node_set_weights(domain: GridDomain, nodes: np.ndarray,
                       table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The whole table of ``_row_blocks``: pair weights among the nodes of
-    the boolean set ``nodes`` and each such node's summed weight to every
-    node outside it, gathered in place block by block."""
-    size = np.count_nonzero(nodes)
-    block, outside = np.empty((size, size)), np.empty(size)
-    for lo, _, part in _row_blocks(domain, nodes, table, out=block):
-        outside[lo:lo + part.size] = part
-    return block, outside
+    """The whole table of ``_box_weights``, copied once: pair weights among
+    the nodes of the smallest box that holds the boolean set ``nodes``, and
+    each box node's summed weight to every node outside the box."""
+    view, _, total = _box_weights(domain, nodes, table)
+    block = np.ascontiguousarray(view).reshape(total.size, total.size)
+    return block, _outside_weights(total, block)
 
 
 def _window_sums(domain: GridDomain, table: np.ndarray) -> np.ndarray:

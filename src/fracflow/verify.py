@@ -19,7 +19,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .grid import GridDomain, GridFunction
-from .kernel import FlowParams, KernelTable, _offset_weights, _row_blocks
+from .kernel import (FlowParams, KernelTable, _box_weights, _offset_weights,
+                     _row_blocks)
 from .energy import (AlgConstants, sgn_power, lq_power_integral,
                      gagliardo_seminorm_p, rothe_gradient, _data_energies,
                      _pair_sum, _tolerances)
@@ -305,9 +306,10 @@ def check_poincare(u: GridFunction, kernel: KernelTable,
 
 def spacetime_sum_fits(n_nodes: int, t_grid: int) -> bool:
     """Whether node_count^2 * t_grid^2 is at most 1e8.  The guard bounds
-    work, not memory: the space-time sums cost support^2 pair terms per
-    slab pair and one O((2m-1)^dim) window sum per offset table, and stream
-    their weights one row block at a time."""
+    work, not memory: the space-time sums cost box^2 pair terms per slab
+    pair, for the smallest box holding the support, and one O((2m-1)^dim)
+    window sum per offset table, and copy their weights one row block at a
+    time."""
     return n_nodes ** 2 * t_grid ** 2 <= 10 ** 8
 
 
@@ -331,22 +333,24 @@ def _slab_pair_sums(vals: np.ndarray, domain: GridDomain, expo: float,
                     lag: int, dist: float) -> float:
     """sum over the slab pairs (k, k + lag) of the W^{.,1} pair sum of
     vals[k] against vals[k + lag], with weights vol^2 (|x - y|^2 +
-    dist^2)^(-expo/2).  The sums run over the support of vals, the nodes
-    where some slab is nonzero; its weights come one row block at a time,
-    and each block adds its rows' share of every slab pair's sum before the
-    next is gathered.  A block takes as many slab pairs per pair sum as
-    keep their pair terms within its weights to every node, so a small
-    support pays few calls per block.  What is held at once is one block's
-    weights to the support with their gather keys (see
-    ``kernel._row_blocks``) and the pair terms, formed in one buffer per
-    call, sized by the first block, the largest."""
+    dist^2)^(-expo/2), over the smallest box holding the support of vals
+    (the nodes where some slab is nonzero; none gives 0).  The box weights
+    come one row block at a time, and each block adds its rows' share of
+    every slab pair's sum before the next is copied.  A block takes as many
+    slab pairs per pair sum as keep their pair terms within its weights to
+    every node, so a small box pays few calls per block.  What is held at
+    once is one block (see ``kernel._row_blocks``) and the pair terms,
+    formed in one buffer per call, sized by the first block, the largest."""
     support = vals.any(axis=0)
-    on_support = vals[:, support]
-    a, b = on_support[:vals.shape[0] - lag], on_support[lag:]
-    per_sum = domain.n_nodes // max(1, on_support.shape[1])
+    if not support.any():
+        return 0.0
+    view, box, weight = _box_weights(domain, support,
+                                     _offset_weights(domain, expo, dist))
+    on_box = vals[:, box]
+    a, b = on_box[:vals.shape[0] - lag], on_box[lag:]
+    per_sum = domain.n_nodes // on_box.shape[1]
     total, buf = 0.0, None
-    table = _offset_weights(domain, expo, dist)
-    for lo, block, outside in _row_blocks(domain, support, table):
+    for lo, block, outside in _row_blocks(view, weight, domain.n_nodes):
         if buf is None:     # the first block is the largest
             buf = np.empty(min(per_sum, len(a)) * block.size)
         rows = slice(lo, lo + outside.size)
@@ -460,8 +464,8 @@ def check_initial_trend(traj: RotheTrajectory) -> CheckEntry:
 
 def cauchy_refinement_study(u0: GridFunction, kernel: KernelTable,
                             params: FlowParams, levels: int = 3,
-                            gamma: float = 1.0,
-                            s_prime: float | None = None) -> list:
+                            gamma: float = 1.0, *,
+                            s_prime: float) -> list:
     """Distances between successive h-refined runs in L^gamma of the cylinder.
 
     Runs the flow at h, h/2, ..., h/2^(levels-1), samples the linear
@@ -476,7 +480,6 @@ def cauchy_refinement_study(u0: GridFunction, kernel: KernelTable,
     if not gamma >= 1.0:        # nan fails too
         raise ValueError("gamma must be at least 1")
     n = u0.domain.dim
-    s_prime = s_prime if s_prime is not None else params.s / 2.0
     if not (0.0 < s_prime < params.s):
         raise ValueError("s_prime must lie in (0, s)")
     bound = min((n + 1.0) / (n + 1.0 - s_prime),

@@ -103,7 +103,7 @@ def pair_weights(coords, vol, expo, lag=0.0, rows=None):
 
 def dense_interior(kernel):
     """The interior block and boundary weights of a kernel table, formed as
-    assembly forms them for p != 2 (the block gathered, the boundary the
+    assembly forms them for p != 2 (the block copied, the boundary the
     window sums less its row sums, plus the tails): a p = 2 table holds
     neither."""
     dom = kernel.domain

@@ -15,8 +15,7 @@ from fracflow.grid import GridFunction
 from fracflow import kernel as kernel_mod
 from fracflow import verify
 from fracflow.energy import _data_energies
-from fracflow.kernel import (_BLOCK_BYTES, _node_set_weights,
-                             _offset_weights, _window_sums)
+from fracflow.kernel import _node_set_weights, _offset_weights, _window_sums
 from oracles import dense_interior, pair_weights, readers_of, traced_peak
 
 
@@ -27,6 +26,14 @@ def params_with(s=0.5, p=2.0, q=1.0, h=0.01, t_end=0.1, **kw):
 def node_set_weights(dom, nodes, expo, lag=0.0):
     """``_node_set_weights`` of the offset table of these weights."""
     return _node_set_weights(dom, nodes, _offset_weights(dom, expo, lag))
+
+
+def bounding_box(dom, nodes):
+    """Mask of the smallest lattice box that holds the node set ``nodes``,
+    from each node's cell index along each axis."""
+    idx = np.rint((dom.node_coords - dom.collar_min) / dom.dx - 0.5)
+    lo, hi = idx[nodes].min(axis=0), idx[nodes].max(axis=0)
+    return np.all((idx >= lo) & (idx <= hi), axis=1)
 
 
 def test_param_admissibility():
@@ -120,8 +127,7 @@ def assert_sums_within(got, want, total, bound):
 
 
 def test_weights_match_whole_table_formula_across_row_blocks():
-    # 1296 nodes: the table is gathered in row blocks of 25 rows, the last
-    # one short.  dx = 1.5/36 is not a dyadic number, so the formula's rounded
+    # 1296 nodes.  dx = 1.5/36 is not a dyadic number, so the formula's rounded
     # coordinate differences are off the lattice offsets by a few ulps of
     # the coordinates: the two agree within the bound derived above
     dom = build_grid(2, (0.0, 0.0), (1.0, 1.0), 24, 1.5)
@@ -136,23 +142,27 @@ def test_weights_match_whole_table_formula_across_row_blocks():
     expect = dist ** -expo * dom.vol ** 2
     assert not np.array_equal(k.weights, expect)
     assert_within(k.weights, expect, lattice_error_bound(dom, expo))
-    # a node subset is the same rows and columns of the whole table, at lag
-    # 0 (self pairs inside a row block) and at lag > 0; the random subset
-    # spans many blocks.  The outside weights are window sums less row sums,
-    # within the derived bound of the whole table's row sums over the nodes
-    # outside
+    # a node subset's weights are the rows and columns of the whole table
+    # that its bounding box holds, at lag 0 (self pairs on the diagonal) and
+    # at lag > 0; the random subset lies off the centre, and its box is
+    # neither the interior nor every node.  The outside weights are window
+    # sums less row sums, within the derived bound of the whole table's row
+    # sums over the nodes outside the box
     rng = np.random.default_rng(3)
-    some = rng.uniform(size=dom.n_nodes) < 0.7
-    assert some.sum() > _BLOCK_BYTES // (8 * dom.n_nodes)
+    some = ((rng.uniform(size=dom.n_nodes) < 0.7)
+            & (dom.node_coords[:, 0] < 0.4) & (dom.node_coords[:, 1] > 0.1))
+    assert not np.array_equal(bounding_box(dom, some), dom.interior_mask)
+    assert 0 < bounding_box(dom, some).sum() < dom.n_nodes
     every = np.ones(dom.n_nodes, dtype=bool)
     for nodes in (dom.interior_mask, some):
+        box = bounding_box(dom, nodes)
         for lag, whole in ((0.0, k.weights),
                            (0.3, node_set_weights(dom, every, expo, 0.3)[0])):
             block, outside = node_set_weights(dom, nodes, expo, lag)
-            assert np.array_equal(block, whole[np.ix_(nodes, nodes)])
+            assert np.array_equal(block, whole[np.ix_(box, box)])
             assert_sums_within(outside,
-                               whole[np.ix_(nodes, ~nodes)].sum(axis=1),
-                               whole[nodes].sum(axis=1),
+                               whole[np.ix_(box, ~box)].sum(axis=1),
+                               whole[box].sum(axis=1),
                                window_error_bound(dom))
 
 
@@ -161,25 +171,26 @@ def test_weights_match_whole_table_formula_across_row_blocks():
     (2, 24, 1.5, False), (1, 50, 1.7, False), (2, 10, 2.0, False)])
 def test_lattice_tables_match_the_coordinate_oracle(dim, n_cells, collar,
                                                     dyadic):
-    # the offset-table gather against the weights of coordinate differences,
-    # on the interior (a run's support), a random subset, and every node
-    # (the synthetic support of ineq, with no node outside).  On a grid
-    # whose coordinates are exact the blocks agree bit for bit; the outside
-    # weights, window sums less row sums, agree within the window bound
+    # the windows of the offset table against the weights of coordinate
+    # differences, on the interior (a run's support), a random subset (its
+    # bounding box), and every node (the synthetic support of ineq, with
+    # no node outside).  On a grid whose coordinates are exact the blocks
+    # agree bit for bit; the outside weights, window sums less row sums,
+    # agree within the window bound
     dom = build_grid(dim, 0.0, 1.0, n_cells, collar)
     rng = np.random.default_rng(5)
-    supports = (dom.interior_mask, rng.uniform(size=dom.n_nodes) < 0.5,
-                np.ones(dom.n_nodes, dtype=bool))
+    some = ((rng.uniform(size=dom.n_nodes) < 0.5)
+            & (dom.node_coords[:, -1] > 0.2))
+    supports = (dom.interior_mask, some, np.ones(dom.n_nodes, dtype=bool))
     for expo in (dim + 0.75, dim + 1.9):
         bound = lattice_error_bound(dom, expo)
         for lag in (0.0, 0.3):
             for nodes in supports:
                 block, outside = node_set_weights(dom, nodes, expo, lag)
+                box = bounding_box(dom, nodes)
                 w = pair_weights(dom.node_coords, dom.vol, expo, lag,
-                                 np.flatnonzero(nodes))
-                every = np.arange(w.shape[0])
-                want_block = w[np.ix_(every, nodes)]
-                want_outside = w[np.ix_(every, ~nodes)].sum(axis=1)
+                                 np.flatnonzero(box))
+                want_block, want_outside = w[:, box], w[:, ~box].sum(axis=1)
                 if dyadic:
                     assert np.array_equal(block, want_block)
                     sums_bound = window_error_bound(dom)
@@ -189,6 +200,33 @@ def test_lattice_tables_match_the_coordinate_oracle(dim, n_cells, collar,
                     sums_bound = window_error_bound(dom) + bound
                 assert_sums_within(outside, want_outside, w.sum(axis=1),
                                    sums_bound)
+
+
+def test_off_centre_box_matches_the_coordinate_oracle():
+    # a box of 6 x 11 nodes off the centre of a dyadic 2D grid, neither the
+    # interior nor every node, given by its nodes or by two opposite
+    # corners alone: its weights are windows of the offset table, bit for
+    # bit the weights of coordinate differences, with the pairs in node
+    # order (a transposed or shifted window fails), and its outside weights
+    # the oracle's row sums over the nodes outside the box within the
+    # window bound
+    dom = build_grid(2, 0.0, 1.0, 16, 2.0)
+    grid = np.zeros(dom.shape, dtype=bool)
+    grid[3:9, 20:31] = True
+    box = grid.ravel()
+    corners = np.zeros(dom.shape, dtype=bool)
+    corners[3, 30] = corners[8, 20] = True
+    assert not np.array_equal(box, dom.interior_mask)
+    for expo in (2.75, 3.9):
+        for lag in (0.0, 0.3):
+            w = pair_weights(dom.node_coords, dom.vol, expo, lag,
+                             np.flatnonzero(box))
+            for nodes in (box, corners.ravel()):
+                block, outside = node_set_weights(dom, nodes, expo, lag)
+                assert block.shape == (66, 66)
+                assert np.array_equal(block, w[:, box])
+                assert_sums_within(outside, w[:, ~box].sum(axis=1),
+                                   w.sum(axis=1), window_error_bound(dom))
 
 
 @pytest.mark.parametrize("dim,n_cells,collar,dyadic", [
@@ -226,12 +264,14 @@ def test_no_outside_weight_is_negative(dim, n_cells, collar):
     # table ``KernelTable.weights``) nothing is outside, and the two sums
     # agree to roundoff, either way: each outside weight is 0 or within the
     # window bound of it, never below.  On the interior and a random set
-    # the outside weights are positive
+    # off the centre (its bounding box) the outside weights are positive
     dom = build_grid(dim, 0.0, 1.0, n_cells, collar)
     eps = np.finfo(float).eps
     rng = np.random.default_rng(7)
     every = np.ones(dom.n_nodes, dtype=bool)
-    some = rng.uniform(size=dom.n_nodes) < 0.5
+    some = ((rng.uniform(size=dom.n_nodes) < 0.5)
+            & (dom.node_coords[:, -1] < 0.6))
+    assert bounding_box(dom, some).sum() < dom.n_nodes
     for expo in (dim + 0.75, dim + 1.9):
         for lag in (0.0, 0.3):
             block, outside = node_set_weights(dom, every, expo, lag)
@@ -251,36 +291,41 @@ def test_interior_rows_match_the_collar_table(monkeypatch, dim, n_cells,
     # the interior block and tails are exactly the slices of the full
     # table, and the boundary weights its exterior row sums plus the tails
     # within the window bound (the tail adds one rounding relative to the
-    # row's total).  Assembly builds one offset table; at p = 2 it gathers
-    # nothing and holds no interior block, otherwise it gathers the
-    # interior rows in three or more row blocks, once, each against the
-    # interior columns only: no weight to an exterior node is gathered
+    # row's total).  Assembly builds one offset table; at p = 2 it reads
+    # no box of it and holds no interior block, otherwise it reads the
+    # interior's box once, as one copy and no row blocks: no weight to an
+    # exterior node is formed
     dom = build_grid(dim, 0.0, 1.0, n_cells, collar)
-    budget = 8 * dom.n_nodes * (dom.n_interior // 3)
-    monkeypatch.setattr(kernel_mod, "_BLOCK_BYTES", budget)
-    tables, gathers = [], []
-    offset_weights, gather = kernel_mod._offset_weights, kernel_mod._gather
+    tables, boxes, blocks = [], [], []
+    offset_weights = kernel_mod._offset_weights
+    box_weights, row_blocks = kernel_mod._box_weights, kernel_mod._row_blocks
 
     def spy_table(*args, **kwargs):
         tables.append(args[1:])
         return offset_weights(*args, **kwargs)
 
-    def spy_gather(table, a, b, out=None):
-        gathers.append((out is not None, a.size, b.copy()))
-        return gather(table, a, b, out)
+    def spy_box(*args):
+        view, box, total = box_weights(*args)
+        boxes.append((view.shape, box))
+        return view, box, total
+
+    def spy_blocks(*args):
+        for item in row_blocks(*args):
+            blocks.append(item[1].shape)
+            yield item
 
     monkeypatch.setattr(kernel_mod, "_offset_weights", spy_table)
-    monkeypatch.setattr(kernel_mod, "_gather", spy_gather)
+    monkeypatch.setattr(kernel_mod, "_box_weights", spy_box)
+    monkeypatch.setattr(kernel_mod, "_row_blocks", spy_blocks)
     mask = dom.interior_mask
-    interior_cols = kernel_mod._lattice_keys(dom)[1][mask]
     for s, p in ((0.5, 2.0), (0.3, 2.5)):
         params = params_with(s=s, p=p)
         tables.clear()
-        gathers.clear()
+        boxes.clear()
         k = assemble_kernel(dom, params)
         assert tables == [(dim + s * p,)]
         if p == 2.0:
-            assert gathers == []
+            assert boxes == []
             assert k.interior is None and k.boundary is None
             interior, boundary = dense_interior(k)
         else:
@@ -288,10 +333,10 @@ def test_interior_rows_match_the_collar_table(monkeypatch, dim, n_cells,
             interior, boundary = k.interior, k.boundary
             assert not interior.flags.writeable
             assert not boundary.flags.writeable
-            assert len(gathers) >= 3
-            assert all(inner and np.array_equal(cols, interior_cols)
-                       for inner, _, cols in gathers)
-            assert sum(rows for _, rows, _ in gathers) == dom.n_interior
+            assert len(boxes) == 1
+            assert boxes[0][0] == 2 * dom.interior_shape
+            assert np.array_equal(boxes[0][1], mask)
+        assert blocks == []
         w = k.weights
         assert w is k.weights and not w.flags.writeable
         assert w.shape == (dom.n_nodes, dom.n_nodes)
@@ -303,34 +348,76 @@ def test_interior_rows_match_the_collar_table(monkeypatch, dim, n_cells,
             w[mask].sum(axis=1) + tails[mask], window_error_bound(dom) + 1)
 
 
+def interior_row_blocks(dom, params):
+    """The row blocks of the interior's box at ``params``' exponent, copied
+    out as (lo, block, outside)."""
+    table = _offset_weights(dom, dom.dim + params.s * params.p)
+    view, _, total = kernel_mod._box_weights(dom, dom.interior_mask, table)
+    return [(lo, block.copy(), outside) for lo, block, outside
+            in kernel_mod._row_blocks(view, total, dom.n_nodes)]
+
+
 @pytest.mark.parametrize("dim,n_cells,collar", [(1, 16, 2.0)] + GRIDS)
 def test_boundary_is_the_same_at_any_block_size(monkeypatch, dim, n_cells,
                                                 collar):
-    # a block budget of one row gathers the interior block one row at a
-    # time, and boundary is still the default budget's bit for bit: each
-    # row sums its own contiguous values whatever the block, so a rerun is
-    # byte-identical whatever block budget it assembles with.  It is the
-    # collar table's exterior row sums plus the tails within the window
-    # bound
+    # a block budget of one row forms the interior's row blocks one row at
+    # a time, and their outside weights plus the tails are assembly's
+    # boundary bit for bit: each row sums its own contiguous values
+    # whatever the block, so the space-time sums, which read row blocks,
+    # and assembly, which reads one copy, take the same outside weights.
+    # The boundary is the collar table's exterior row sums plus the tails
+    # within the window bound
     dom = build_grid(dim, 0.0, 1.0, n_cells, collar)
     mask = dom.interior_mask
     params = params_with(p=1.5, q=0.5)
-    default = assemble_kernel(dom, params).boundary
-    monkeypatch.setattr(kernel_mod, "_BLOCK_BYTES", 8 * dom.n_nodes)
-    rows, gather = [], kernel_mod._gather
-
-    def spy_gather(table, a, b, out=None):
-        rows.append(a.size)
-        return gather(table, a, b, out)
-
-    monkeypatch.setattr(kernel_mod, "_gather", spy_gather)
     k = assemble_kernel(dom, params)
-    assert rows == [1] * dom.n_interior
-    assert np.array_equal(k.boundary, default)
+    monkeypatch.setattr(kernel_mod, "_BLOCK_BYTES", 8 * dom.n_nodes)
+    blocks = interior_row_blocks(dom, params)
+    assert [(lo, len(b)) for lo, b, _ in blocks] == [
+        (lo, 1) for lo in range(dom.n_interior)]
+    assert np.array_equal(np.concatenate([b for _, b, _ in blocks]),
+                          k.interior)
+    outside = np.concatenate([o for _, _, o in blocks])
+    assert np.array_equal(outside + k.tail[mask], k.boundary)
     w = k.weights
     assert_sums_within(
         k.boundary, w[np.ix_(mask, ~mask)].sum(axis=1) + k.tail[mask],
         w[mask].sum(axis=1) + k.tail[mask], window_error_bound(dom) + 1)
+
+
+@pytest.mark.parametrize("dim,n_cells,collar", GRIDS)
+@pytest.mark.parametrize("rows", [1, 3, 40, 100])
+def test_row_blocks_keep_to_lines_and_the_row_budget(monkeypatch, dim,
+                                                     n_cells, collar, rows):
+    # a line is a run of box nodes along the last axis.  Under a budget of
+    # fewer rows than one line, every block is consecutive nodes of one
+    # line; otherwise whole lines.  No block has more rows than the budget,
+    # the blocks cover the box's rows in order, they are the interior block
+    # of assembly (one copy of the box) bit for bit, and the outside
+    # weights are the default budget's bit for bit
+    dom = build_grid(dim, 0.0, 1.0, n_cells, collar)
+    params = params_with(p=2.5)
+    k = assemble_kernel(dom, params)
+    line = dom.interior_shape[-1]
+    default = np.concatenate(
+        [o for _, _, o in interior_row_blocks(dom, params)])
+    monkeypatch.setattr(kernel_mod, "_BLOCK_BYTES", 8 * dom.n_nodes * rows)
+    blocks = interior_row_blocks(dom, params)
+    assert [lo for lo, _, _ in blocks] == list(
+        np.cumsum([0] + [len(b) for _, b, _ in blocks[:-1]]))
+    for lo, block, _ in blocks:
+        assert len(block) <= rows
+        if rows < line:
+            assert lo // line == (lo + len(block) - 1) // line
+        else:
+            assert lo % line == 0 == len(block) % line
+    if rows < line:
+        assert any(len(b) == rows for _, b, _ in blocks)
+    else:
+        assert len(blocks[0][1]) == min(rows // line * line, dom.n_interior)
+    assert np.array_equal(np.concatenate([b for _, b, _ in blocks]),
+                          k.interior)
+    assert np.array_equal(np.concatenate([o for _, _, o in blocks]), default)
 
 
 @pytest.mark.parametrize("dim,n_cells,p", [(1, 16, 2.0), (1, 16, 1.5),
@@ -362,7 +449,7 @@ def test_assembly_evaluates_the_offset_table_once(monkeypatch, dim, n_cells,
 def test_fft_product_and_window_degree_match_the_gathered_block(
         dim, n_cells, collar):
     # at p = 2 the interior block is applied by FFT and each node's degree
-    # is a window sum of the offset table; both against the gathered block,
+    # is a window sum of the offset table; both against the copied block,
     # to roundoff relative to the sums of absolute terms.  For other p the
     # table holds the block and neither of them
     dom = build_grid(dim, 0.0, 1.0, n_cells, collar)
@@ -413,10 +500,10 @@ def test_node_guard_counts_interior_nodes(monkeypatch):
 
 def test_p2_runs_past_6000_interior_nodes_without_the_block(monkeypatch):
     # at p = 2 nothing dense is built, so no size is refused: 6400 interior
-    # nodes (a 312 MiB block) take two steps with the block never gathered.
+    # nodes (a 312 MiB block) take two steps with the block never formed.
     # For other p the block is built, and refused, at assembly
     def refuse(*args, **kwargs):
-        raise AssertionError("the interior block was gathered")
+        raise AssertionError("the interior block was formed")
 
     monkeypatch.setattr(kernel_mod, "_node_set_weights", refuse)
     dom = build_grid(1, 0.0, 1.0, 6400, 1.25)
@@ -434,10 +521,10 @@ def test_p2_runs_past_6000_interior_nodes_without_the_block(monkeypatch):
 def test_assembly_never_holds_the_collar_table():
     # converge-2d's grid: the full table would be 2304^2 doubles (40.5 MiB).
     # At p = 2 assembly and a whole run hold no (n, n) array: the interior
-    # block alone would be 8 MiB.  For other p, assembly holds that block
-    # and, for one 14-row block, its gather keys (112 KiB) with numpy's
-    # iteration buffers: 8.4 MiB in all; nothing is gathered for the 1280
-    # exterior nodes, and the offset table is 9025 doubles
+    # block alone would be 8 MiB.  For other p, assembly holds that block,
+    # copied once from the interior's window view, with the offset table
+    # (9025 doubles) and its window sums: 8.1 MiB in all; nothing is formed
+    # for the 1280 exterior nodes
     dom = build_grid(2, 0.0, 1.0, 32, 1.5)
     assert (dom.n_nodes, dom.n_interior) == (2304, 1024)
     u0 = eval_preset(dom, "bump", 1.0)
@@ -445,9 +532,10 @@ def test_assembly_never_holds_the_collar_table():
     run_flow(u0, assemble_kernel(dom, params), params)  # loads numpy.fft
     peak = traced_peak(
         lambda: run_flow(u0, assemble_kernel(dom, params), params))[1]
-    peak_gather = traced_peak(lambda: assemble_kernel(dom, params_with(p=2.5)))[1]
+    peak_block = traced_peak(
+        lambda: assemble_kernel(dom, params_with(p=2.5)))[1]
     assert peak < 2 ** 20 < 8 * dom.n_interior ** 2
-    assert peak_gather < 9 * 2 ** 20 < 8 * dom.n_nodes ** 2
+    assert peak_block < 9 * 2 ** 20 < 8 * dom.n_nodes ** 2
 
 
 def tail_oracle_1d(x, cmin, cmax, sp):

@@ -279,10 +279,11 @@ def test_st_seminorm_matches_bruteforce_oracle():
 
 
 def st_support_cases():
-    """(grid, sampled values) pairs whose sums run over the data's support:
-    noise on every node, and in 1D and 2D zero-exterior data, the step
-    preset (support strictly inside Omega), data with zero columns, and
-    zero-exterior data plus one nonzero exterior node."""
+    """(grid, sampled values) pairs whose sums run over the smallest box
+    that holds the data's support: noise on every node, and in 1D and 2D
+    zero-exterior data, the step preset (support strictly inside Omega),
+    data with zero columns, and zero-exterior data plus one nonzero
+    exterior node."""
     dom = build_grid(2, 0.0, 1.0, 2, 2.0)  # 16 nodes
     rng = np.random.default_rng(6)
     cases = [(dom, rng.uniform(-1.0, 1.0, (3, dom.n_nodes)))]
@@ -399,51 +400,60 @@ def test_only_the_space_time_sums_read_their_guard():
 
 def test_st_sobolev_sums_over_the_support(monkeypatch):
     # every W^{s,1} sum of the check goes through the one pair sum, at r = 1,
-    # one row block of the data's support (here the interior) at a time:
-    # each lag and the spatial term build one offset table, every support
-    # node is a row key once per table, no node outside the support is one,
-    # every gather has exactly the support as its columns, so no weight to
-    # a node outside it is gathered, no block has more rows than the block
-    # budget gives, and the pair terms of one pair sum, a stack of slab
-    # pairs, are no more than a block's weights to every node
+    # one row block of the box of the data's support (here the interior)
+    # at a time: each lag and the spatial term build one offset table and
+    # read the support's box of it, whose row blocks cover its rows once,
+    # in order, each against the whole box, so no weight to a node outside
+    # it is formed.  The interior's lines (its rows) fit in the block
+    # budget, so each block is as many whole lines as the budget holds;
+    # and the pair terms of one pair sum, a stack of slab pairs, are no
+    # more than a block's weights to every node
     dom, params, kernel, traj = bump_run(dim=2, n_cells=4, h=0.02, t_end=0.1)
     per_block = 5
     monkeypatch.setattr(kernel_mod, "_BLOCK_BYTES", 8 * dom.n_nodes * per_block)
-    offset_weights, gather = kernel_mod._offset_weights, kernel_mod._gather
-    pair_sum = verify._pair_sum
-    offsets, gathers, sums = [], [], []
+    offset_weights, box_weights = verify._offset_weights, verify._box_weights
+    row_blocks, pair_sum = verify._row_blocks, verify._pair_sum
+    offsets, boxes, blocks, sums = [], [], [], []
 
     def spy_offsets(*args, **kwargs):
         offsets.append(args[1:])
         return offset_weights(*args, **kwargs)
 
-    def spy_gather(table, a, b, out=None):
-        gathers.append((a.copy(), b.copy()))
-        return gather(table, a, b, out)
+    def spy_box(*args):
+        view, box, total = box_weights(*args)
+        boxes.append(box)
+        return view, box, total
+
+    def spy_blocks(*args):
+        blocks.append([])
+        for lo, block, outside in row_blocks(*args):
+            blocks[-1].append((lo, block.shape, outside.size))
+            yield lo, block, outside
 
     def spy_sum(a, b, block, boundary, r, buf=None, rows=slice(None)):
         sums.append((r, len(a), block.shape, buf.shape))
         return pair_sum(a, b, block, boundary, r, buf, rows)
 
     monkeypatch.setattr(verify, "_offset_weights", spy_offsets)
-    monkeypatch.setattr(kernel_mod, "_gather", spy_gather)
+    monkeypatch.setattr(verify, "_box_weights", spy_box)
+    monkeypatch.setattr(verify, "_row_blocks", spy_blocks)
     monkeypatch.setattr(verify, "_pair_sum", spy_sum)
     t_grid = 6
     e = verify.check_spacetime_sobolev(traj, 0.25, 0.4, t_grid)
     assert e.passed and e.lhs > 0.0
     support = dom.interior_mask
     n_support = dom.n_interior
-    assert dom.n_nodes > n_support > 2 * per_block
-    assert len(offsets) == t_grid + 1
-    n_blocks = -(-n_support // per_block)
-    row_keys, col_keys = kernel_mod._lattice_keys(dom)
-    assert len(gathers) == n_blocks * (t_grid + 1)
-    assert all(np.array_equal(cols, col_keys[support]) for _, cols in gathers)
-    for table in range(t_grid + 1):
-        keys = [a for a, _ in gathers[table * n_blocks:(table + 1) * n_blocks]]
-        assert max(k.size for k in keys) == per_block
-        assert np.array_equal(np.sort(np.concatenate(keys)),
-                              np.sort(row_keys[support]))
+    line = dom.interior_shape[-1]
+    rows = per_block // line * line
+    assert dom.n_nodes > n_support > 2 * rows and line < per_block < 2 * line
+    assert len(offsets) == len(boxes) == len(blocks) == t_grid + 1
+    assert all(np.array_equal(box, support) for box in boxes)
+    n_blocks = -(-n_support // rows)
+    for table in blocks:
+        assert [lo for lo, _, _ in table] == list(range(0, n_support, rows))
+        for lo, shape, size in table:
+            assert shape == (size, n_support)
+            assert size == min(rows, n_support - lo)
     # t_grid spatial slab pairs and one per slab pair (k <= k') in time, per
     # block, in fewer pair sums than slab pairs
     n_pairs = n_blocks * (t_grid + t_grid * (t_grid + 1) // 2)
@@ -454,11 +464,29 @@ def test_st_sobolev_sums_over_the_support(monkeypatch):
         assert stack * block[0] * block[1] <= per_block * dom.n_nodes
 
 
+def test_zero_data_form_no_block(monkeypatch):
+    # data with no support have no box: each sum is 0 and forms no block
+    dom = build_grid(2, 0.0, 1.0, 4, 2.0)
+    blocks, row_blocks = [], verify._row_blocks
+
+    def spy(*args):
+        for item in row_blocks(*args):
+            blocks.append(item)
+            yield item
+
+    monkeypatch.setattr(verify, "_row_blocks", spy)
+    zero = np.zeros((4, dom.n_nodes))
+    assert verify._slab_pair_sums(zero, dom, dom.dim + 0.4, 0, 0.0) == 0.0
+    assert verify._slab_pair_sums(zero, dom, dom.dim + 1.25, 2, 0.1) == 0.0
+    assert verify.spacetime_seminorm_values(zero, dom, 0.05, 0.25) == 0.0
+    assert blocks == []
+
+
 def test_st_sobolev_working_set_is_bounded():
     # run-2d's grid with data nonzero on all 1024 nodes, as in ineq's
     # synthetic case: the whole weight table or one whole pair matrix would
     # be 8 MiB each.  Row blocks of 32 nodes keep the traced peak of the
-    # check near 1 MiB
+    # check under 1 MiB
     dom = build_grid(2, (0.0, 0.0), (1.0, 1.0), 16, 2.0)
     assert dom.n_nodes == 1024
     rng = np.random.default_rng(9)
@@ -473,12 +501,12 @@ def test_st_sobolev_working_set_is_bounded():
 def test_st_sobolev_on_run_2d_holds_one_block_at_a_time():
     # run-2d's trajectory: 2D, 16 cells, collar 2, bump data, t_grid = 8.
     # Besides the sampled values and slopes on the 1024 collar nodes, the
-    # check holds one 32-row block of the 256-node support at a time: its
-    # weights to the support and their gather keys, numpy's two iteration
-    # buffers while the keys are formed, and the pair terms, within the
-    # block budget; the offset table, the support's samples and the lattice
-    # keys take under 128 KiB more.  No weight to a node outside the
-    # support is gathered
+    # check holds one 32-row block of the 256-node support's box at a time:
+    # its weights to the box, copied out of the offset table's view, and
+    # the pair terms within the block budget, with numpy's two iteration
+    # buffers while they are formed; the offset table, its window sums and
+    # the box's samples take under 128 KiB more.  No weight to a node
+    # outside the box is formed
     dom, params, kernel, traj = bump_run(dim=2, n_cells=16)
     assert (dom.n_nodes, dom.n_interior) == (1024, 256)
     t_grid = 8
@@ -487,7 +515,7 @@ def test_st_sobolev_on_run_2d_holds_one_block_at_a_time():
     e, peak = traced_peak(
         lambda: verify.check_spacetime_sobolev(traj, 0.25, 0.4, t_grid))
     assert e.passed and e.lhs > 0.0
-    assert peak < (samples + 2 * block + 2 * 8 * np.getbufsize()
+    assert peak < (samples + block + 2 * 8 * np.getbufsize()
                    + kernel_mod._BLOCK_BYTES + (128 << 10))
 
 
@@ -525,7 +553,8 @@ def test_cauchy_study_holds_one_level_at_a_time():
 def test_cauchy_zero_data_vacuous():
     dom, params, kernel = make_problem(h=0.04, t_end=0.2)
     entries = verify.cauchy_refinement_study(zero_function(dom), kernel,
-                                             params, levels=3, gamma=1.0)
+                                             params, levels=3, gamma=1.0,
+                                             s_prime=0.25)
     for e in entries:
         assert e.passed
         assert all(d == 0.0 for d in e.detail["d"])
@@ -546,12 +575,15 @@ def test_cauchy_validates_arguments():
     dom, params, kernel = make_problem(h=0.04, t_end=0.2)
     u0 = eval_preset(dom, "bump", 1.0)
     with pytest.raises(ValueError):
-        verify.cauchy_refinement_study(u0, kernel, params, levels=2)
+        verify.cauchy_refinement_study(u0, kernel, params, levels=2,
+                                       s_prime=0.25)
     with pytest.raises(ValueError):
-        verify.cauchy_refinement_study(u0, kernel, params, gamma=0.5)
+        verify.cauchy_refinement_study(u0, kernel, params, gamma=0.5,
+                                       s_prime=0.25)
     with pytest.raises(ValueError):
         # gamma above the admissible range for these exponents
-        verify.cauchy_refinement_study(u0, kernel, params, gamma=50.0)
+        verify.cauchy_refinement_study(u0, kernel, params, gamma=50.0,
+                                       s_prime=0.25)
 
 
 def test_chebyshev_level_sets():
