@@ -55,7 +55,8 @@ def _pair_sum(a: np.ndarray, b: np.ndarray, block: np.ndarray,
               rows: slice = slice(None)) -> float:
     """sum_ij k_ij |a_i - b_j|^r over the rows i in ``rows`` (all of them by
     default), for a, b that vanish off one node set: block holds k for
-    those rows against the whole set, boundary[i] row i's weight to
+    those rows against the whole set, in any shape of that many values (a
+    box's window view for a whole set), boundary[i] row i's weight to
     everything outside it.  The sum splits by rows exactly, its boundary
     term sum_i boundary_i (|a_i|^r + |b_i|^r) too, so the row blocks of a
     set add up to its whole sum.  a and b may also be stacks of such
@@ -69,7 +70,8 @@ def _pair_sum(a: np.ndarray, b: np.ndarray, block: np.ndarray,
         m **= r
         a_end **= r
         b_end **= r
-    m *= block
+    terms = m.reshape((-1,) + block.shape)
+    terms *= block
     pair = float(m.sum())
     return pair + (float((boundary * a_end).sum())
                    + float((boundary * b_end).sum()))
@@ -103,7 +105,8 @@ def _add_pair_gradient(g: np.ndarray, x: np.ndarray, kernel: KernelTable,
     negative = m < 0.0
     np.abs(m, out=m)
     m **= p - 1.0
-    m *= kernel.interior
+    terms = m.reshape(kernel.interior.shape)
+    terms *= kernel.interior
     np.negative(m, out=m, where=negative)
     g += np.sum(m, axis=1)
     g += kernel.boundary * sgn_power(x, p - 1.0)

@@ -7,23 +7,23 @@ node and to the region beyond the collar box).  The kernel is translation
 invariant and the nodes form a uniform lattice, so a pair's weight depends
 only on the integer offset between its nodes: ``pow`` runs once per offset,
 (2m-1)^dim of them for m nodes per axis, and assembly builds that offset
-table once and takes from it all its p computes with.  At p = 2 the pair
-operator is linear: each node's total weight is a window sum of the offset
-table, and the interior nodes form a box, so the interior block is Toeplitz
-in 1D and block-Toeplitz in 2D and its product with a vector is a circulant
-product of twice the size per axis, one real FFT pair against a spectrum
-computed once; the block itself is never formed.  The weights among the
-nodes of any box are windows of the offset table, one per node
-(``_box_weights``, a view that copies nothing).  For other p the interior
-block is one copy of the interior's view, and a node's weight to the
-exterior is its window sum less its row sum in the block: an exterior node
-adds no work.  The space-time sums of ``verify`` copy the box of their
-support one row block at a time (``_row_blocks``) and keep none.  The
-table over all collar-node pairs is built only on request, as the test
-oracle.  The principal value is realized by dropping the diagonal (the
-within-cell difference of a nodal function is zero, which is the discrete
-counterpart of the symmetric cancellation).  The region beyond the collar
-box is handled analytically through per-node tail weights.
+table once and takes from it all its p computes with.  The weights among
+the nodes of any box are windows of the offset table, one per node
+(``_box_weights``, a view that copies nothing); the interior nodes form a
+box, so the interior block is Toeplitz in 1D and block-Toeplitz in 2D.  At
+p = 2 the pair operator is linear: each node's total weight is a window sum
+of the offset table, and the interior block's product with a vector is a
+circulant product of twice the size per axis, one real FFT pair against a
+spectrum computed once.  For other p the interior block is the interior's
+view, and a node's weight to the exterior is its window sum less its row
+sum in the block: an exterior node adds no work.  Row sums are taken over
+row blocks copied one at a time (``_row_blocks``), by assembly and by the
+space-time sums of ``verify`` alike, and no block is kept.  The table over
+all collar-node pairs is built only on request, as the test oracle.  The
+principal value is realized by dropping the diagonal (the within-cell
+difference of a nodal function is zero, which is the discrete counterpart
+of the symmetric cancellation).  The region beyond the collar box is
+handled analytically through per-node tail weights.
 """
 
 from __future__ import annotations
@@ -83,16 +83,17 @@ class KernelTable:
     """Interior pair weights, boundary weights and analytic exterior tails.
 
     With weights[i, j] = vol^2 * |x_i - x_j|^(-(n+sp)) for i != j and 0 on
-    the diagonal: interior is the interior block of weights; tail[i] = vol *
-    integral of the kernel over the region beyond the collar box (closed
-    radial form); boundary[i] = tail[i] + sum_{j exterior} weights[i, j], to
-    roundoff, acts on |u_i| of a zero-exterior u; degree[i] = boundary[i] +
-    sum_j interior[i, j] is node i's total weight, so that at p = 2 the pair
+    the diagonal: interior is the interior block of weights, a view of the
+    offset table shaped interior_shape * 2; tail[i] = vol * integral of the
+    kernel over the region beyond the collar box (closed radial form);
+    boundary[i] = tail[i] + sum_{j exterior} weights[i, j], to roundoff,
+    acts on |u_i| of a zero-exterior u; degree[i] = boundary[i] + sum_j
+    interior[i, j] is node i's total weight, so that at p = 2 the pair
     operator is the graph Laplacian diag(degree) - interior, applied through
     ``apply_interior``.  A table holds what its p computes with and None in
     the other fields: at p = 2 ``degree`` and the circulant ``spectrum`` of
-    the interior block, nothing of size n_interior^2; for other p
-    ``interior`` and ``boundary``.  The full collar table ``weights`` is the
+    the interior block; for other p ``interior`` and ``boundary``; nothing
+    of size n_interior^2 at any p.  The full collar table ``weights`` is the
     test oracle, built only when read and read by no computation.  Rebuilt
     whenever (s, p, grid) changes; its own domain, s and p record what it
     was built for, the energies read s and p from it, and it reads the node
@@ -110,9 +111,10 @@ class KernelTable:
 
     @cached_property
     def weights(self) -> np.ndarray:
-        every = np.ones(self.domain.n_nodes, dtype=bool)
-        w = _node_set_weights(self.domain, every, _offset_weights(
-            self.domain, self.domain.dim + self.s * self.p))[0]
+        dom, n = self.domain, self.domain.n_nodes
+        table = _offset_weights(dom, dom.dim + self.s * self.p)
+        view = _box_weights(dom, np.ones(n, dtype=bool), table)[0]
+        w = np.ascontiguousarray(view).reshape(n, n)
         w.setflags(write=False)
         return w
 
@@ -198,17 +200,18 @@ def _box_weights(domain: GridDomain, nodes: np.ndarray, table: np.ndarray
     """Pair weights among the nodes of the smallest lattice box holding the
     nonempty boolean set ``nodes``, the box's mask over every node, and
     each box node's total weight (``_window_sums``).  A pair's weight
-    depends only on its offset, so on a box of k nodes per axis row i is
-    the window at i of the offsets 1-k .. k-1 of ``table``, flipped: the
-    weights are a read-only view of shape box + box, nothing copied."""
+    depends only on its offset, and ``table`` is exactly symmetric along
+    each axis, so on a box of k nodes per axis row i is the window at
+    k-1-i of the offsets 1-k .. k-1 of ``table``, read forward: the weights
+    are a read-only view of shape box + box, nothing copied."""
     m = domain.shape[0]
     span = tuple(slice(i.min(), i.max() + 1)
                  for i in np.nonzero(nodes.reshape(domain.shape)))
     box = tuple(s.stop - s.start for s in span)
     crop = table.reshape((2 * m - 1,) * domain.dim)[
         tuple(slice(m - k, m + k - 1) for k in box)]
-    view = np.flip(np.lib.stride_tricks.sliding_window_view(crop, box),
-                   axis=tuple(range(domain.dim, 2 * domain.dim)))
+    view = np.lib.stride_tricks.sliding_window_view(crop, box)[
+        (slice(None, None, -1),) * domain.dim]
     mask = np.zeros(domain.n_nodes, dtype=bool)
     mask.reshape(domain.shape)[span] = True
     return view, mask, _window_sums(domain, table)[mask]
@@ -216,9 +219,9 @@ def _box_weights(domain: GridDomain, nodes: np.ndarray, table: np.ndarray
 
 def _outside_weights(total: np.ndarray, block: np.ndarray) -> np.ndarray:
     """Each row's weight to every node outside the box: its total less its
-    row sum in ``block``, clamped at 0, that sum to roundoff relative to
-    the total.  A row sums its own contiguous values, so the result is the
-    same bit for bit whatever rows ``block`` holds."""
+    row sum in the contiguous ``block``, clamped at 0, that sum to roundoff
+    relative to the total.  A row sums its own contiguous values, so the
+    result is the same bit for bit whatever rows ``block`` holds."""
     outside = total - block.sum(axis=1)
     return np.maximum(outside, 0.0, out=outside)
 
@@ -232,7 +235,8 @@ def _row_blocks(view: np.ndarray, total: np.ndarray, n_nodes: int):
     as many rows as ``_BLOCK_BYTES`` of weights to all ``n_nodes`` nodes
     would; it is whole lines when one line fits in that, otherwise
     consecutive nodes of one line.  Each block is copied into one reused
-    buffer, so it is valid only until the next one is yielded."""
+    buffer, so it is valid only until the next one is yielded.  Assembly
+    reads the interior's blocks for their outside weights alone."""
     box = view.shape[:view.ndim // 2]
     line = box[-1]
     per_block = max(1, _BLOCK_BYTES // (8 * n_nodes))
@@ -246,16 +250,6 @@ def _row_blocks(view: np.ndarray, total: np.ndarray, n_nodes: int):
             block.reshape(part.shape)[...] = part
             lo = first * line + c
             yield lo, block, _outside_weights(total[lo:lo + len(block)], block)
-
-
-def _node_set_weights(domain: GridDomain, nodes: np.ndarray,
-                      table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The whole table of ``_box_weights``, copied once: pair weights among
-    the nodes of the smallest box that holds the boolean set ``nodes``, and
-    each box node's summed weight to every node outside the box."""
-    view, _, total = _box_weights(domain, nodes, table)
-    block = np.ascontiguousarray(view).reshape(total.size, total.size)
-    return block, _outside_weights(total, block)
 
 
 def _window_sums(domain: GridDomain, table: np.ndarray) -> np.ndarray:
@@ -289,15 +283,15 @@ def _circulant_spectrum(domain: GridDomain, table: np.ndarray) -> np.ndarray:
 
 def assemble_kernel(domain: GridDomain, params: FlowParams) -> KernelTable:
     """Build the tails and, from one pow per lattice offset, what the
-    table's p computes with: at p = 2 the node degrees and the interior
-    block's circulant spectrum, O(m^dim) work and memory; for other p the
-    interior block, O(n_interior^2) memory, and the boundary weights.
-    Grids too large for that block are refused before anything is built."""
+    table's p computes with, in O(m^dim) memory: at p = 2 the node degrees
+    and the interior block's circulant spectrum; for other p the interior's
+    box view and the boundary weights.  For p != 2, grids too large for the
+    solver's (n_interior, n_interior) workspace are refused first."""
     linear = params.p == 2.0
     if not linear and domain.n_interior > 6000:
-        raise ValueError(f"{domain.n_interior} interior nodes: the dense "
-                         "interior pair table is sized for a few thousand "
-                         "interior nodes; coarsen the grid")
+        raise ValueError(f"{domain.n_interior} interior nodes: the solver's "
+                         "pair-matrix workspace, plus LAPACK's copy at p < 2, "
+                         "is n_interior^2 doubles; coarsen the grid")
     mask = domain.interior_mask
     table = _offset_weights(domain, domain.dim + params.s * params.p)
     tail = _tail_weights(domain, params)
@@ -306,8 +300,9 @@ def assemble_kernel(domain: GridDomain, params: FlowParams) -> KernelTable:
         degree = _window_sums(domain, table)[mask] + tail[mask]
         spectrum = _circulant_spectrum(domain, table)
     else:
-        interior, outside = _node_set_weights(domain, mask, table)
-        boundary = outside + tail[mask]
+        interior, _, total = _box_weights(domain, mask, table)
+        boundary = np.concatenate([outside for _, _, outside in _row_blocks(
+            interior, total, domain.n_nodes)]) + tail[mask]
     for arr in (tail, degree, spectrum, interior, boundary):
         if arr is not None:
             arr.setflags(write=False)

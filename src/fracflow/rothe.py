@@ -33,7 +33,7 @@ gradient and every CG product are each one product with the interior
 block, taken by FFT in O(n_interior log n_interior) work, the model
 L + diag(time term) is never assembled, and nothing of size n_interior^2
 is formed or read.  For p != 2 the gradient and the model each form one
-pair matrix, O(n_interior^2), in the workspace array.
+pair matrix in the workspace array, the run's one O(n_interior^2) array.
 
 A trajectory holds its steps as one read-only (N+1, n_interior) array of
 interior values, and ``reconstruct`` evaluates its piecewise-linear
@@ -144,7 +144,8 @@ class _StepWorkspace:
             np.abs(wd, out=wd)
             np.maximum(wd, floor, out=wd)
             wd **= p - 2.0
-            wd *= kern.interior
+            terms = wd.reshape(kern.interior.shape)
+            terms *= kern.interior
             di = ((p - 1.0) * (wd.sum(axis=1) + kern.boundary * absx ** (p - 2.0))
                   + time_di)
             hess = wd               # wd is not read past di

@@ -20,7 +20,7 @@ import numpy as np
 import fracflow
 from fracflow import GridFunction, scan_alg_constants
 from fracflow.energy import _self_pair_sum, sgn_power
-from fracflow.kernel import _node_set_weights, _offset_weights
+from fracflow.kernel import _box_weights, _offset_weights, _outside_weights
 
 
 def readers_of(name):
@@ -86,7 +86,7 @@ def step_objective(w, u_prev, kernel, params):
 def pair_weights(coords, vol, expo, lag=0.0, rows=None):
     """vol^2 (|x_i-x_j|^2 + lag^2)^(-expo/2) for i in ``rows`` (default all)
     and all j, no self pair at lag 0, from the coordinate differences: the
-    brute-force version of ``kernel._node_set_weights``."""
+    brute-force version of ``box_table``."""
     n = coords.shape[0]
     rows = np.arange(n) if rows is None else rows
     w = np.zeros((rows.size, n))
@@ -101,14 +101,23 @@ def pair_weights(coords, vol, expo, lag=0.0, rows=None):
     return w
 
 
+def box_table(domain, nodes, table):
+    """The weights ``kernel._box_weights`` views among the nodes of the
+    smallest box holding ``nodes``, copied into one (n, n) table, and each
+    box node's ``kernel._outside_weights``."""
+    view, _, total = _box_weights(domain, nodes, table)
+    block = np.ascontiguousarray(view).reshape(total.size, total.size)
+    return block, _outside_weights(total, block)
+
+
 def dense_interior(kernel):
-    """The interior block and boundary weights of a kernel table, formed as
-    assembly forms them for p != 2 (the block copied, the boundary the
-    window sums less its row sums, plus the tails): a p = 2 table holds
-    neither."""
+    """The interior block of a kernel table as one (n, n) table, and its
+    boundary weights, formed as assembly forms them for p != 2 (the
+    boundary the window sums less the row sums, plus the tails): a p = 2
+    table holds neither."""
     dom = kernel.domain
     mask = dom.interior_mask
-    interior, outside = _node_set_weights(
+    interior, outside = box_table(
         dom, mask, _offset_weights(dom, dom.dim + kernel.s * kernel.p))
     return interior, outside + kernel.tail[mask]
 

@@ -15,8 +15,9 @@ from fracflow.grid import GridFunction
 from fracflow import kernel as kernel_mod
 from fracflow import verify
 from fracflow.energy import _data_energies
-from fracflow.kernel import _node_set_weights, _offset_weights, _window_sums
-from oracles import dense_interior, pair_weights, readers_of, traced_peak
+from fracflow.kernel import _offset_weights, _window_sums
+from oracles import (box_table, dense_interior, pair_weights, readers_of,
+                     traced_peak)
 
 
 def params_with(s=0.5, p=2.0, q=1.0, h=0.01, t_end=0.1, **kw):
@@ -24,8 +25,8 @@ def params_with(s=0.5, p=2.0, q=1.0, h=0.01, t_end=0.1, **kw):
 
 
 def node_set_weights(dom, nodes, expo, lag=0.0):
-    """``_node_set_weights`` of the offset table of these weights."""
-    return _node_set_weights(dom, nodes, _offset_weights(dom, expo, lag))
+    """``box_table`` of the offset table of these weights."""
+    return box_table(dom, nodes, _offset_weights(dom, expo, lag))
 
 
 def bounding_box(dom, nodes):
@@ -292,9 +293,9 @@ def test_interior_rows_match_the_collar_table(monkeypatch, dim, n_cells,
     # table, and the boundary weights its exterior row sums plus the tails
     # within the window bound (the tail adds one rounding relative to the
     # row's total).  Assembly builds one offset table; at p = 2 it reads
-    # no box of it and holds no interior block, otherwise it reads the
-    # interior's box once, as one copy and no row blocks: no weight to an
-    # exterior node is formed
+    # no box of it and holds no interior block, otherwise it holds the
+    # interior's box view and reads its row blocks once, for the outside
+    # weights: no weight to an exterior node is formed
     dom = build_grid(dim, 0.0, 1.0, n_cells, collar)
     tables, boxes, blocks = [], [], []
     offset_weights = kernel_mod._offset_weights
@@ -322,21 +323,25 @@ def test_interior_rows_match_the_collar_table(monkeypatch, dim, n_cells,
         params = params_with(s=s, p=p)
         tables.clear()
         boxes.clear()
+        blocks.clear()
         k = assemble_kernel(dom, params)
         assert tables == [(dim + s * p,)]
         if p == 2.0:
-            assert boxes == []
+            assert boxes == [] and blocks == []
             assert k.interior is None and k.boundary is None
             interior, boundary = dense_interior(k)
         else:
             assert k.degree is None and k.spectrum is None
-            interior, boundary = k.interior, k.boundary
-            assert not interior.flags.writeable
-            assert not boundary.flags.writeable
+            assert not k.interior.flags.writeable
+            assert not k.boundary.flags.writeable
             assert len(boxes) == 1
-            assert boxes[0][0] == 2 * dom.interior_shape
+            assert boxes[0][0] == k.interior.shape == 2 * dom.interior_shape
             assert np.array_equal(boxes[0][1], mask)
-        assert blocks == []
+            assert sum(rows for rows, _ in blocks) == dom.n_interior
+            assert {cols for _, cols in blocks} == {dom.n_interior}
+            interior = np.ascontiguousarray(k.interior).reshape(
+                dom.n_interior, dom.n_interior)
+            boundary = k.boundary
         w = k.weights
         assert w is k.weights and not w.flags.writeable
         assert w.shape == (dom.n_nodes, dom.n_nodes)
@@ -362,9 +367,9 @@ def test_boundary_is_the_same_at_any_block_size(monkeypatch, dim, n_cells,
                                                 collar):
     # a block budget of one row forms the interior's row blocks one row at
     # a time, and their outside weights plus the tails are assembly's
-    # boundary bit for bit: each row sums its own contiguous values
-    # whatever the block, so the space-time sums, which read row blocks,
-    # and assembly, which reads one copy, take the same outside weights.
+    # boundary, taken at the default budget, bit for bit: each row sums
+    # its own contiguous values whatever the block, so the space-time sums
+    # and assembly take the same outside weights at any budget.
     # The boundary is the collar table's exterior row sums plus the tails
     # within the window bound
     dom = build_grid(dim, 0.0, 1.0, n_cells, collar)
@@ -376,7 +381,8 @@ def test_boundary_is_the_same_at_any_block_size(monkeypatch, dim, n_cells,
     assert [(lo, len(b)) for lo, b, _ in blocks] == [
         (lo, 1) for lo in range(dom.n_interior)]
     assert np.array_equal(np.concatenate([b for _, b, _ in blocks]),
-                          k.interior)
+                          np.ascontiguousarray(k.interior).reshape(
+                              dom.n_interior, dom.n_interior))
     outside = np.concatenate([o for _, _, o in blocks])
     assert np.array_equal(outside + k.tail[mask], k.boundary)
     w = k.weights
@@ -392,9 +398,9 @@ def test_row_blocks_keep_to_lines_and_the_row_budget(monkeypatch, dim,
     # a line is a run of box nodes along the last axis.  Under a budget of
     # fewer rows than one line, every block is consecutive nodes of one
     # line; otherwise whole lines.  No block has more rows than the budget,
-    # the blocks cover the box's rows in order, they are the interior block
-    # of assembly (one copy of the box) bit for bit, and the outside
-    # weights are the default budget's bit for bit
+    # the blocks cover the box's rows in order, they are assembly's
+    # interior view, copied whole, bit for bit, and the outside weights
+    # are the default budget's bit for bit
     dom = build_grid(dim, 0.0, 1.0, n_cells, collar)
     params = params_with(p=2.5)
     k = assemble_kernel(dom, params)
@@ -416,7 +422,8 @@ def test_row_blocks_keep_to_lines_and_the_row_budget(monkeypatch, dim,
     else:
         assert len(blocks[0][1]) == min(rows // line * line, dom.n_interior)
     assert np.array_equal(np.concatenate([b for _, b, _ in blocks]),
-                          k.interior)
+                          np.ascontiguousarray(k.interior).reshape(
+                              dom.n_interior, dom.n_interior))
     assert np.array_equal(np.concatenate([o for _, _, o in blocks]), default)
 
 
@@ -473,7 +480,8 @@ def test_fft_product_and_window_degree_match_the_gathered_block(
 
 
 def test_node_guard_counts_interior_nodes(monkeypatch):
-    # the guard refuses the dense interior block, which p = 2 never forms
+    # the guard refuses the solver's (n_interior, n_interior) pair-matrix
+    # workspace, which p = 2 never forms
     calls = []
     offset_weights = kernel_mod._offset_weights
 
@@ -500,12 +508,13 @@ def test_node_guard_counts_interior_nodes(monkeypatch):
 
 def test_p2_runs_past_6000_interior_nodes_without_the_block(monkeypatch):
     # at p = 2 nothing dense is built, so no size is refused: 6400 interior
-    # nodes (a 312 MiB block) take two steps with the block never formed.
-    # For other p the block is built, and refused, at assembly
+    # nodes (a 312 MiB block) take two steps with the interior's box never
+    # read.  For other p the solver's workspace would be that size, and
+    # the grid is refused at assembly
     def refuse(*args, **kwargs):
-        raise AssertionError("the interior block was formed")
+        raise AssertionError("the interior's box was read")
 
-    monkeypatch.setattr(kernel_mod, "_node_set_weights", refuse)
+    monkeypatch.setattr(kernel_mod, "_box_weights", refuse)
     dom = build_grid(1, 0.0, 1.0, 6400, 1.25)
     assert dom.n_interior == 6400
     params = params_with(t_end=0.02)
@@ -521,10 +530,10 @@ def test_p2_runs_past_6000_interior_nodes_without_the_block(monkeypatch):
 def test_assembly_never_holds_the_collar_table():
     # converge-2d's grid: the full table would be 2304^2 doubles (40.5 MiB).
     # At p = 2 assembly and a whole run hold no (n, n) array: the interior
-    # block alone would be 8 MiB.  For other p, assembly holds that block,
-    # copied once from the interior's window view, with the offset table
-    # (9025 doubles) and its window sums: 8.1 MiB in all; nothing is formed
-    # for the 1280 exterior nodes
+    # block alone would be 8 MiB.  For other p, assembly holds the
+    # interior's window view of the offset table (9025 doubles), its
+    # window sums and one row block at a time; nothing is formed for the
+    # 1280 exterior nodes
     dom = build_grid(2, 0.0, 1.0, 32, 1.5)
     assert (dom.n_nodes, dom.n_interior) == (2304, 1024)
     u0 = eval_preset(dom, "bump", 1.0)
@@ -536,6 +545,35 @@ def test_assembly_never_holds_the_collar_table():
         lambda: assemble_kernel(dom, params_with(p=2.5)))[1]
     assert peak < 2 ** 20 < 8 * dom.n_interior ** 2
     assert peak_block < 9 * 2 ** 20 < 8 * dom.n_nodes ** 2
+
+
+def test_p_not_2_kernel_holds_the_interior_view():
+    # for p != 2 the interior block is the read-only window view of the
+    # offset table, shaped box + box: assembly peaks below 1 MiB where a
+    # copy of the block alone is 8 MiB, and the view, copied here, is the
+    # weights of coordinate differences bit for bit on this dyadic grid
+    dom = build_grid(2, 0.0, 1.0, 32, 1.5)
+    n = dom.n_interior
+    assert n == 1024
+    params = params_with(s=0.3, p=2.5)
+    k, peak = traced_peak(lambda: assemble_kernel(dom, params))
+    assert peak < 2 ** 20 < 8 * n * n
+    assert k.interior.shape == 2 * dom.interior_shape
+    assert not k.interior.flags.writeable and k.interior.base is not None
+    mask = dom.interior_mask
+    want = pair_weights(dom.node_coords, dom.vol, 2.0 + params.s * params.p,
+                        rows=np.flatnonzero(mask))[:, mask]
+    assert np.array_equal(np.ascontiguousarray(k.interior).reshape(n, n),
+                          want)
+
+
+def test_only_assembly_and_the_pair_passes_read_the_interior_block():
+    # the interior block is read where assembly stores it and where the
+    # three pair passes multiply by it, each through a view of its own
+    # scratch: no other function could take a second copy of it
+    assert readers_of("interior") == {
+        "kernel.assemble_kernel", "energy._self_pair_sum",
+        "energy._add_pair_gradient", "rothe._StepWorkspace.newton_direction"}
 
 
 def tail_oracle_1d(x, cmin, cmax, sp):
