@@ -12,7 +12,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict, astuple, fields
 
 import numpy as np
 
@@ -191,14 +191,14 @@ def cmd_run(cfg: RunConfig) -> int:
     os.makedirs(cfg.output_dir, exist_ok=True)
 
     lq_pow, sem, linf = traj.lq_pow, traj.seminorm, traj.linf
-    rows = [[0, 0.0, lq_pow[0], sem[0], linf[0], 0.0, 0, 0.0]]
-    for m, d in enumerate(traj.diagnostics, 1):
+    rows = [[0, 0.0, lq_pow[0], sem[0], linf[0], 0.0, 0, 0.0, 0.0, 0, 0, 0]]
+    for m, d in enumerate(traj.diagnostics, 1):    # then d's fields, in order
         rows.append([m, m * params.h, lq_pow[m], sem[m], linf[m],
-                     (sem[m - 1] - sem[m]) / (2.0 * params.p), d.iterations,
-                     d.grad_norm])
+                     (sem[m - 1] - sem[m]) / (2.0 * params.p), *astuple(d)])
     write_csv(os.path.join(cfg.output_dir, "trace.csv"),
               ["step", "time", "lq1_pow", "seminorm_p", "linf",
-               "dissipation_step", "solver_iters", "grad_norm"], rows)
+               "dissipation_step", "solver_iters", "grad_norm", "ray_tau",
+               "linear_iters", "backtracks", "snaps"], rows)
 
     report = verify.VerificationReport(meta=_meta(cfg, {
         "scale": traj.scale,

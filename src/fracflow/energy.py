@@ -140,6 +140,12 @@ def apply_frac_p_laplacian(u: GridFunction,
                         _add_pair_gradient(np.zeros_like(x), x, kernel))
 
 
+def _time_term(x: np.ndarray, vprev: np.ndarray, q: float,
+               vol_h: float) -> np.ndarray:
+    """The step equation's time term, vol_h (sgn_power(x, q) - vprev)."""
+    return vol_h * (sgn_power(x, q) - vprev)
+
+
 def _step_gradient(x: np.ndarray, vprev: np.ndarray, kernel: KernelTable,
                    params: FlowParams, vol_h: float,
                    buf: np.ndarray | None = None) -> np.ndarray:
@@ -149,8 +155,9 @@ def _step_gradient(x: np.ndarray, vprev: np.ndarray, kernel: KernelTable,
         vol_h sum_i ( |x_i|^(q+1)/(q+1) - vprev_i x_i ) + pair sum / (2p),
 
     given vprev = sgn_power(u_prev, q) on the interior and vol_h = vol / h.
-    Its zero is the step's equation, which the solver drives to tolerance."""
-    g = vol_h * (sgn_power(x, params.q) - vprev)
+    Its zero is the step's equation, which the solver drives to tolerance;
+    ``RotheTrajectory.residual`` adds its two terms in the other order."""
+    g = _time_term(x, vprev, params.q, vol_h)
     return _add_pair_gradient(g, x, kernel, buf)
 
 

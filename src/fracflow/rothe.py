@@ -37,7 +37,8 @@ pair matrix in the workspace array, the run's one O(n_interior^2) array.
 
 A trajectory holds its steps as one read-only (N+1, n_interior) array of
 interior values, and ``reconstruct`` evaluates its piecewise-linear
-interpolant, values and slopes, at many times at once.
+interpolant, values and slopes, at many times at once.  Its seminorm and
+residual series take one more pair-operator pass per step, not one each.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ import numpy as np
 from .grid import GridDomain, GridFunction
 from .kernel import FlowParams, KernelTable
 from .energy import (NonFiniteData, sgn_power, lq_power_integral,
-                     gagliardo_seminorm_p, _data_energies, _self_pair_sum,
-                     _step_gradient, _tolerances)
+                     _add_pair_gradient, _data_energies, _self_pair_sum,
+                     _step_gradient, _time_term, _tolerances)
 
 __all__ = [
     "NonConvergence", "StepDiagnostics", "RotheTrajectory", "minimize_step",
@@ -350,7 +351,8 @@ def minimize_step(u_prev: GridFunction, kernel: KernelTable,
 @dataclass(frozen=True, eq=False)
 class RotheTrajectory:
     """Steps u_0 ... u_N of one run, their diagnostics and energy series,
-    on the grid of the kernel they were solved with.
+    on the grid of the kernel they were solved with.  Each series is
+    computed from ``u`` on first read, ``seminorm`` and ``residual`` in one.
 
     ``u`` is one read-only (N+1, n_interior) array whose row m holds the
     interior values of u_m.  Every step met the run's stopping rule,
@@ -391,20 +393,29 @@ class RotheTrajectory:
     def n_steps(self) -> int:
         return self.u.shape[0] - 1
 
-    def _series(self, at: int, energy) -> tuple:
-        return ((self._u0_energies[at],)
-                + tuple(energy(GridFunction(self.domain, row))
-                        for row in self.u[1:]))
-
     @cached_property
     def lq_pow(self) -> tuple:      # ||u_m||_{q+1}^{q+1}, m = 0..N
-        return self._series(
-            1, lambda u: lq_power_integral(u, self.params.q + 1.0))
+        return (self._u0_energies[1],) + tuple(
+            lq_power_integral(GridFunction(self.domain, row),
+                              self.params.q + 1.0) for row in self.u[1:])
 
     @cached_property
-    def seminorm(self) -> tuple:    # [u_m]^p, m = 0..N
-        return self._series(
-            0, lambda u: gagliardo_seminorm_p(u, self.kernel))
+    def _pair_pass(self) -> tuple:
+        """The pair operator A once on each u_m, m >= 1, formed in one (n, n)
+        buffer at p != 2.  A is p-homogeneous, so [u_m]^p = 2 <A(u_m), u_m>;
+        step m's residual is the step equation's time term + A(u_m)."""
+        q, u, vol_h = self.params.q, self.u, self.domain.vol / self.params.h
+        buf = None if self.params.p == 2.0 else np.empty((u.shape[1],) * 2)
+        sem, res = [self._u0_energies[0]], []
+        for prev, x in zip(u, u[1:]):
+            a = _add_pair_gradient(np.zeros_like(x), x, self.kernel, buf)
+            sem.append(2.0 * float(x @ a))
+            r = _time_term(x, sgn_power(prev, q), q, vol_h) + a
+            res.append(float(np.max(np.abs(r))))
+        return tuple(sem), tuple(res)
+
+    seminorm = property(lambda self: self._pair_pass[0])  # [u_m]^p, m = 0..N
+    residual = property(lambda self: self._pair_pass[1])  # max|r_m|, m = 1..N
 
     @cached_property
     def linf(self) -> tuple:        # max |u_m|, m = 0..N

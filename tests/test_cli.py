@@ -14,7 +14,7 @@ import pytest
 from fracflow import cli, rothe
 from fracflow.cli import (ConfigError, RunConfig, parse_config, cmd_run,
                           cmd_converge, cmd_ineq, main)
-from oracles import traced_peak
+from oracles import readers_of, traced_peak
 
 
 def write_cfg(tmp_path, text, name="cfg.txt"):
@@ -439,8 +439,20 @@ def count_energy_calls(monkeypatch):
 
 def test_run_evaluates_each_step_energy_once(tmp_path, monkeypatch):
     # the trajectory owns the per-step series that trace.csv and the checks
-    # read, so no step u_m, m >= 1, reaches either energy twice
+    # read: each step u_m, m >= 1, gets one L^{q+1} power and one pair
+    # operator application, in the pass that gives both its seminorm and
+    # RESID's residual, and never reaches the seminorm itself.  The solver
+    # takes its gradients through energy's own binding, so the pass is the
+    # only reader of rothe's.
     sem, lq = count_energy_calls(monkeypatch)
+    pair = Counter()
+    add_pair_gradient = rothe._add_pair_gradient
+
+    def count_pair(g, x, *args):
+        pair[x.tobytes()] += 1
+        return add_pair_gradient(g, x, *args)
+
+    monkeypatch.setattr(rothe, "_add_pair_gradient", count_pair)
     trajs = []
 
     def keep(*args):
@@ -454,6 +466,7 @@ def test_run_evaluates_each_step_energy_once(tmp_path, monkeypatch):
     for s, probes in ((0.5, 0), (0.25, 64)):
         sem.clear()
         lq.clear()
+        pair.clear()
         trajs.clear()
         cfg = parse_config(write_cfg(
             tmp_path, f"s = {s}\noutput_dir = {tmp_path / 'out'}\n"))
@@ -462,7 +475,9 @@ def test_run_evaluates_each_step_energy_once(tmp_path, monkeypatch):
         q1 = traj.params.q + 1.0
         steps = [row.tobytes() for row in traj.u[1:]]
         assert len(set(steps)) == traj.n_steps == 50
-        assert all(sem[b] == 1 and lq[b, q1] == 1 for b in steps)
+        assert all(pair[b] == 1 and sem[b] == 0 and lq[b, q1] == 1
+                   for b in steps)
+        assert sum(pair.values()) == traj.n_steps
         # u0: the run scale, which is also the series' first entry, and
         # POINCARE
         u0 = traj.u[0].tobytes()
@@ -470,7 +485,46 @@ def test_run_evaluates_each_step_energy_once(tmp_path, monkeypatch):
         # POINCARE's left side ||u0||_p^p is a call at r = p = q + 1 = 2 too
         assert lq[u0, q1] == 2 + (traj.params.p == q1)
         # 4: INIT-TREND gaps
-        assert sum(sem.values()) == 51 + 1 + probes + 4
+        assert sum(sem.values()) == 1 + 1 + probes + 4
+
+
+def test_trace_records_the_solver_counters(tmp_path, monkeypatch):
+    # trace.csv's last four columns are each step's StepDiagnostics
+    # counters, bit for bit, and 0 at step 0; they come after grad_norm, so
+    # solver_iters stays the column the benchmark's gate reads.  Reruns are
+    # byte-identical.
+    trajs = []
+
+    def keep(*args):
+        trajs.append(rothe.run_flow(*args))
+        return trajs[-1]
+
+    monkeypatch.setattr(cli, "run_flow", keep)
+    seen = Counter()
+    # random data at p = 1.5 backtracks, the bump snaps, p = 3 runs CG
+    for over in (dict(p=1.5, preset="random", seed=3), dict(p=1.5, q=2),
+                 dict(p=3.0, preset="random", seed=3)):
+        cfg = small_run_cfg(tmp_path, **over)
+        assert cmd_run(cfg) == 0
+        path = Path(cfg.output_dir, "trace.csv")
+        blob = path.read_bytes()
+        rows = [r.split(",") for r in blob.decode().splitlines()]
+        assert rows[0][6:] == ["solver_iters", "grad_norm", "ray_tau",
+                               "linear_iters", "backtracks", "snaps"]
+        assert rows[1][6:] == ["0", "0.0", "0.0", "0", "0", "0"]
+        diags = trajs[-1].diagnostics
+        assert len(rows) == len(diags) + 2
+        for row, d in zip(rows[2:], diags):
+            assert ([int(row[6]), float(row[7]).hex(), float(row[8]).hex()]
+                    + [int(c) for c in row[9:]]) == [
+                d.iterations, d.grad_norm.hex(), d.ray_tau.hex(),
+                d.linear_iters, d.backtracks, d.snaps]
+            seen.update(name for name, value in zip(rows[0][8:], row[8:])
+                        if float(value) != 0.0)
+        assert cmd_run(cfg) == 0
+        assert path.read_bytes() == blob
+    # every counter column holds a nonzero value somewhere
+    assert set(seen) == {"ray_tau", "linear_iters", "backtracks", "snaps"}
 
 
 def test_run_reads_one_tolerance_everywhere(tmp_path, monkeypatch):
@@ -528,6 +582,17 @@ def test_benchmark_layer_names_exist():
             fn = getattr(mod, name, None)
             assert inspect.isfunction(fn) and fn.__module__ == mod.__name__, \
                 f"fracflow.{module}.{name}"
+
+
+def test_test_and_tracer_names_have_no_reader_in_fracflow():
+    # these names stay in fracflow only for the tests and the traced
+    # benchmark (its LAYERS, and KernelTable.weights for its table size):
+    # no fracflow function reads one, so retiring the tracer can delete
+    # them without touching a command
+    for name in ("energy_functional", "apply_frac_p_laplacian",
+                 "scan_alg_constants", "minimize_step",
+                 "spacetime_seminorm_w1", "rothe_gradient", "weights"):
+        assert readers_of(name) == set(), name
 
 
 def test_cli_import_loads_no_scipy():

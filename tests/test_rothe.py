@@ -452,21 +452,79 @@ def test_snap_clusters_matches_the_loop_oracle():
     assert snap_clusters_loop(distinct) is None
 
 
+def series_error_bounds(traj):
+    """Bounds on how far the trajectory's seminorm and residual series may
+    lie from a direct evaluation (``gagliardo_seminorm_p`` and
+    ``rothe_gradient(...).linf()``) at p != 2, from the terms each sums.
+
+    Seminorm: [u]^p = sum_ij k_ij |d_ij|^p + 2 sum_i b_i |u_i|^p, with
+    d_ij = u_i - u_j, is one sum of T = n (n + 1) terms; the pass's
+    2 sum_i u_i (A u)_i is n row sums of n + 1 terms, then one of n.  A
+    float sum of m terms is within (m - 1) eps/2 times the sum of their
+    absolute values of the exact one, and forming a term takes a few
+    roundings more, so for n >= 4 the two sides together stay within
+    eps T times the larger of the two absolute sums.  Below the normal
+    range a rounding may also be off by one smallest subnormal: at most
+    four form a term on either side, which gives the floor
+    8 T smallest_subnormal.
+
+    Residual: both sides form the row sums S_i = sum_j k_ij phi(d_ij) bit
+    for bit, and differ only in adding the time term t_i, S_i and the
+    boundary term B_i in another order: three terms, so row i differs by
+    at most 3 eps (|t_i| + sum_j |k_ij phi(d_ij)| + |B_i|), and the
+    inf-norms by at most the largest row bound.  Additions are exact below
+    the normal range, so no floor is needed there."""
+    params, kernel, u = traj.params, traj.kernel, traj.u
+    p, n = params.p, u.shape[1]
+    eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+    k = np.reshape(kernel.interior, (n, n))
+    vol_h = traj.domain.vol / params.h
+    terms = n * (n + 1)
+    sem, res = [0.0], []
+    for prev, x in zip(u, u[1:]):
+        d = np.abs(np.subtract.outer(x, x))
+        boundary = kernel.boundary * np.abs(x) ** (p - 1.0)
+        rows = (k * d ** (p - 1.0)).sum(axis=1) + boundary
+        direct = float((k * d ** p).sum() + 2.0 * (boundary * np.abs(x)).sum())
+        pass_abs = 2.0 * float(np.abs(x) @ rows)
+        sem.append(eps * terms * max(direct, pass_abs) + 8 * terms * tiny)
+        t = np.abs(vol_h * (sgn_power(x, params.q) - sgn_power(prev, params.q)))
+        res.append(3.0 * eps * float(np.max(t + rows)))
+    return sem, res
+
+
 def test_trajectory_series_match_direct_evaluation():
-    # the series are built lazily from the same functions on the same arrays
-    dom, params, kernel = make_problem(p=1.5, q=2.0)
-    traj = run_flow(eval_preset(dom, "random", 1.0, seed=3), kernel, params)
-    assert traj.kernel is kernel
-    steps = [GridFunction(dom, row) for row in traj.u]
-    direct = {
-        "seminorm": [gagliardo_seminorm_p(u, kernel) for u in steps],
-        "lq_pow": [lq_power_integral(u, params.q + 1.0) for u in steps],
-        "linf": [u.linf() for u in steps]}
-    for name, values in direct.items():
-        series = getattr(traj, name)
-        assert isinstance(series, tuple) and series is getattr(traj, name)
-        assert len(series) == traj.n_steps + 1
-        assert np.array(series).tobytes() == np.array(values).tobytes()
+    # the series are built lazily from u, each once; lq_pow and linf from
+    # the same functions on the same arrays, the seminorm and the residual
+    # from one pair-operator pass per step, which at p = 2 is the same
+    # arithmetic as the direct evaluations and otherwise reorders their
+    # sums (bounded in series_error_bounds)
+    for p, q in ((1.5, 2.0), (2.0, 1.0)):
+        dom, params, kernel = make_problem(p=p, q=q)
+        traj = run_flow(eval_preset(dom, "random", 1.0, seed=3), kernel,
+                        params)
+        assert traj.kernel is kernel
+        steps = [GridFunction(dom, row) for row in traj.u]
+        direct = {
+            "lq_pow": [lq_power_integral(u, params.q + 1.0) for u in steps],
+            "linf": [u.linf() for u in steps],
+            "seminorm": [gagliardo_seminorm_p(u, kernel) for u in steps],
+            "residual": [rothe_gradient(w, u, kernel, params).linf()
+                         for u, w in zip(steps, steps[1:])]}
+        for name, values in direct.items():
+            series = getattr(traj, name)
+            assert isinstance(series, tuple) and series is getattr(traj, name)
+            assert len(series) == traj.n_steps + (name != "residual")
+            if p == 2.0 or name in ("lq_pow", "linf"):
+                assert (np.array(series).tobytes()
+                        == np.array(values).tobytes()), name
+        if p != 2.0:
+            bounds = dict(zip(("seminorm", "residual"),
+                              series_error_bounds(traj)))
+            assert traj.seminorm[0] == direct["seminorm"][0]
+            for name, bound in bounds.items():
+                gap = np.abs(np.subtract(getattr(traj, name), direct[name]))
+                assert np.all(gap <= bound), name
 
 
 def test_determinism_bitwise():

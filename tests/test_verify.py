@@ -207,6 +207,24 @@ def test_weak_residual_tracks_solver_tolerance():
     assert 1e-9 < e2.lhs <= traj2.tol_abs
 
 
+def test_weak_residual_reads_the_steps_not_the_solver():
+    # RESID recomputes each residual from traj.u: a trajectory rebuilt with
+    # one step off by 0.1%, or with a nan in it, keeps the solver's
+    # diagnostics, which is all that construction reads, and still fails
+    for p, q in ((2.0, 1.0), (1.5, 0.5)):
+        dom, params, kernel = make_problem(p=p, q=q, t_end=0.3)
+        traj = run_flow(eval_preset(dom, "random", 1.0, seed=3), kernel,
+                        params)
+        assert traj.n_steps == 30 and np.any(traj.u[25])
+        assert verify.check_weak_residual(traj).passed
+        for tamper in (lambda row: row * 1.001, lambda row: row * np.nan):
+            u = traj.u.copy()
+            u[25] = tamper(u[25])
+            tampered = replace(traj, u=u)
+            assert tampered.diagnostics == traj.diagnostics
+            assert not verify.check_weak_residual(tampered).passed
+
+
 def test_zero_run_residual_zero():
     dom, params, kernel = make_problem()
     traj = run_flow(zero_function(dom), kernel, params)
