@@ -17,7 +17,7 @@ from dataclasses import dataclass, asdict, astuple, fields
 import numpy as np
 
 from .grid import build_grid, eval_preset, GridFunction, _bump_profile
-from .kernel import FlowParams, assemble_kernel
+from .kernel import FlowParams, _check_exponents, assemble_kernel
 from .energy import alg_ratios
 from .rothe import NonConvergence, run_flow
 from . import verify
@@ -76,10 +76,11 @@ def _parse_value(key: str, raw: str):
 
 
 def _grid_and_params(cfg: RunConfig):
-    """The grid and flow parameters of a config; build_grid and FlowParams
-    raise ValueError on the values they refuse."""
+    """The grid and flow parameters of a config, its s and p checked for
+    the kernel; each check raises ValueError on the values it refuses."""
     domain = build_grid(cfg.dim, cfg.omega_min, cfg.omega_max, cfg.n_cells,
                         cfg.collar_factor)
+    _check_exponents(cfg.s, cfg.p)
     params = FlowParams(**{f.name: getattr(cfg, f.name)
                            for f in fields(FlowParams)})
     return domain, params
@@ -152,7 +153,7 @@ def _build_problem(cfg: RunConfig):
     domain, params = _grid_and_params(cfg)
     u0 = eval_preset(domain, cfg.preset, cfg.amplitude, seed=cfg.seed,
                      csv_path=cfg.csv_path or None)
-    kernel = assemble_kernel(domain, params)
+    kernel = assemble_kernel(domain, cfg.s, cfg.p)
     return domain, params, u0, kernel
 
 
@@ -194,7 +195,7 @@ def cmd_run(cfg: RunConfig) -> int:
     rows = [[0, 0.0, lq_pow[0], sem[0], linf[0], 0.0, 0, 0.0, 0.0, 0, 0, 0]]
     for m, d in enumerate(traj.diagnostics, 1):    # then d's fields, in order
         rows.append([m, m * params.h, lq_pow[m], sem[m], linf[m],
-                     (sem[m - 1] - sem[m]) / (2.0 * params.p), *astuple(d)])
+                     (sem[m - 1] - sem[m]) / (2.0 * kernel.p), *astuple(d)])
     write_csv(os.path.join(cfg.output_dir, "trace.csv"),
               ["step", "time", "lq1_pow", "seminorm_p", "linf",
                "dissipation_step", "solver_iters", "grad_norm", "ray_tau",
@@ -226,7 +227,7 @@ def cmd_converge(cfg: RunConfig, levels: int, gamma: float) -> int:
     """Refinement study at h, h/2, ...; writes d_table.csv and report.json."""
     _, params, u0, kernel = _build_problem(cfg)
     try:
-        entries = verify.cauchy_refinement_study(
+        entries, rows = verify.cauchy_refinement_study(
             u0, kernel, params, levels=levels, gamma=gamma,
             s_prime=min(cfg.s_prime, 0.5 * cfg.s))
     except NonConvergence as err:
@@ -235,12 +236,6 @@ def cmd_converge(cfg: RunConfig, levels: int, gamma: float) -> int:
     # the study refuses the levels and gamma it cannot use before running
     # anything, so the directory is made only once they are accepted
     os.makedirs(cfg.output_dir, exist_ok=True)
-    detail = {e.name: e.detail for e in entries}
-    d_plus = detail["CAUCHY-plus"]["d"]
-    d_minus = detail["CAUCHY-minus"]["d"]
-    hs = detail["CAUCHY-plus"]["h"]
-    rows = [[k, hs[k], hs[k + 1], d_plus[k], d_minus[k]]
-            for k in range(len(d_plus))]
     write_csv(os.path.join(cfg.output_dir, "d_table.csv"),
               ["k", "h_coarse", "h_fine", "d_plus", "d_minus"], rows)
     report = verify.VerificationReport(
@@ -255,7 +250,7 @@ def cmd_ineq(cfg: RunConfig, trials: int, seed: int) -> int:
     from .stream import Stream  # imported where drawn (see stream)
     rng = Stream(seed)      # refuses a negative seed
     domain, params = _grid_and_params(cfg)
-    kernel = assemble_kernel(domain, params)
+    kernel = assemble_kernel(domain, cfg.s, cfg.p)
     os.makedirs(cfg.output_dir, exist_ok=True)
 
     # ratios of nearly equal pairs carry cancellation noise ~eps/|xi-eta|,

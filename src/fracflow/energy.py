@@ -165,7 +165,7 @@ def rothe_gradient(w: GridFunction, u_prev: GridFunction,
                    kernel: KernelTable, params: FlowParams) -> GridFunction:
     """Gradient in w of the objective of the implicit step from u_prev
     (``_step_gradient``), the residual of the step's equation."""
-    kernel.require_match(w.domain, params)
+    kernel.require_match(w.domain)
     return GridFunction(w.domain, _step_gradient(
         w.values, sgn_power(u_prev.values, params.q), kernel, params,
         w.domain.vol / params.h))
@@ -183,7 +183,7 @@ def _data_energies(u0: GridFunction, kernel: KernelTable,
     NonFiniteData if either is not finite.  Both are checked, not the scale:
     ``max`` drops a nan that is not its first argument.  Overflow is
     silenced while they are evaluated, since this named error reports it."""
-    kernel.require_match(u0.domain, params)
+    kernel.require_match(u0.domain)
     with np.errstate(over="ignore", invalid="ignore"):
         energies = (gagliardo_seminorm_p(u0, kernel),
                     lq_power_integral(u0, params.q + 1.0))

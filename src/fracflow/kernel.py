@@ -40,17 +40,23 @@ from .grid import GridDomain
 __all__ = ["FlowParams", "KernelTable", "assemble_kernel"]
 
 
+def _check_exponents(s: float, p: float) -> None:
+    """Refuse the operator's exponents outside 0 < s < 1 and 1 < p < inf."""
+    if not (0.0 < s < 1.0):
+        raise ValueError("s must lie in (0,1)")
+    if not 1.0 < p < math.inf:
+        raise ValueError("p must exceed 1 and be finite")
+
+
 @dataclass(frozen=True)
 class FlowParams:
-    """Exponents and stepping/solver controls for one flow run.
+    """The time exponent q and the stepping/solver controls of one flow run;
+    the operator's s and p are the kernel table's.
 
-    The standing admissibility assumptions are 0 < s < 1, p > 1 and q > 0;
-    anything outside that range, or any non-finite value, is rejected at
-    construction.
+    The standing admissibility assumption q > 0 and each control's range
+    are checked at construction; any non-finite value is rejected too.
     """
 
-    s: float
-    p: float
     q: float
     h: float
     t_end: float
@@ -58,10 +64,6 @@ class FlowParams:
     solver_max_iter: int = 50000
 
     def __post_init__(self):
-        if not (0.0 < self.s < 1.0):
-            raise ValueError("s must lie in (0,1)")
-        if not 1.0 < self.p < math.inf:
-            raise ValueError("p must exceed 1 and be finite")
         if not 0.0 < self.q < math.inf:
             raise ValueError("q must be positive and finite")
         if not self.h > 0.0:
@@ -94,10 +96,10 @@ class KernelTable:
     the other fields: at p = 2 ``degree`` and the circulant ``spectrum`` of
     the interior block; for other p ``interior`` and ``boundary``; nothing
     of size n_interior^2 at any p.  The full collar table ``weights`` is the
-    test oracle, built only when read and read by no computation.  Rebuilt
-    whenever (s, p, grid) changes; its own domain, s and p record what it
-    was built for, the energies read s and p from it, and it reads the node
-    lattice from the domain.
+    test oracle, built only when read and read by no computation.  A table
+    is the one owner of the operator's exponents: its s and p are what it
+    was built for, and every energy, step and check reads them from it; its
+    domain is the grid it was built on, whose node lattice it reads.
     """
 
     domain: GridDomain
@@ -130,14 +132,10 @@ class KernelTable:
             s=size, axes=axes)
         return y[tuple(slice(k) for k in box)].ravel()
 
-    def require_match(self, domain: GridDomain,
-                      params: FlowParams | None = None) -> None:
-        """Refuse a grid other than the one the table was built for, and
-        flow parameters, when given, of another s or p."""
-        if (domain.signature() != self.domain.signature()
-                or params is not None
-                and (params.s, params.p) != (self.s, self.p)):
-            raise ValueError("kernel table was built for different (s, p, grid)")
+    def require_match(self, domain: GridDomain) -> None:
+        """Refuse a grid other than the one the table was built for."""
+        if domain.signature() != self.domain.signature():
+            raise ValueError("kernel table was built for a different grid")
 
 
 def _collar_face_distances(domain: GridDomain) -> np.ndarray:
@@ -150,8 +148,7 @@ def _collar_face_distances(domain: GridDomain) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _tail_weights(domain: GridDomain, params: FlowParams) -> np.ndarray:
-    sp = params.s * params.p
+def _tail_weights(domain: GridDomain, sp: float) -> np.ndarray:
     dists = _collar_face_distances(domain)
     if domain.dim == 1:
         t = domain.vol * (dists[:, 0] ** (-sp) + dists[:, 1] ** (-sp)) / sp
@@ -281,20 +278,22 @@ def _circulant_spectrum(domain: GridDomain, table: np.ndarray) -> np.ndarray:
     return np.fft.rfftn(c, axes=axes)
 
 
-def assemble_kernel(domain: GridDomain, params: FlowParams) -> KernelTable:
+def assemble_kernel(domain: GridDomain, s: float, p: float) -> KernelTable:
     """Build the tails and, from one pow per lattice offset, what the
     table's p computes with, in O(m^dim) memory: at p = 2 the node degrees
     and the interior block's circulant spectrum; for other p the interior's
-    box view and the boundary weights.  For p != 2, grids too large for the
-    solver's (n_interior, n_interior) workspace are refused first."""
-    linear = params.p == 2.0
+    box view and the boundary weights.  Exponents outside their range are
+    refused first, then, for p != 2, grids too large for the solver's
+    (n_interior, n_interior) workspace."""
+    _check_exponents(s, p)
+    linear = p == 2.0
     if not linear and domain.n_interior > 6000:
         raise ValueError(f"{domain.n_interior} interior nodes: the solver's "
                          "pair-matrix workspace, plus LAPACK's copy at p < 2, "
                          "is n_interior^2 doubles; coarsen the grid")
     mask = domain.interior_mask
-    table = _offset_weights(domain, domain.dim + params.s * params.p)
-    tail = _tail_weights(domain, params)
+    table = _offset_weights(domain, domain.dim + s * p)
+    tail = _tail_weights(domain, s * p)
     degree = spectrum = interior = boundary = None
     if linear:
         degree = _window_sums(domain, table)[mask] + tail[mask]
@@ -306,6 +305,5 @@ def assemble_kernel(domain: GridDomain, params: FlowParams) -> KernelTable:
     for arr in (tail, degree, spectrum, interior, boundary):
         if arr is not None:
             arr.setflags(write=False)
-    return KernelTable(domain=domain, s=params.s, p=params.p, tail=tail,
-                       degree=degree, spectrum=spectrum, interior=interior,
-                       boundary=boundary)
+    return KernelTable(domain=domain, s=s, p=p, tail=tail, degree=degree,
+                       spectrum=spectrum, interior=interior, boundary=boundary)

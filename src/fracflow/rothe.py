@@ -99,7 +99,7 @@ class _StepWorkspace:
     ``tol_abs`` is the run's gradient stopping tolerance, as its caller
     takes it from ``energy._tolerances``; ``linear_iters`` counts the CG
     iterations of the Newton solves since the step began.  The caller has
-    matched params and its data's grid to the kernel."""
+    matched its data's grid to the kernel."""
 
     def __init__(self, kernel: KernelTable, params: FlowParams,
                  tol_abs: float):
@@ -108,7 +108,7 @@ class _StepWorkspace:
         self.tol_abs = tol_abs
         self.vol_h = kernel.domain.vol / params.h
         n = kernel.domain.n_interior
-        self.buf = None if params.p == 2.0 else np.empty((n, n))
+        self.buf = None if kernel.p == 2.0 else np.empty((n, n))
         self.linear_iters = 0
 
     def gradient(self, x: np.ndarray, vprev: np.ndarray) -> np.ndarray:
@@ -132,7 +132,7 @@ class _StepWorkspace:
         with no further (n, n) memory; for p < 2 LAPACK's solve takes a copy
         of it.
         """
-        p, q, kern = self.params.p, self.params.q, self.kernel
+        p, q, kern = self.kernel.p, self.params.q, self.kernel
         absx = np.abs(x)
         floor = 32.0 * np.finfo(float).eps * _magnitude(x)
         np.maximum(absx, floor, out=absx)
@@ -260,7 +260,7 @@ def _ray_start(ws: _StepWorkspace, x0: np.ndarray) -> float:
     underflow on its own once an extinguishing flow is small enough (a sup of
     1e-110 at q = 2), where the ray would then stop moving.
     """
-    p, q = ws.params.p, ws.params.q
+    p, q = ws.kernel.p, ws.params.q
     m = float(np.max(np.abs(x0)))
     y = x0 / m
     s1 = float(np.sum(np.abs(y) ** (q + 1.0)))
@@ -405,7 +405,7 @@ class RotheTrajectory:
         buffer at p != 2.  A is p-homogeneous, so [u_m]^p = 2 <A(u_m), u_m>;
         step m's residual is the step equation's time term + A(u_m)."""
         q, u, vol_h = self.params.q, self.u, self.domain.vol / self.params.h
-        buf = None if self.params.p == 2.0 else np.empty((u.shape[1],) * 2)
+        buf = None if self.kernel.p == 2.0 else np.empty((u.shape[1],) * 2)
         sem, res = [self._u0_energies[0]], []
         for prev, x in zip(u, u[1:]):
             a = _add_pair_gradient(np.zeros_like(x), x, self.kernel, buf)

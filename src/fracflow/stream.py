@@ -26,8 +26,8 @@ n Python steps, and every later draw of at most n takes one.
 
 Callers import this module where they draw, so a command that draws nothing
 (``converge`` on bump data, say) never loads it.  Without a bytecode cache
-every command compiles its modules from source, and this one costs about
-4 ms and 0.1 MiB of peak resident memory to compile.
+every command compiles its modules from source: this one takes 1.4 ms
+and a 0.5 MiB heap transient, 0.1-0.2 MiB of a run's peak RSS.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ quadrature.  The checks of a trajectory read its steps as the one array
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -84,7 +84,6 @@ class CheckEntry:
     tol: float = 0.0
     skipped: str | None = None
     note: str | None = None
-    detail: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -155,8 +154,7 @@ def _degenerate_weight(a: np.ndarray, b: np.ndarray, expo: float) -> np.ndarray:
 def check_energy_estimates(traj: RotheTrajectory) -> list:
     """Four entries: sup bound, time-integrated seminorm, weighted
     dissipation, and per-step seminorm decay."""
-    params = traj.params
-    q, p, h = params.q, params.p, params.h
+    q, p, h = traj.params.q, traj.kernel.p, traj.params.h
     tol = traj.tol_check
     lq_pow, sem = traj.lq_pow, traj.seminorm
     c2 = alg_constants(q + 1.0).c2
@@ -188,8 +186,7 @@ def check_energy_estimates(traj: RotheTrajectory) -> list:
 def check_time_derivative_bounds(traj: RotheTrajectory) -> list:
     """L2 bound on the half-power interpolant derivative, and for q >= 1 the
     L1 bound on the q-power interpolant derivative."""
-    params = traj.params
-    q, p, h = params.q, params.p, params.h
+    q, p, h = traj.params.q, traj.kernel.p, traj.params.h
     tol = traj.tol_check
     s0 = traj.seminorm[0]
     c1_half = alg_constants((q + 3.0) / 2.0).c1
@@ -236,8 +233,7 @@ def check_truncation_energy(traj: RotheTrajectory, ell: int) -> list:
     of the squared and the (q+1)-power integrals is bounded with an extra
     3^(1-q) factor, valid for h <= 1.
     """
-    params = traj.params
-    q, p, h = params.q, params.p, params.h
+    q, p, h = traj.params.q, traj.kernel.p, traj.params.h
     tol = traj.tol_check
     s0 = traj.seminorm[0]
     c2 = alg_constants(q + 1.0).c2
@@ -286,9 +282,9 @@ def check_poincare(u: GridFunction, kernel: KernelTable,
     """Nonlocal Poincare bound with the explicit far-field constant
     (sp / (n alpha_n)) (2 diam Omega)^sp, on the domain of u."""
     domain = u.domain
-    kernel.require_match(domain, params)
+    kernel.require_match(domain)
     n = domain.dim
-    sp = params.s * params.p
+    sp = kernel.s * kernel.p
     const = sp / (n * _UNIT_BALL_VOL[n]) * (2.0 * domain.omega_diameter) ** sp
     if not np.any(u.values):
         return CheckEntry(name="POINCARE", ref="poincare-bound",
@@ -296,7 +292,7 @@ def check_poincare(u: GridFunction, kernel: KernelTable,
                           skipped="zero function (vacuous)")
     energies = _data_energies(u, kernel, params)
     return CheckEntry(name="POINCARE", ref="poincare-bound",
-                      lhs=lq_power_integral(u, params.p),
+                      lhs=lq_power_integral(u, kernel.p),
                       rhs=const * energies[0], constant_used=const,
                       tol=_tolerances(energies, params)[2])
 
@@ -462,12 +458,14 @@ def check_initial_trend(traj: RotheTrajectory) -> CheckEntry:
 def cauchy_refinement_study(u0: GridFunction, kernel: KernelTable,
                             params: FlowParams, levels: int = 3,
                             gamma: float = 1.0, *,
-                            s_prime: float) -> list:
+                            s_prime: float) -> tuple[list, list]:
     """Distances between successive h-refined runs in L^gamma of the cylinder.
 
     Runs the flow at h, h/2, ..., h/2^(levels-1), samples the linear
     reconstructions of the positive and negative parts on the finest step
-    midpoints and reports whether the successive distances decrease.  The
+    midpoints and reports whether the successive distances decrease: the
+    two CAUCHY entries, and one row (k, h_k, h_(k+1), d_plus, d_minus) per
+    pair of successive levels.  The
     levels run one at a time: each level's samples are kept only until the
     next level's are taken and both distances of the pair formed, and no
     trajectory outlives its sampling.
@@ -477,10 +475,10 @@ def cauchy_refinement_study(u0: GridFunction, kernel: KernelTable,
     if not gamma >= 1.0:        # nan fails too
         raise ValueError("gamma must be at least 1")
     n = u0.domain.dim
-    if not (0.0 < s_prime < params.s):
+    if not (0.0 < s_prime < kernel.s):
         raise ValueError("s_prime must lie in (0, s)")
     bound = min((n + 1.0) / (n + 1.0 - s_prime),
-                p_star(n, params.s, params.p) or math.inf)
+                p_star(n, kernel.s, kernel.p) or math.inf)
     if gamma >= bound:
         raise ValueError(f"gamma must be below {bound!r} for these exponents")
 
@@ -514,9 +512,10 @@ def cauchy_refinement_study(u0: GridFunction, kernel: KernelTable,
                 ratios.append(0.0 if d[k + 1] == 0.0 else 2.0)
         entries.append(CheckEntry(
             name=f"CAUCHY-{tag}", ref="refinement-contraction",
-            lhs=max(ratios), rhs=1.0,
-            detail={"h": hs, "d": d, "gamma": gamma}))
-    return entries
+            lhs=max(ratios), rhs=1.0))
+    rows = [[k, hs[k], hs[k + 1], *pair]
+            for k, pair in enumerate(zip(dists["plus"], dists["minus"]))]
+    return entries, rows
 
 
 def measure_sobolev_constant(kernel: KernelTable) -> float:
@@ -561,15 +560,15 @@ def chebyshev_level_sets(traj: RotheTrajectory, ell: float) -> CheckEntry:
     """Measure of the super-level set {u_+ >= ell} of the last step u_N
     against the embedding bound (C_sob [u_0])^{p*} / ell^{p*} with a
     measured C_sob."""
-    params, domain = traj.params, traj.domain
-    exponent = p_star(domain.dim, params.s, params.p)
+    kernel, domain = traj.kernel, traj.domain
+    exponent = p_star(domain.dim, kernel.s, kernel.p)
     if exponent is None:
         return CheckEntry(name="LEVELSET", ref="level-set-bound",
                           lhs=0.0, rhs=0.0,
                           skipped="p_star undefined (s*p >= dim)")
-    c_sob = measure_sobolev_constant(traj.kernel)
+    c_sob = measure_sobolev_constant(kernel)
     lhs = domain.vol * float(np.sum(np.maximum(traj.u[-1], 0.0) >= ell))
-    rhs = ((c_sob * traj.seminorm[0] ** (1.0 / params.p)) ** exponent
+    rhs = ((c_sob * traj.seminorm[0] ** (1.0 / kernel.p)) ** exponent
            / float(ell) ** exponent)
     return CheckEntry(name="LEVELSET", ref="level-set-bound",
                       lhs=lhs, rhs=rhs, constant_used=c_sob,

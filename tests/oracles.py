@@ -3,8 +3,8 @@
 None of this is reached by a ``fracflow`` command: it builds test data,
 evaluates a quantity the solver never needs (the step objective, whose
 gradient the solver drives to zero), is the slow reference version of a
-solver or kernel routine, reads fracflow's own source, or measures the
-memory a call holds.
+solver or kernel routine, replays a check's seeded probes, reads
+fracflow's own source, or measures the memory a call holds.
 """
 
 import ast
@@ -18,7 +18,8 @@ import tracemalloc
 import numpy as np
 
 import fracflow
-from fracflow import GridFunction, scan_alg_constants
+from fracflow import (GridFunction, gagliardo_seminorm_p, lq_power_integral,
+                      scan_alg_constants, verify)
 from fracflow.energy import _self_pair_sum, sgn_power
 from fracflow.kernel import _box_weights, _offset_weights, _outside_weights
 
@@ -69,7 +70,7 @@ def interior_step_objective(x, vprev, kernel, params, vol_h):
     """Objective of one implicit step at interior values x, given
     vprev = sgn_power(u_prev, q) on the interior and vol_h = vol / h; its
     gradient is ``energy._step_gradient``."""
-    p, q = params.p, params.q
+    p, q = kernel.p, params.q
     time_part = vol_h * float(
         np.sum(np.abs(x) ** (q + 1.0) / (q + 1.0) - vprev * x))
     pair = _self_pair_sum(x, kernel)
@@ -81,6 +82,35 @@ def step_objective(w, u_prev, kernel, params):
     return interior_step_objective(
         w.values, sgn_power(u_prev.values, params.q), kernel, params,
         w.domain.vol / params.h)
+
+
+def sobolev_probe_ratios(kernel):
+    """The ratios ||u||_{p*} / [u] of ``verify.measure_sobolev_constant``'s
+    probes, replayed from the same seeded draws and split by family: the
+    smooth bumps (even probes) and the nodal noise (odd probes), each in
+    draw order and computed as that function computes them."""
+    from fracflow.stream import Stream
+    domain = kernel.domain
+    exponent = verify.p_star(domain.dim, kernel.s, kernel.p)
+    rng = Stream(verify._SOBOLEV_SEED)
+    coords = domain.node_coords
+    lo, hi = np.asarray(domain.omega_min), np.asarray(domain.omega_max)
+    ratios = {"bump": [], "noise": []}
+    for k in range(verify._SOBOLEV_PROBES):
+        if k % 2 == 0:
+            center = rng.uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo))
+            width = rng.uniform(0.15, 0.45) * float(np.min(hi - lo))
+            r2 = ((coords - center) ** 2).sum(axis=1) / width ** 2
+            vals, family = np.maximum(0.0, 1.0 - r2) ** 2, "bump"
+        else:
+            vals = rng.uniform(-1.0, 1.0, size=domain.n_nodes)
+            family = "noise"
+        u = GridFunction(domain, vals[domain.interior_mask])
+        sem = gagliardo_seminorm_p(u, kernel)
+        if sem > 0.0:
+            norm = lq_power_integral(u, exponent) ** (1.0 / exponent)
+            ratios[family].append(norm / sem ** (1.0 / kernel.p))
+    return ratios["bump"], ratios["noise"]
 
 
 def pair_weights(coords, vol, expo, lag=0.0, rows=None):

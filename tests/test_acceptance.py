@@ -43,8 +43,8 @@ def sweep():
     for s in S_VALUES:
         for p in P_VALUES:
             for q in Q_VALUES:
-                params = FlowParams(s=s, p=p, q=q, h=0.01, t_end=0.5)
-                kernel = assemble_kernel(dom, params)
+                params = FlowParams(q=q, h=0.01, t_end=0.5)
+                kernel = assemble_kernel(dom, s, p)
                 for preset in PRESETS:
                     u0 = eval_preset(dom, preset, 1.0, seed=7)
                     traj = run_flow(u0, kernel, params)
@@ -152,8 +152,8 @@ def test_criterion_5_truncation_energy(sweep):
 
 def test_criterion_6_linear_solve_oracle():
     dom = build_grid(1, 0.0, 1.0, 8, 2.0)   # 16 nodes, 8 interior
-    params = FlowParams(s=0.5, p=2.0, q=1.0, h=0.01, t_end=0.1)
-    kernel = assemble_kernel(dom, params)
+    params = FlowParams(q=1.0, h=0.01, t_end=0.1)
+    kernel = assemble_kernel(dom, 0.5, 2.0)
     n = dom.n_nodes
     interior = dom.interior_mask
     a_mat = np.zeros((n, n))
@@ -185,8 +185,8 @@ def test_criterion_7_gradient_oracles():
     worst = 0.0
     for p in P_VALUES:
         for q in Q_VALUES:
-            params = FlowParams(s=0.5, p=p, q=q, h=0.01, t_end=0.1)
-            kernel = assemble_kernel(dom, params)
+            params = FlowParams(q=q, h=0.01, t_end=0.1)
+            kernel = assemble_kernel(dom, 0.5, p)
             w = GridFunction(dom, bump * (1.0 + 0.3 * rng.uniform(
                 -1.0, 1.0, dom.n_nodes)[mask]))
             uprev = GridFunction(dom, bump * (1.0 + 0.3 * rng.uniform(
@@ -247,8 +247,8 @@ def test_criterion_9_poincare():
     violations = 0
     for dim, n_cells in ((1, 32), (2, 8)):
         dom = build_grid(dim, 0.0, 1.0, n_cells, 2.0)
-        params = FlowParams(s=0.5, p=2.0, q=1.0, h=0.01, t_end=0.1)
-        kernel = assemble_kernel(dom, params)
+        params = FlowParams(q=1.0, h=0.01, t_end=0.1)
+        kernel = assemble_kernel(dom, 0.5, 2.0)
         rng = np.random.default_rng(1000 + dim)
         for _ in range(100):
             vals = rng.uniform(-1, 1, dom.n_nodes)[dom.interior_mask]
@@ -265,15 +265,15 @@ def test_criterion_10_spacetime_interpolation():
     all_ok = True
     # trajectories at 8-node x 8-time resolution
     for (s, p, q) in ((0.5, 2.0, 1.0), (0.25, 1.5, 0.5), (0.75, 3.0, 2.0)):
-        params = FlowParams(s=s, p=p, q=q, h=0.02, t_end=0.2)
-        kernel = assemble_kernel(dom, params)
+        params = FlowParams(q=q, h=0.02, t_end=0.2)
+        kernel = assemble_kernel(dom, s, p)
         traj = run_flow(eval_preset(dom, "bump", 1.0), kernel, params)
         e = verify.check_spacetime_sobolev(traj, 0.25, 0.4, 8)
         all_ok &= e.passed
 
     # tiny case against the literal 4-loop oracle
-    params = FlowParams(s=0.5, p=2.0, q=1.0, h=0.025, t_end=0.1)
-    kernel = assemble_kernel(dom, params)
+    params = FlowParams(q=1.0, h=0.025, t_end=0.1)
+    kernel = assemble_kernel(dom, 0.5, 2.0)
     traj = run_flow(eval_preset(dom, "bump", 1.0), kernel, params)
     got = verify.spacetime_seminorm_w1(traj, 0.25, 8)
     taus = (np.arange(8) + 0.5) * (params.t_end / 8)
@@ -310,14 +310,13 @@ def test_criterion_10_spacetime_interpolation():
 def test_criterion_11_cauchy_refinement():
     t0 = time.time()
     dom = build_grid(1, 0.0, 1.0, 32, 2.0)
-    params = FlowParams(s=0.5, p=2.0, q=1.0, h=0.04, t_end=0.4)
-    kernel = assemble_kernel(dom, params)
+    params = FlowParams(q=1.0, h=0.04, t_end=0.4)
+    kernel = assemble_kernel(dom, 0.5, 2.0)
     u0 = eval_preset(dom, "bump", 1.0)
-    entries = verify.cauchy_refinement_study(u0, kernel, params, levels=3,
-                                             gamma=1.0, s_prime=0.25)
-    plus = next(e for e in entries if e.name == "CAUCHY-plus")
-    d = plus.detail["d"]
-    assert plus.detail["h"] == [0.04, 0.02, 0.01]
+    entries, rows = verify.cauchy_refinement_study(
+        u0, kernel, params, levels=3, gamma=1.0, s_prime=0.25)
+    d = [row[3] for row in rows]        # the d_plus column
+    assert [row[1:3] for row in rows] == [[0.04, 0.02], [0.02, 0.01]]
     elapsed = time.time() - t0
     ok = d[0] > d[1] > 0.0 and elapsed < 120.0
     report_line(f"11 refinement contraction d0={d[0]:.3e} > d1={d[1]:.3e} > 0 "

@@ -279,9 +279,9 @@ def test_converge_exit_code_is_the_reports_verdict(tmp_path, monkeypatch):
         def study(u0, kernel, params, **kw):
             return [cli.verify.CheckEntry(
                 name=f"CAUCHY-{tag}", ref="refinement-contraction",
-                lhs=d[1] / d[0], rhs=1.0,
-                detail={"h": [0.04, 0.02, 0.01], "d": d, "gamma": 1.0})
-                for tag in ("plus", "minus")]
+                lhs=d[1] / d[0], rhs=1.0) for tag in ("plus", "minus")], [
+                [k, 0.04 / 2 ** k, 0.02 / 2 ** k, d[k], d[k]]
+                for k in range(2)]
         return study
 
     for d, code in (([0.5, 0.5], 0), ([0.25, 0.5], 4)):
@@ -483,7 +483,7 @@ def test_run_evaluates_each_step_energy_once(tmp_path, monkeypatch):
         u0 = traj.u[0].tobytes()
         assert sem[u0] == 2
         # POINCARE's left side ||u0||_p^p is a call at r = p = q + 1 = 2 too
-        assert lq[u0, q1] == 2 + (traj.params.p == q1)
+        assert lq[u0, q1] == 2 + (traj.kernel.p == q1)
         # 4: INIT-TREND gaps
         assert sum(sem.values()) == 1 + 1 + probes + 4
 
@@ -620,9 +620,9 @@ def test_numpy_fft_loads_only_for_p2():
         " eval_preset, run_flow",
         "print('numpy.fft' in sys.modules)",
         "dom = build_grid(1, 0.0, 1.0, 16, 2.0)",
-        "params = FlowParams(s=0.5, p=1.5, q=1.0, h=0.01, t_end=0.01)",
+        "params = FlowParams(q=1.0, h=0.01, t_end=0.01)",
         "run_flow(eval_preset(dom, 'bump', 1.0),"
-        " assemble_kernel(dom, params), params)",
+        " assemble_kernel(dom, 0.5, 1.5), params)",
         "print('numpy.fft' in sys.modules)"])
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
@@ -746,7 +746,7 @@ def test_outputs_read_back_exactly(tmp_path, monkeypatch):
     assert cmd_run(small_run_cfg(tmp_path, **over)) == 0
     conv = small_run_cfg(tmp_path, output_dir=tmp_path / "conv", **over)
     assert cmd_converge(conv, levels=3, gamma=1.0) == 0
-    (traj,), (run_report, conv_report), (entries,) = trajs, reports, studies
+    (traj,), (run_report, conv_report), ((_, rows),) = trajs, reports, studies
 
     for out, report in ((tmp_path / "out", run_report),
                         (tmp_path / "conv", conv_report)):
@@ -758,12 +758,10 @@ def test_outputs_read_back_exactly(tmp_path, monkeypatch):
     assert series["lq1_pow"] == bits(list(traj.lq_pow))
     assert series["seminorm_p"] == bits(list(traj.seminorm))
 
-    detail = {e.name: e.detail for e in entries}
     table = csv_columns(tmp_path / "conv" / "d_table.csv")
-    assert table["d_plus"] == bits(detail["CAUCHY-plus"]["d"])
-    assert table["d_minus"] == bits(detail["CAUCHY-minus"]["d"])
-    assert table["h_coarse"] == bits(detail["CAUCHY-plus"]["h"][:-1])
-    assert table["h_fine"] == bits(detail["CAUCHY-plus"]["h"][1:])
+    for col, name in enumerate(("k", "h_coarse", "h_fine", "d_plus",
+                                "d_minus")):
+        assert table[name] == bits([float(row[col]) for row in rows])
 
     # the writers alone, on a subnormal, an integral float and a signed zero
     xs = [1.0 / 3.0, 1e-9, 0.1, 123456.789, 2.0 ** -1074, 1e16, -0.0]

@@ -17,8 +17,8 @@ from oracles import (dense_interior, interior_step_objective,
 
 def make_problem(n_cells=16, s=0.5, p=2.0, q=1.0, h=0.01, t_end=0.1, **kw):
     dom = build_grid(1, 0.0, 1.0, n_cells, 2.0)
-    params = FlowParams(s=s, p=p, q=q, h=h, t_end=t_end, **kw)
-    return dom, params, assemble_kernel(dom, params)
+    params = FlowParams(q=q, h=h, t_end=t_end, **kw)
+    return dom, params, assemble_kernel(dom, s, p)
 
 
 def test_zero_start_short_circuits():
@@ -42,8 +42,8 @@ def test_step_decreases_objective():
 def test_three_node_linear_solve_oracle():
     # p=2, q=1: the step equation is linear; compare with a dense solve
     dom = build_grid(1, 0.0, 1.0, 3, 1.0)
-    params = FlowParams(s=0.5, p=2.0, q=1.0, h=0.05, t_end=0.1)
-    kernel = assemble_kernel(dom, params)
+    params = FlowParams(q=1.0, h=0.05, t_end=0.1)
+    kernel = assemble_kernel(dom, 0.5, 2.0)
     rng = np.random.default_rng(0)
     n = dom.n_nodes
     a_mat = np.zeros((n, n))
@@ -146,9 +146,9 @@ def test_newton_past_800_interior_nodes(monkeypatch):
                                      (3.0, 2.0, 2, 5), (2.0, 0.5, 2, 4)):
         monkeypatch.setattr(np.linalg, "solve", spy if p < 2.0 else refuse)
         solves.clear()
-        params = FlowParams(s=0.5, p=p, q=q, h=0.01, t_end=0.01 * n_steps,
+        params = FlowParams(q=q, h=0.01, t_end=0.01 * n_steps,
                             solver_max_iter=100)
-        traj = run_flow(u0, assemble_kernel(dom, params), params)
+        traj = run_flow(u0, assemble_kernel(dom, 0.5, p), params)
         assert traj.n_steps == n_steps
         for diag in traj.diagnostics:
             assert 1 <= diag.iterations <= max_iters
@@ -170,8 +170,8 @@ def test_cg_direction_meets_its_residual_target(dim, p, q):
         dom = build_grid(1, 0.0, 1.0, 32, 2.0)
     else:
         dom = build_grid(2, (0.0, 0.0), (1.0, 1.0), 8, 2.0)
-    params = FlowParams(s=0.5, p=p, q=q, h=0.01, t_end=0.01)
-    kernel = assemble_kernel(dom, params)
+    params = FlowParams(q=q, h=0.01, t_end=0.01)
+    kernel = assemble_kernel(dom, 0.5, p)
     interior, boundary = dense_interior(kernel)
     for seed in range(3):
         u0 = eval_preset(dom, "random", 1.0, seed=seed)
@@ -201,8 +201,8 @@ def test_p2_step_forms_no_pair_matrix():
     n = dom.n_interior
     u_prev = eval_preset(dom, "random", 1.0, seed=0)
     for p, q in ((2.0, 0.5), (3.0, 0.5)):
-        params = FlowParams(s=0.5, p=p, q=q, h=0.01, t_end=0.01)
-        kernel = assemble_kernel(dom, params)
+        params = FlowParams(q=q, h=0.01, t_end=0.01)
+        kernel = assemble_kernel(dom, 0.5, p)
         tol_abs = _tolerances(_data_energies(u_prev, kernel, params),
                               params)[1]
         (_, diag), peak = traced_peak(lambda: _solve_step(
@@ -315,8 +315,8 @@ def test_ray_start_closed_form_objective(dim, p, q):
     else:
         dom = build_grid(2, (0.0, 0.0), (1.0, 1.0), 6, 2.0)
     for h in (0.01, 1e6):
-        params = FlowParams(s=0.5, p=p, q=q, h=h, t_end=h)
-        kernel = assemble_kernel(dom, params)
+        params = FlowParams(q=q, h=h, t_end=h)
+        kernel = assemble_kernel(dom, 0.5, p)
         ws = _StepWorkspace(kernel, params, params.solver_tol)
         for seed in range(3):
             u_prev = eval_preset(dom, "random", 1.0, seed=seed)
@@ -475,7 +475,7 @@ def series_error_bounds(traj):
     inf-norms by at most the largest row bound.  Additions are exact below
     the normal range, so no floor is needed there."""
     params, kernel, u = traj.params, traj.kernel, traj.u
-    p, n = params.p, u.shape[1]
+    p, n = kernel.p, u.shape[1]
     eps, tiny = np.finfo(float).eps, np.finfo(float).smallest_subnormal
     k = np.reshape(kernel.interior, (n, n))
     vol_h = traj.domain.vol / params.h
@@ -570,8 +570,8 @@ def test_trajectory_array_and_reconstruct_at_knots_and_midpoints():
     # included, with every midpoint returns the steps themselves at the
     # knots and the slopes (u_m - u_(m-1)) / h exactly at the midpoints
     dom = build_grid(2, (0.0, 0.0), (1.0, 1.0), 6, 2.0)
-    params = FlowParams(s=0.5, p=1.5, q=1.0, h=0.01, t_end=0.05)
-    kernel = assemble_kernel(dom, params)
+    params = FlowParams(q=1.0, h=0.01, t_end=0.05)
+    kernel = assemble_kernel(dom, 0.5, 1.5)
     traj = run_flow(eval_preset(dom, "bump", 1.0), kernel, params)
     u, h, n = traj.u, params.h, traj.n_steps
     assert n == 5 and u.shape == (n + 1, dom.n_interior)
